@@ -13,7 +13,7 @@
 //! # Provenance of the last run (reads results/manifest.json):
 //! cargo run --release -p wn-bench --bin experiments -- report
 //!
-//! # Refresh the BENCH_executor.json perf-trajectory record:
+//! # Time the executor into results/BENCH_executor.json:
 //! cargo run --release -p wn-bench --bin experiments -- bench
 //! ```
 //!
@@ -427,8 +427,8 @@ fn report() -> ExitCode {
 /// `experiments bench`: min-of-30 wall-clock of the fixed executor
 /// workload (matmul + Clank + RF-bursty, as `benches/executor.rs` and
 /// `examples/wl_time.rs`), untraced vs traced, written to
-/// `BENCH_executor.json` at the workspace root so the perf trajectory
-/// accumulates across commits.
+/// `BENCH_executor.json` in the results directory and appended to the
+/// `bench_history.jsonl` trajectory there.
 fn bench() -> ExitCode {
     use wn_core::intermittent::quick_supply;
     use wn_core::prepared::PreparedRun;

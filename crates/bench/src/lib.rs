@@ -17,20 +17,24 @@
 //! and the `BENCH_*.json` perf-trajectory records.
 
 use std::env;
+use std::ffi::OsString;
 use std::fs;
 use std::path::{Path, PathBuf};
 
 pub mod manifest;
 
-/// Where experiment artifacts (CSV series, PGM images) are written:
-/// `$WN_RESULTS_DIR` when set, otherwise `results/` under the workspace
-/// root — **not** the current directory, which depends on how cargo was
-/// invoked and used to scatter artifacts.
+/// Where experiment artifacts (CSV series, PGM images, bench records)
+/// are written: `$WN_RESULTS_DIR` when set, otherwise `results/` under
+/// the workspace root — **not** the current directory, which depends on
+/// how cargo was invoked and used to scatter artifacts.
 pub fn results_dir() -> PathBuf {
-    if let Some(dir) = env::var_os("WN_RESULTS_DIR") {
-        return PathBuf::from(dir);
-    }
-    workspace_root().join("results")
+    results_dir_from(env::var_os("WN_RESULTS_DIR"))
+}
+
+/// [`results_dir`] for a given `WN_RESULTS_DIR` value: the override
+/// when present, otherwise `results/` under the workspace root.
+fn results_dir_from(override_dir: Option<OsString>) -> PathBuf {
+    override_dir.map_or_else(|| workspace_root().join("results"), PathBuf::from)
 }
 
 /// The workspace root: the nearest ancestor of this crate's manifest
@@ -53,14 +57,18 @@ pub fn workspace_root() -> PathBuf {
 ///
 /// Returns any I/O error from creating the directory or writing the file.
 pub fn write_artifact(name: &str, contents: &str) -> std::io::Result<PathBuf> {
-    let dir = results_dir();
-    fs::create_dir_all(&dir)?;
+    write_artifact_in(&results_dir(), name, contents)
+}
+
+/// [`write_artifact`] into an explicit directory.
+fn write_artifact_in(dir: &Path, name: &str, contents: &str) -> std::io::Result<PathBuf> {
+    fs::create_dir_all(dir)?;
     let path = dir.join(name);
     fs::write(&path, contents)?;
     Ok(path)
 }
 
-/// Reads back an artifact (for tests).
+/// Reads back an artifact from the results directory.
 ///
 /// # Errors
 ///
@@ -77,7 +85,7 @@ mod tests {
     fn results_dir_is_workspace_rooted_and_overridable() {
         // Without the override, artifacts land under the workspace root
         // (which contains this crate), wherever cargo was invoked from.
-        let default_dir = results_dir();
+        let default_dir = results_dir_from(None);
         assert!(default_dir.ends_with("results"));
         assert!(default_dir
             .parent()
@@ -85,21 +93,19 @@ mod tests {
             .join("crates")
             .join("bench")
             .is_dir());
+        // The override is taken verbatim.
+        let custom = env::temp_dir().join("wn-results-override");
+        assert_eq!(results_dir_from(Some(custom.clone().into())), custom);
     }
 
     #[test]
     fn artifact_roundtrip_in_isolated_dir() {
-        // Isolate in a temp dir so the test never touches the real
-        // results/ tree. Env vars are process-wide; the only other test
-        // in this binary does not read WN_RESULTS_DIR, and is ordered
-        // before this set by its own assertions on the default path.
+        // An explicit directory keeps the test off the real results/
+        // tree without touching the process environment.
         let dir = env::temp_dir().join(format!("wn-bench-test-{}", std::process::id()));
-        env::set_var("WN_RESULTS_DIR", &dir);
-        let path = write_artifact("__test.csv", "a,b\n1,2\n").unwrap();
+        let path = write_artifact_in(&dir, "__test.csv", "a,b\n1,2\n").unwrap();
         assert!(path.starts_with(&dir));
-        assert!(path.exists());
-        assert_eq!(read_artifact("__test.csv").unwrap(), "a,b\n1,2\n");
-        env::remove_var("WN_RESULTS_DIR");
+        assert_eq!(fs::read_to_string(&path).unwrap(), "a,b\n1,2\n");
         fs::remove_dir_all(&dir).unwrap();
     }
 }

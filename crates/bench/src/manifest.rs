@@ -107,8 +107,10 @@ impl RunManifest {
 }
 
 /// One `BENCH_*.json` record: a named set of scalar metrics from a
-/// timing run, written to the workspace root so successive commits
-/// accumulate a machine-readable perf trajectory.
+/// timing run, written to the results directory next to
+/// `bench_history.jsonl`. The `BENCH_*.json` files at the workspace
+/// root are checked-in baselines that no command rewrites; CI compares
+/// a fresh record against them.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BenchRecord {
     /// Record name; the file is written as `BENCH_<name>.json`.
@@ -149,16 +151,16 @@ impl BenchRecord {
         obj.raw("units", units.finish()).finish()
     }
 
-    /// Writes the record as `BENCH_<name>.json` at the workspace root
+    /// Writes the record as `BENCH_<name>.json` in the results
+    /// directory (`$WN_RESULTS_DIR` or `results/`, created on demand)
     /// and returns the path.
     ///
     /// # Errors
     ///
-    /// Returns any I/O error from writing the file.
+    /// Returns any I/O error from creating the directory or writing the
+    /// file.
     pub fn write(&self) -> std::io::Result<std::path::PathBuf> {
-        let path = crate::workspace_root().join(format!("BENCH_{}.json", self.name));
-        std::fs::write(&path, self.to_json())?;
-        Ok(path)
+        crate::write_artifact(&format!("BENCH_{}.json", self.name), &self.to_json())
     }
 
     /// Appends the record as one line to `bench_history.jsonl` in the

@@ -4,8 +4,6 @@ use std::collections::HashMap;
 use std::fmt;
 use std::sync::{Mutex, OnceLock};
 
-use wn_telemetry::{Event, EventKind, EventSink};
-
 use crate::capacitor::Capacitor;
 use crate::trace::{PowerTrace, SAMPLE_HZ};
 
@@ -637,51 +635,6 @@ impl EnergySupply {
         }
     }
 
-    /// [`EnergySupply::wait_for_power`] with tracing: an off→on
-    /// transition is recorded into `sink` as an
-    /// [`EventKind::PowerOn`] event carrying the recharge wait.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`EnergySupply::wait_for_power`].
-    pub fn wait_for_power_traced<K: EventSink>(
-        &mut self,
-        sink: &mut K,
-    ) -> Result<f64, SupplyError> {
-        let was_on = self.on;
-        let waited = self.wait_for_power()?;
-        if sink.enabled() && !was_on {
-            sink.record(Event {
-                t_s: self.t_s,
-                kind: EventKind::PowerOn { waited_s: waited },
-            });
-        }
-        Ok(waited)
-    }
-
-    /// [`EnergySupply::consume_cycles`] with tracing: a brown-out is
-    /// recorded into `sink` as an [`EventKind::Outage`] event. The
-    /// energy arithmetic is the untraced method's, unchanged.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`EnergySupply::consume_cycles`].
-    #[inline]
-    pub fn consume_cycles_traced<K: EventSink>(
-        &mut self,
-        cycles: u64,
-        sink: &mut K,
-    ) -> Result<PowerStatus, SupplyError> {
-        let status = self.consume_cycles(cycles)?;
-        if sink.enabled() && status == PowerStatus::Outage {
-            sink.record(Event {
-                t_s: self.t_s,
-                kind: EventKind::Outage,
-            });
-        }
-        Ok(status)
-    }
-
     /// Grants an **energy lease**: the number of cycles guaranteed to
     /// execute without a brown-out even if the harvester delivers nothing,
     /// capped at `cap`. Solved analytically from the capacitor state:
@@ -983,56 +936,6 @@ mod tests {
         // extra while on).
         let expect = s.config().cycles_per_on_period();
         assert!(total as f64 > expect as f64 * 0.8, "{total} vs {expect}");
-    }
-
-    #[test]
-    fn traced_wrappers_emit_power_events_and_match_untraced() {
-        use wn_telemetry::RingBufferSink;
-
-        let mut traced = constant_supply();
-        let mut plain = constant_supply();
-        let mut sink = RingBufferSink::new(64);
-
-        let waited = traced.wait_for_power_traced(&mut sink).unwrap();
-        assert_eq!(waited, plain.wait_for_power().unwrap());
-        // Re-waiting while on records nothing.
-        traced.wait_for_power_traced(&mut sink).unwrap();
-        assert_eq!(
-            sink.count_of(EventKind::PowerOn { waited_s: 0.0 }.index()),
-            1
-        );
-        match sink.events().next().unwrap().kind {
-            EventKind::PowerOn { waited_s } => assert_eq!(waited_s, waited),
-            other => panic!("expected PowerOn, got {other:?}"),
-        }
-
-        loop {
-            let status = traced.consume_cycles_traced(1000, &mut sink).unwrap();
-            assert_eq!(status, plain.consume_cycles(1000).unwrap());
-            if status == PowerStatus::Outage {
-                break;
-            }
-        }
-        assert_eq!(sink.count_of(EventKind::Outage.index()), 1);
-        // The traced path is the untraced arithmetic, bit for bit.
-        assert_eq!(traced.time_s(), plain.time_s());
-        assert_eq!(traced.voltage(), plain.voltage());
-        // The outage event is stamped with the brown-out time.
-        let outage = sink.events().find(|e| e.kind == EventKind::Outage).unwrap();
-        assert_eq!(outage.t_s, traced.time_s());
-    }
-
-    #[test]
-    fn traced_wrappers_with_null_sink_record_nothing() {
-        use wn_telemetry::NullSink;
-
-        let mut s = constant_supply();
-        s.wait_for_power_traced(&mut NullSink).unwrap();
-        assert!(s.is_on());
-        assert_eq!(
-            s.consume_cycles_traced(0, &mut NullSink).unwrap(),
-            PowerStatus::On
-        );
     }
 
     #[test]

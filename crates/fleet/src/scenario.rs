@@ -803,6 +803,13 @@ fn doc_from_json(text: &str) -> Result<ScenarioDoc, ScenarioError> {
             break;
         }
     }
+    p.skip_ws();
+    if p.pos < p.bytes.len() {
+        return Err(err(&format!(
+            "JSON: trailing bytes after the top-level object at byte {}",
+            p.pos
+        )));
+    }
     Ok(doc)
 }
 
@@ -848,6 +855,20 @@ impl JsonParser<'_> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
+            // A run of plain bytes is copied as one UTF-8 slice, so
+            // non-ASCII text survives intact.
+            let start = self.pos;
+            while self
+                .bytes
+                .get(self.pos)
+                .is_some_and(|&b| b != b'"' && b != b'\\')
+            {
+                self.pos += 1;
+            }
+            out.push_str(
+                std::str::from_utf8(&self.bytes[start..self.pos])
+                    .map_err(|_| err("JSON: invalid UTF-8 in string"))?,
+            );
             match self.bytes.get(self.pos) {
                 Some(b'"') => {
                     self.pos += 1;
@@ -864,11 +885,7 @@ impl JsonParser<'_> {
                     }
                     self.pos += 1;
                 }
-                Some(&b) => {
-                    out.push(b as char);
-                    self.pos += 1;
-                }
-                None => return Err(err("JSON: unterminated string")),
+                _ => return Err(err("JSON: unterminated string")),
             }
         }
     }
@@ -996,6 +1013,13 @@ day_s = 10.0
         let b = FleetScenario::parse(json).unwrap();
         assert_eq!(a, b);
         assert_eq!(a.fingerprint(), b.fingerprint());
+
+        // Non-ASCII names decode as UTF-8 in both frontends.
+        let a = FleetScenario::parse(&TOML.replace("\"mini\"", "\"π-fleet\"")).unwrap();
+        let b = FleetScenario::parse(&json.replace("\"mini\"", "\"π-fleet\"")).unwrap();
+        assert_eq!(b.name, "π-fleet");
+        assert_eq!(a, b);
+        assert_eq!(a.fingerprint(), b.fingerprint());
     }
 
     #[test]
@@ -1067,6 +1091,10 @@ day_s = 10.0
             (
                 "[fleet]\n[[cohort]]\nbenchmark = \"home\"\ncount = 0\n",
                 "zero devices",
+            ),
+            (
+                "{\"cohorts\": [{\"benchmark\": \"home\"}]} {}",
+                "trailing bytes",
             ),
         ] {
             let e = FleetScenario::parse(text).unwrap_err().to_string();

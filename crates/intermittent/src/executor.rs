@@ -7,20 +7,27 @@ use std::ops::ControlFlow;
 
 use wn_energy::{EnergySupply, PowerStatus, PowerTrace, SupplyConfig, SupplyError};
 use wn_sim::{Core, HookBreak, HookKind, SimError, StepHook, StepInfo};
-use wn_telemetry::{Event, EventKind, EventSink};
+use wn_telemetry::{Event, EventKind, EventSink, NullSink};
 
 use crate::substrate::{Substrate, SubstrateStats};
 
-/// The untraced lease hook: charges substrate overhead and settles
-/// energy as pure bookkeeping, and — because it needs only memory-op
-/// granularity — lets straight-line blocks retire fused. Block
-/// admission is bounded by the substrate's own headroom (watchdog
-/// distance for Clank, unlimited for NVP) and per-instruction overhead,
-/// so fused dispatch can neither cross a substrate intervention point
-/// nor overshoot the energy lease.
-struct FusedLeaseHook<'a, S: Substrate> {
+/// The lease hook: charges substrate overhead and settles energy as
+/// pure bookkeeping, and — because it needs only memory-op granularity
+/// — lets straight-line blocks retire fused. Block admission is bounded
+/// by the substrate's own headroom (watchdog distance for Clank,
+/// unlimited for NVP, zero for Task) and per-instruction overhead, so
+/// fused dispatch can neither cross a substrate intervention point nor
+/// overshoot the energy lease.
+///
+/// Checkpoints are attributed to `sink` from the single-stepped
+/// instructions only: a fused block never checkpoints (Clank's
+/// headroom keeps the watchdog out of reach, NVP checkpoints only on
+/// outage, Task never fuses), so the traced event stream is the one a
+/// per-instruction engine would emit.
+struct FusedLeaseHook<'a, S: Substrate, K: EventSink> {
     supply: &'a mut EnergySupply,
     substrate: &'a mut S,
+    sink: &'a mut K,
     cap: u64,
     /// Extra cycles charged by the step that broke the loop at a task
     /// boundary. [`wn_sim::BulkRun::cycles`] excludes the breaking
@@ -30,11 +37,12 @@ struct FusedLeaseHook<'a, S: Substrate> {
     carried: u64,
 }
 
-impl<S: Substrate> StepHook for FusedLeaseHook<'_, S> {
+impl<S: Substrate, K: EventSink> StepHook for FusedLeaseHook<'_, S, K> {
     const KIND: HookKind = HookKind::MemoryOps;
 
     #[inline]
     fn on_step(&mut self, core: &mut Core, info: &StepInfo) -> ControlFlow<HookBreak, u64> {
+        let before = self.sink.enabled().then(|| self.substrate.stats());
         let overhead = self.substrate.after_step(core, info);
         debug_assert!(
             overhead <= self.cap,
@@ -42,6 +50,10 @@ impl<S: Substrate> StepHook for FusedLeaseHook<'_, S> {
             self.cap
         );
         self.supply.settle(info.cycles + overhead);
+        if let Some(b) = before {
+            self.substrate
+                .record_checkpoint_events(&b, self.supply.time_s(), self.sink);
+        }
         if self.substrate.take_boundary() {
             // A task committed: stop the lease so the commit settles
             // before the next grant, exactly as checkpoint costs do at
@@ -243,8 +255,8 @@ impl<S: Substrate> IntermittentExecutor<S> {
     /// brown-outs even with zero harvest. When the lease comfortably
     /// exceeds the worst case of one instruction plus the substrate's
     /// [`Substrate::lease_cap`] overhead, execution proceeds in bulk
-    /// through [`Core::run_steps`] with no per-instruction voltage check:
-    /// the hook charges substrate overhead and settles energy
+    /// through [`Core::run_steps_hooked`] with no per-instruction voltage
+    /// check: the hook charges substrate overhead and settles energy
     /// ([`EnergySupply::settle`]) as pure bookkeeping. Near the brown-out
     /// threshold (or the wall-clock limit) it falls back to the exact
     /// per-instruction checked path, so outages land on precisely the
@@ -257,14 +269,13 @@ impl<S: Substrate> IntermittentExecutor<S> {
     /// reference engine's periodic polling; `limit_s` is also checked on
     /// entry, before the initial [`EnergySupply::wait_for_power`].
     ///
-    /// On top of the epoch scheduling, the untraced path runs the
-    /// **block-fused engine**: inside a lease, straight-line basic
-    /// blocks retire through [`Core::run_steps_hooked`] with one
+    /// On top of the epoch scheduling runs the **block-fused engine**:
+    /// inside a lease, straight-line basic blocks retire with one
     /// admission check per block instead of per-instruction dispatch
-    /// (see [`wn_sim::StepHook`] for the granularity contract). The
-    /// traced path ([`IntermittentExecutor::run_with_sink`]) observes
-    /// every instruction and is the differential cover for this fast
-    /// path: both must produce bit-identical outcomes.
+    /// (see [`wn_sim::StepHook`] for the granularity contract). This is
+    /// the same loop [`IntermittentExecutor::run_with_sink`] drives, with
+    /// a [`NullSink`]; the reference engine is the only differential
+    /// cover for it.
     ///
     /// # Errors
     ///
@@ -272,7 +283,7 @@ impl<S: Substrate> IntermittentExecutor<S> {
     /// `limit_s`, [`ExecError::WallClock`] on timeout, or a wrapped
     /// supply / simulator error.
     pub fn run(&mut self, limit_s: f64) -> Result<IntermittentRun, ExecError> {
-        self.run_inner(limit_s, false)
+        self.power_loop(limit_s, false, &mut NullSink)
     }
 
     /// [`IntermittentExecutor::run`] entered as if resuming a run that
@@ -287,104 +298,16 @@ impl<S: Substrate> IntermittentExecutor<S> {
     ///
     /// As [`IntermittentExecutor::run`].
     pub fn run_resumed(&mut self, limit_s: f64) -> Result<IntermittentRun, ExecError> {
-        self.run_inner(limit_s, true)
-    }
-
-    fn run_inner(&mut self, limit_s: f64, resumed: bool) -> Result<IntermittentRun, ExecError> {
-        validate_limit(limit_s)?;
-        let mut active_cycles = 0u64;
-        let mut skimmed = false;
-        let mut had_outage = resumed;
-        let outages0 = self.supply.outage_count();
-        let time0 = self.supply.time_s();
-        let on_time0 = self.supply.on_time_s();
-        let max_instr_cycles = self.core.config().cycle_model.max_instr_cycles();
-
-        'power_cycles: loop {
-            if self.supply.time_s() > limit_s {
-                return Err(ExecError::WallClock { limit_s });
-            }
-            self.supply.wait_for_power()?;
-
-            // Restore path — checked: a weak checkpoint restore can brown
-            // out before the first instruction.
-            let restore_cost = self.substrate.on_restore(&mut self.core);
-            if self.consume(restore_cost, &mut active_cycles)? == PowerStatus::Outage {
-                self.substrate.on_outage(&mut self.core);
-                had_outage = true;
-                continue 'power_cycles;
-            }
-            // Skim check (§III-C), as in `run_with_sink`.
-            if self.skim_enabled && had_outage {
-                if let Some(target) = self.core.cpu.skm {
-                    self.core.cpu.pc = target;
-                    self.core.cpu.skm = None;
-                    skimmed = true;
-                }
-            }
-
-            // Lease loop: execute until outage or completion.
-            loop {
-                if self.core.is_halted() {
-                    break 'power_cycles;
-                }
-                if self.supply.time_s() > limit_s {
-                    return Err(ExecError::WallClock { limit_s });
-                }
-                let slack = max_instr_cycles + self.substrate.lease_cap();
-                let grant = self
-                    .supply
-                    .grant_cycles(cycles_until_limit(&self.supply, limit_s));
-                if grant > slack {
-                    let cap = self.substrate.lease_cap();
-                    let mut hook = FusedLeaseHook {
-                        supply: &mut self.supply,
-                        substrate: &mut self.substrate,
-                        cap,
-                        carried: 0,
-                    };
-                    // A `StopReason::Boundary` return needs no special
-                    // arm: the lease loop re-iterates, re-checks halt
-                    // and wall clock, and grants afresh with the commit
-                    // already settled.
-                    let bulk = self.core.run_steps_hooked(grant - slack, &mut hook)?;
-                    active_cycles += bulk.cycles + hook.carried;
-                    debug_assert!(
-                        self.supply.voltage() >= self.supply.config().v_off,
-                        "brown-out inside an energy lease"
-                    );
-                } else {
-                    // Near the brown-out threshold or the wall-clock
-                    // limit: the exact checked path of the reference
-                    // engine, one instruction at a time.
-                    let info = self.core.step()?;
-                    let overhead = self.substrate.after_step(&mut self.core, &info);
-                    if self.consume(info.cycles + overhead, &mut active_cycles)?
-                        == PowerStatus::Outage
-                    {
-                        self.substrate.on_outage(&mut self.core);
-                        had_outage = true;
-                        continue 'power_cycles;
-                    }
-                }
-            }
-        }
-
-        Ok(IntermittentRun {
-            skimmed,
-            total_time_s: self.supply.time_s() - time0,
-            on_time_s: self.supply.on_time_s() - on_time0,
-            active_cycles,
-            outages: self.supply.outage_count() - outages0,
-            substrate: self.substrate.stats(),
-        })
+        self.power_loop(limit_s, true, &mut NullSink)
     }
 
     /// [`IntermittentExecutor::run`] with lifecycle tracing: lifecycle
     /// events (run start/end, power-on/outage, checkpoint/restore, skim
     /// taken/skipped, lease grant/settle) are recorded into `sink`,
-    /// timestamped with the supply's simulated clock. Execution is
-    /// identical to the untraced run — tracing only observes.
+    /// timestamped with the supply's simulated clock. It is the same
+    /// fused loop as the untraced run — tracing only observes, so the
+    /// outcome is bit-identical and [`IntermittentExecutor::run_reference`]
+    /// covers both.
     ///
     /// # Errors
     ///
@@ -394,10 +317,24 @@ impl<S: Substrate> IntermittentExecutor<S> {
         limit_s: f64,
         sink: &mut K,
     ) -> Result<IntermittentRun, ExecError> {
+        self.power_loop(limit_s, false, sink)
+    }
+
+    /// The power-cycle loop behind [`IntermittentExecutor::run`],
+    /// [`IntermittentExecutor::run_resumed`] and
+    /// [`IntermittentExecutor::run_with_sink`]. `resumed` makes the first
+    /// restore count as post-outage. Every emission is gated on
+    /// `sink.enabled()`, so with a [`NullSink`] it folds away.
+    fn power_loop<K: EventSink>(
+        &mut self,
+        limit_s: f64,
+        resumed: bool,
+        sink: &mut K,
+    ) -> Result<IntermittentRun, ExecError> {
         validate_limit(limit_s)?;
         let mut active_cycles = 0u64;
         let mut skimmed = false;
-        let mut had_outage = false;
+        let mut had_outage = resumed;
         // Report per-run deltas even when the supply is shared across
         // inputs (the stream harness reuses one energy environment).
         let outages0 = self.supply.outage_count();
@@ -405,31 +342,22 @@ impl<S: Substrate> IntermittentExecutor<S> {
         let on_time0 = self.supply.on_time_s();
         let max_instr_cycles = self.core.config().cycle_model.max_instr_cycles();
 
-        if sink.enabled() {
-            sink.record(Event {
-                t_s: self.supply.time_s(),
-                kind: EventKind::RunStart,
-            });
-        }
-
+        self.emit(sink, EventKind::RunStart);
         'power_cycles: loop {
             if self.supply.time_s() > limit_s {
                 return Err(ExecError::WallClock { limit_s });
             }
-            self.supply.wait_for_power_traced(sink)?;
+            let was_on = self.supply.is_on();
+            let waited_s = self.supply.wait_for_power()?;
+            if !was_on {
+                self.emit(sink, EventKind::PowerOn { waited_s });
+            }
 
             // Restore path — checked: a weak checkpoint restore can brown
             // out before the first instruction.
-            let restore_cost = self.substrate.on_restore(&mut self.core);
-            if sink.enabled() {
-                sink.record(Event {
-                    t_s: self.supply.time_s(),
-                    kind: EventKind::Restore {
-                        cost_cycles: restore_cost,
-                    },
-                });
-            }
-            if self.consume_traced(restore_cost, &mut active_cycles, sink)? == PowerStatus::Outage {
+            let cost_cycles = self.substrate.on_restore(&mut self.core);
+            self.emit(sink, EventKind::Restore { cost_cycles });
+            if self.consume(cost_cycles, &mut active_cycles, sink)? == PowerStatus::Outage {
                 self.outage(sink);
                 had_outage = true;
                 continue 'power_cycles;
@@ -439,31 +367,18 @@ impl<S: Substrate> IntermittentExecutor<S> {
             // cleared as part of acting on it; if a second outage hits
             // before the post-skim commit reaches HALT, the device simply
             // resumes refinement from its checkpoint — a lost skim is a
-            // missed shortcut, never a wrong result.
-            if self.skim_enabled && had_outage {
-                if let Some(target) = self.core.cpu.skm {
-                    self.core.cpu.pc = target;
-                    self.core.cpu.skm = None;
-                    skimmed = true;
-                    if sink.enabled() {
-                        sink.record(Event {
-                            t_s: self.supply.time_s(),
-                            kind: EventKind::SkimTaken { target },
-                        });
+            // missed shortcut, never a wrong result. With skimming
+            // disabled the restore deliberately ignores an armed point.
+            if had_outage {
+                match self.core.cpu.skm.filter(|_| self.skim_enabled) {
+                    Some(target) => {
+                        self.core.cpu.pc = target;
+                        self.core.cpu.skm = None;
+                        skimmed = true;
+                        self.emit(sink, EventKind::SkimTaken { target });
                     }
-                } else if sink.enabled() {
-                    sink.record(Event {
-                        t_s: self.supply.time_s(),
-                        kind: EventKind::SkimSkipped,
-                    });
+                    None => self.emit(sink, EventKind::SkimSkipped),
                 }
-            } else if had_outage && sink.enabled() {
-                // Skimming disabled: the restore deliberately ignored
-                // any armed skim point.
-                sink.record(Event {
-                    t_s: self.supply.time_s(),
-                    kind: EventKind::SkimSkipped,
-                });
             }
 
             // Lease loop: execute until outage or completion.
@@ -477,57 +392,34 @@ impl<S: Substrate> IntermittentExecutor<S> {
                 // Slack reserved at the end of a lease: the final retired
                 // instruction may overshoot the bulk budget by its own
                 // cost plus the worst-case substrate overhead.
-                let slack = max_instr_cycles + self.substrate.lease_cap();
+                let cap = self.substrate.lease_cap();
+                let slack = max_instr_cycles + cap;
                 let grant = self
                     .supply
                     .grant_cycles(cycles_until_limit(&self.supply, limit_s));
                 if grant > slack {
-                    let supply = &mut self.supply;
-                    let substrate = &mut self.substrate;
-                    let cap = substrate.lease_cap();
-                    if sink.enabled() {
-                        sink.record(Event {
-                            t_s: supply.time_s(),
-                            kind: EventKind::LeaseGrant { cycles: grant },
-                        });
-                    }
-                    // Boundary breaks must happen at the same points as
-                    // the untraced engine's, so the wall-clock checks
-                    // between leases line up run-for-run.
-                    let mut carried = 0u64;
-                    let bulk = self.core.run_steps(grant - slack, |core, info| {
-                        // Snapshot only when tracing: with a NullSink
-                        // this folds to the PR 2 hook verbatim.
-                        let before = if sink.enabled() {
-                            Some(substrate.stats())
-                        } else {
-                            None
-                        };
-                        let overhead = substrate.after_step(core, info);
-                        debug_assert!(
-                            overhead <= cap,
-                            "substrate overhead {overhead} exceeds its lease_cap {cap}"
-                        );
-                        supply.settle(info.cycles + overhead);
-                        if let Some(b) = before {
-                            substrate.record_checkpoint_events(&b, supply.time_s(), sink);
-                        }
-                        if substrate.take_boundary() {
-                            carried += overhead;
-                            return std::ops::ControlFlow::Break(());
-                        }
-                        std::ops::ControlFlow::Continue(overhead)
-                    })?;
-                    active_cycles += bulk.cycles + carried;
-                    if sink.enabled() {
-                        sink.record(Event {
-                            t_s: self.supply.time_s(),
-                            kind: EventKind::LeaseSettled {
-                                cycles: bulk.cycles + carried,
-                                instructions: bulk.instructions,
-                            },
-                        });
-                    }
+                    self.emit(sink, EventKind::LeaseGrant { cycles: grant });
+                    let mut hook = FusedLeaseHook {
+                        supply: &mut self.supply,
+                        substrate: &mut self.substrate,
+                        sink: &mut *sink,
+                        cap,
+                        carried: 0,
+                    };
+                    // A `StopReason::Boundary` return needs no special
+                    // arm: the lease loop re-iterates, re-checks halt
+                    // and wall clock, and grants afresh with the commit
+                    // already settled.
+                    let bulk = self.core.run_steps_hooked(grant - slack, &mut hook)?;
+                    let cycles = bulk.cycles + hook.carried;
+                    active_cycles += cycles;
+                    self.emit(
+                        sink,
+                        EventKind::LeaseSettled {
+                            cycles,
+                            instructions: bulk.instructions,
+                        },
+                    );
                     debug_assert!(
                         self.supply.voltage() >= self.supply.config().v_off,
                         "brown-out inside an energy lease"
@@ -537,17 +429,13 @@ impl<S: Substrate> IntermittentExecutor<S> {
                     // limit: the exact checked path of the reference
                     // engine, one instruction at a time.
                     let info = self.core.step()?;
-                    let before = if sink.enabled() {
-                        Some(self.substrate.stats())
-                    } else {
-                        None
-                    };
+                    let before = sink.enabled().then(|| self.substrate.stats());
                     let overhead = self.substrate.after_step(&mut self.core, &info);
                     if let Some(b) = before {
                         self.substrate
                             .record_checkpoint_events(&b, self.supply.time_s(), sink);
                     }
-                    if self.consume_traced(info.cycles + overhead, &mut active_cycles, sink)?
+                    if self.consume(info.cycles + overhead, &mut active_cycles, sink)?
                         == PowerStatus::Outage
                     {
                         // Even when the outage coincides with the HALT
@@ -564,13 +452,7 @@ impl<S: Substrate> IntermittentExecutor<S> {
                 }
             }
         }
-
-        if sink.enabled() {
-            sink.record(Event {
-                t_s: self.supply.time_s(),
-                kind: EventKind::RunEnd { skimmed },
-            });
-        }
+        self.emit(sink, EventKind::RunEnd { skimmed });
 
         Ok(IntermittentRun {
             skimmed,
@@ -609,7 +491,8 @@ impl<S: Substrate> IntermittentExecutor<S> {
 
             // Restore path.
             let restore_cost = self.substrate.on_restore(&mut self.core);
-            if self.consume(restore_cost, &mut active_cycles)? == PowerStatus::Outage {
+            if self.consume(restore_cost, &mut active_cycles, &mut NullSink)? == PowerStatus::Outage
+            {
                 self.substrate.on_outage(&mut self.core);
                 had_outage = true;
                 continue 'power_cycles;
@@ -640,7 +523,8 @@ impl<S: Substrate> IntermittentExecutor<S> {
                 }
                 let info = self.core.step()?;
                 let overhead = self.substrate.after_step(&mut self.core, &info);
-                if self.consume(info.cycles + overhead, &mut active_cycles)? == PowerStatus::Outage
+                if self.consume(info.cycles + overhead, &mut active_cycles, &mut NullSink)?
+                    == PowerStatus::Outage
                 {
                     self.substrate.on_outage(&mut self.core);
                     had_outage = true;
@@ -659,30 +543,39 @@ impl<S: Substrate> IntermittentExecutor<S> {
         })
     }
 
-    fn consume(&mut self, cycles: u64, active: &mut u64) -> Result<PowerStatus, ExecError> {
-        *active += cycles;
-        Ok(self.supply.consume_cycles(cycles)?)
-    }
-
-    fn consume_traced<K: EventSink>(
+    /// Consumes `cycles` on the checked path, recording a brown-out
+    /// into `sink` at the instant it happens.
+    fn consume<K: EventSink>(
         &mut self,
         cycles: u64,
         active: &mut u64,
         sink: &mut K,
     ) -> Result<PowerStatus, ExecError> {
         *active += cycles;
-        Ok(self.supply.consume_cycles_traced(cycles, sink)?)
+        let status = self.supply.consume_cycles(cycles)?;
+        if status == PowerStatus::Outage {
+            self.emit(sink, EventKind::Outage);
+        }
+        Ok(status)
+    }
+
+    /// Records `kind` at the supply's current time when `sink` is
+    /// enabled; a [`NullSink`] compiles the call away.
+    #[inline(always)]
+    fn emit<K: EventSink>(&self, sink: &mut K, kind: EventKind) {
+        if sink.enabled() {
+            sink.record(Event {
+                t_s: self.supply.time_s(),
+                kind,
+            });
+        }
     }
 
     /// Outage handling: let the substrate react, then (when tracing)
     /// attribute any checkpoints it took — NVP snapshots on the outage
     /// itself, which is exactly this window.
     fn outage<K: EventSink>(&mut self, sink: &mut K) {
-        let before = if sink.enabled() {
-            Some(self.substrate.stats())
-        } else {
-            None
-        };
+        let before = sink.enabled().then(|| self.substrate.stats());
         self.substrate.on_outage(&mut self.core);
         if let Some(b) = before {
             self.substrate
@@ -1081,5 +974,158 @@ mod tests {
         let run = exec.run(3600.0).unwrap();
         assert!(run.on_time_s > 0.0);
         assert!(run.active_cycles > 10_000);
+    }
+
+    /// FNV-1a over `bytes`: a stable digest for pinning event streams.
+    fn fnv1a(bytes: &[u8]) -> u64 {
+        bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+
+    /// A read-modify-write loop over `n` iterations that arms a skim
+    /// point to `end` before refining: the first post-outage restore
+    /// jumps straight to `HALT`.
+    fn skim_program(n: u32) -> wn_isa::Program {
+        let src = format!(
+            ".data\nout: .space 8\n.text\nMOV r0, =out\nMOV r2, #0\nSKM end\nloop:\nLDR r1, [r0, #0]\nADD r1, r1, r2\nSTR r1, [r0, #0]\nADD r2, r2, #1\nCMP r2, #{n}\nBLT loop\nend:\nHALT"
+        );
+        assemble(&src).unwrap()
+    }
+
+    /// Task regions that split the loop body in two, so every iteration
+    /// crosses two boundaries (and commits twice).
+    fn split_loop_regions(program: &wn_isa::Program) -> Vec<crate::task::TaskRegion> {
+        let body = program.code_symbol("loop").unwrap();
+        let len = program.instrs.len() as u32;
+        [(0, body), (body, body + 3), (body + 3, len)]
+            .into_iter()
+            .map(|(start_pc, end_pc)| crate::task::TaskRegion {
+                start_pc,
+                end_pc,
+                is_commit: false,
+                privatized_words: 0,
+            })
+            .collect()
+    }
+
+    /// Runs `program` traced into a ring buffer that never wraps and
+    /// returns the FNV-1a digest of its JSON-lines dump plus the event
+    /// count.
+    fn event_digest<S: Substrate>(program: &wn_isa::Program, substrate: S) -> (u64, u64) {
+        let core = Core::new(program, CoreConfig::default()).unwrap();
+        let mut exec = IntermittentExecutor::new(core, &rf_trace(3), supply_config(), substrate);
+        let mut sink = wn_telemetry::RingBufferSink::new(1 << 20);
+        exec.run_with_sink(3600.0, &mut sink).unwrap();
+        assert_eq!(sink.dropped(), 0, "the ring must hold the whole stream");
+        (fnv1a(sink.to_json_lines().as_bytes()), sink.recorded())
+    }
+
+    /// Pins the traced event stream — kinds, payloads and timestamp
+    /// bits — for every substrate on a long program and a skim-arming
+    /// one over a fixed RF trace. The digests were taken from the
+    /// per-instruction traced engine the fused loop replaced, so they
+    /// prove tracing on the fused path emits the same events.
+    #[test]
+    fn traced_event_stream_is_pinned() {
+        use crate::task::{Task, TaskConfig};
+
+        let long = long_program(40_000);
+        let skim = skim_program(40_000);
+        let got = [
+            event_digest(&long, Clank::default()),
+            event_digest(&long, Nvp::default()),
+            event_digest(
+                &long,
+                Task::new(TaskConfig::default(), split_loop_regions(&long)),
+            ),
+            event_digest(&skim, Clank::default()),
+            event_digest(&skim, Nvp::default()),
+            event_digest(
+                &skim,
+                Task::new(TaskConfig::default(), split_loop_regions(&skim)),
+            ),
+        ];
+        let want = [
+            (0x6815_6f07_88c6_a260, 40_376),
+            (0xd921_9fd1_b6eb_84d8, 84),
+            (0x1f0f_d15b_3335_f226, 159_166),
+            (0xc75a_b723_9342_cad2, 1_043),
+            (0xeafb_d73b_4417_c9f4, 15),
+            (0x2e5c_6dd2_5c9e_e74a, 2_260),
+        ];
+        assert_eq!(got, want, "{got:#x?}");
+    }
+
+    /// A sink that wants nothing but counts what it is handed anyway.
+    struct DisabledSink(u64);
+
+    impl EventSink for DisabledSink {
+        fn enabled(&self) -> bool {
+            false
+        }
+
+        fn record(&mut self, _event: Event) {
+            self.0 += 1;
+        }
+    }
+
+    #[test]
+    fn disabled_sink_records_nothing_and_matches_run() {
+        let program = long_program(40_000);
+        let mk = || {
+            let core = Core::new(&program, CoreConfig::default()).unwrap();
+            IntermittentExecutor::new(core, &rf_trace(3), supply_config(), Clank::default())
+        };
+        let mut sink = DisabledSink(0);
+        let traced = mk().run_with_sink(3600.0, &mut sink).unwrap();
+        assert_eq!(sink.0, 0, "every emission site is gated on enabled()");
+        assert!(traced.outages > 0);
+        assert_eq!(traced, mk().run(3600.0).unwrap());
+        assert_eq!(traced, mk().run_with_sink(3600.0, &mut NullSink).unwrap());
+    }
+
+    /// The power edges carry the supply's clock: the first boot's
+    /// `PowerOn` holds the supply's own recharge wait, and the first
+    /// `Outage` is stamped at the instant of the brown-out — both
+    /// checked against a twin supply driven by hand, one instruction at
+    /// a time.
+    #[test]
+    fn traced_power_edges_carry_the_supply_clock() {
+        use wn_telemetry::RingBufferSink;
+
+        let program = long_program(40_000);
+        let config = SupplyConfig {
+            start_charged: false,
+            ..supply_config()
+        };
+        let core = Core::new(&program, CoreConfig::default()).unwrap();
+        let mut exec = IntermittentExecutor::new(core, &rf_trace(3), config, Nvp::default());
+        let mut sink = RingBufferSink::new(1 << 16);
+        exec.run_with_sink(3600.0, &mut sink).unwrap();
+
+        let mut core = Core::new(&program, CoreConfig::default()).unwrap();
+        let mut nvp = Nvp::default();
+        let mut twin = EnergySupply::new(rf_trace(3), config);
+        let waited_s = twin.wait_for_power().unwrap();
+        assert!(waited_s > 0.0, "an uncharged start must wait");
+        let on = sink
+            .events()
+            .find(|e| matches!(e.kind, EventKind::PowerOn { .. }))
+            .unwrap();
+        assert_eq!(on.kind, EventKind::PowerOn { waited_s });
+        assert_eq!(on.t_s.to_bits(), twin.time_s().to_bits());
+
+        let restore = nvp.on_restore(&mut core);
+        assert_eq!(twin.consume_cycles(restore).unwrap(), PowerStatus::On);
+        loop {
+            let info = core.step().unwrap();
+            let overhead = nvp.after_step(&mut core, &info);
+            if twin.consume_cycles(info.cycles + overhead).unwrap() == PowerStatus::Outage {
+                break;
+            }
+        }
+        let outage = sink.events().find(|e| e.kind == EventKind::Outage).unwrap();
+        assert_eq!(outage.t_s.to_bits(), twin.time_s().to_bits());
     }
 }

@@ -3,8 +3,8 @@
 //! The intermittent executor collapses an entire run into a handful of
 //! scalars; this crate adds the *when*: timestamped lifecycle events
 //! (power-on/outage, checkpoint/restore, skim jump, lease grant/settle,
-//! run start/end) emitted by the supply, the substrates, and the
-//! executor into an [`EventSink`].
+//! run start/end) emitted by the intermittent executor's power loop and
+//! the substrates it drives into an [`EventSink`].
 //!
 //! The design constraint is that tracing must cost nothing when off.
 //! [`NullSink`] reports `enabled() == false` from a trivially inlinable
