@@ -33,7 +33,7 @@ use wn_core::experiments::{
     fig01, fig02, fig03, fig09, fig10, fig12, fig13, fig14, fig15, fig17, table1, ExperimentConfig,
 };
 use wn_core::{jobs, telemetry};
-use wn_telemetry::json;
+use wn_telemetry::json::{self, Value};
 
 const USAGE: &str = "usage: experiments <all|table1|fig01|fig02|fig03|fig09|fig10|fig11|fig12|fig13|fig14|fig15|fig17|task|area_power|report|bench|bench-fleet> [--paper] [--jobs N] [--telemetry] [--epoch N]\n       experiments fleet <scenario.toml|.json> [--check] [--jobs N] [--engine scalar|batched] [--resume] [--shard-jsonl] [--stop-after-shards N] [--epoch N]\n       experiments predict <scenario.toml|.json> [--validate] [--jobs N] [--epoch N]\n       experiments serve [--addr HOST:PORT] [--data-dir DIR] [--jobs N] [--queue N] [--cache-cap N] [--engine scalar|batched] [--stop-after-shards N]";
 
@@ -173,6 +173,7 @@ fn main() -> ExitCode {
     let wall_s = total.elapsed().as_secs_f64();
     let manifest = RunManifest {
         command: args.join(" "),
+        unix_time_s: manifest::unix_time_s(),
         scale: format!("{:?}", config.scale).to_lowercase(),
         traces: config.traces as u64,
         invocations: config.invocations as u64,
@@ -213,22 +214,27 @@ fn parse_flag_value(args: &[String], flag: &str) -> Result<Option<String>, Strin
 
 /// Parses `--jobs N` / `--jobs=N` from the argument list.
 fn parse_jobs(args: &[String]) -> Result<Option<usize>, String> {
-    let parse = |v: &str| {
-        v.parse::<usize>()
-            .ok()
-            .filter(|&n| n > 0)
-            .ok_or_else(|| format!("--jobs needs a positive integer, got `{v}`"))
-    };
-    for (i, arg) in args.iter().enumerate() {
-        if let Some(v) = arg.strip_prefix("--jobs=") {
-            return parse(v).map(Some);
-        }
-        if arg == "--jobs" {
-            let v = args.get(i + 1).ok_or("--jobs needs a value")?;
-            return parse(v).map(Some);
-        }
+    parse_flag_value(args, "--jobs")?
+        .map(|v| {
+            v.parse::<usize>()
+                .ok()
+                .filter(|&n| n > 0)
+                .ok_or_else(|| format!("--jobs needs a positive integer, got `{v}`"))
+        })
+        .transpose()
+}
+
+/// Parses `--engine scalar|batched` (default batched). Engine choice
+/// changes speed only: reports are byte-identical either way (`scalar`
+/// keeps the per-device oracle honest in CI).
+fn parse_engine(args: &[String]) -> Result<wn_fleet::FleetEngine, String> {
+    match parse_flag_value(args, "--engine")?.as_deref() {
+        None | Some("batched") => Ok(wn_fleet::FleetEngine::default()),
+        Some("scalar") => Ok(wn_fleet::FleetEngine::Scalar),
+        Some(other) => Err(format!(
+            "--engine must be `scalar` or `batched`, got `{other}`"
+        )),
     }
-    Ok(None)
 }
 
 fn run_one(
@@ -393,25 +399,27 @@ fn report() -> ExitCode {
     for a in &m.artifacts {
         println!("    {a}");
     }
-    match read_artifact("run_report.json") {
-        Ok(doc) if json::extract_str(&doc, "schema") == Some("wn-run-report-v1") => {
+    match read_artifact("run_report.json").map(|doc| json::parse(&doc)) {
+        Ok(Ok(doc)) if doc.get("schema").and_then(Value::as_str) == Some("wn-run-report-v1") => {
             println!(
                 "run report ({}):",
-                json::extract_str(&doc, "label").unwrap_or("?")
+                doc.get("label").and_then(Value::as_str).unwrap_or("?")
             );
-            for key in ["runs", "outages", "active_cycles", "events_recorded"] {
-                if let Some(v) = json::extract_f64(&doc, key) {
-                    println!("  {key}: {v}");
-                }
-            }
-            for key in ["completed", "skimmed"] {
-                if let Some(v) = json::extract_raw(&doc, key) {
-                    println!("  {key}: {v}");
-                }
-            }
-            for key in ["total_time_s", "on_time_s"] {
-                if let Some(v) = json::extract_f64(&doc, key) {
-                    println!("  {key}: {v:.4}");
+            for key in [
+                "runs",
+                "outages",
+                "active_cycles",
+                "events_recorded",
+                "completed",
+                "skimmed",
+                "total_time_s",
+                "on_time_s",
+            ] {
+                match doc.get(key) {
+                    Some(Value::Num(v)) if key.ends_with("_s") => println!("  {key}: {v:.4}"),
+                    Some(Value::Num(v)) => println!("  {key}: {v}"),
+                    Some(Value::Bool(b)) => println!("  {key}: {b}"),
+                    _ => {}
                 }
             }
         }
@@ -734,15 +742,7 @@ fn serve(args: &[String]) -> ExitCode {
         if let Some(n) = flag_usize("--stop-after-shards")? {
             config.stop_after_shards = Some(n);
         }
-        match parse_flag_value(args, "--engine")?.as_deref() {
-            None | Some("batched") => {}
-            Some("scalar") => config.engine = wn_fleet::FleetEngine::Scalar,
-            Some(other) => {
-                return Err(format!(
-                    "--engine must be `scalar` or `batched`, got `{other}`"
-                ))
-            }
-        }
+        config.engine = parse_engine(args)?;
         Ok(())
     })();
     if let Err(e) = parsed {
@@ -774,24 +774,14 @@ fn serve(args: &[String]) -> ExitCode {
 /// usual manifest. `--resume` picks up from the checkpoint; the report
 /// bytes are identical to an uninterrupted run at any `--jobs` width.
 fn fleet(args: &[String], operands: &[&str]) -> ExitCode {
-    use wn_fleet::{run_fleet, FleetEngine, FleetOptions, FleetStatus};
+    use wn_fleet::{run_fleet, FleetOptions, FleetStatus};
 
     let [path] = operands else {
         eprintln!("fleet needs exactly one scenario file\n{USAGE}");
         return ExitCode::FAILURE;
     };
-    // Engine choice changes speed only: reports are byte-identical
-    // either way (`scalar` keeps the per-device oracle honest in CI).
-    let engine = match parse_flag_value(args, "--engine") {
-        Ok(None) => FleetEngine::default(),
-        Ok(Some(v)) => match v.as_str() {
-            "scalar" => FleetEngine::Scalar,
-            "batched" => FleetEngine::default(),
-            other => {
-                eprintln!("--engine must be `scalar` or `batched`, got `{other}`\n{USAGE}");
-                return ExitCode::FAILURE;
-            }
-        },
+    let engine = match parse_engine(args) {
+        Ok(engine) => engine,
         Err(e) => {
             eprintln!("{e}\n{USAGE}");
             return ExitCode::FAILURE;
@@ -931,6 +921,7 @@ fn fleet(args: &[String], operands: &[&str]) -> ExitCode {
     let wall_s = total.elapsed().as_secs_f64();
     let manifest = RunManifest {
         command: args.join(" "),
+        unix_time_s: manifest::unix_time_s(),
         scale: format!("{:?}", scenario.scale).to_lowercase(),
         traces: scenario.total_devices(), // one synthesized trace per device
         invocations: 1,
@@ -1122,6 +1113,7 @@ fn predict(args: &[String], operands: &[&str]) -> ExitCode {
     let wall_s = total.elapsed().as_secs_f64();
     let manifest = RunManifest {
         command: args.join(" "),
+        unix_time_s: manifest::unix_time_s(),
         scale: format!("{:?}", scenario.scale).to_lowercase(),
         // Pure prediction synthesizes no traces; --validate sweeps one
         // per device, exactly like `experiments fleet`.

@@ -1,9 +1,8 @@
 //! Provenance for experiment runs: the run manifest written next to the
 //! artifacts, and the `BENCH_*.json` perf-trajectory records.
 //!
-//! Both are flat JSON documents built with [`wn_telemetry::json`] and
-//! read back with its naive extractors — exactly the provenance-reader
-//! contract those extractors document.
+//! Both are JSON documents built with [`wn_telemetry::json`]'s builder
+//! and read back with its one total reader, [`json::parse`].
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{SystemTime, UNIX_EPOCH};
@@ -32,6 +31,9 @@ pub const MANIFEST_FILE: &str = "manifest.json";
 pub struct RunManifest {
     /// The command line as invoked (program name elided).
     pub command: String,
+    /// When the run finished ([`unix_time_s`]: seconds since the Unix
+    /// epoch, or the pinned `--epoch`).
+    pub unix_time_s: f64,
     /// Benchmark scale (`quick` / `paper`).
     pub scale: String,
     /// Voltage traces per configuration.
@@ -56,7 +58,7 @@ impl RunManifest {
         Obj::new()
             .str("schema", MANIFEST_SCHEMA)
             .str("command", &self.command)
-            .f64("unix_time_s", unix_time_s())
+            .f64("unix_time_s", self.unix_time_s)
             .str("scale", &self.scale)
             .u64("traces", self.traces)
             .u64("invocations", self.invocations)
@@ -76,31 +78,31 @@ impl RunManifest {
     }
 
     /// Reads a manifest back from its JSON rendering. `None` when the
-    /// document is not a manifest (wrong/missing schema) or a required
-    /// field is absent.
+    /// document is not JSON, not a manifest (wrong/missing schema), or a
+    /// required field is absent or mistyped.
     pub fn from_json(doc: &str) -> Option<RunManifest> {
-        if json::extract_str(doc, "schema")? != MANIFEST_SCHEMA {
+        let m = json::parse(doc).ok()?;
+        let str_field = |key: &str| m.get(key)?.as_str().map(String::from);
+        let u64_field = |key: &str| m.get(key)?.as_u64();
+        if m.get("schema")?.as_str()? != MANIFEST_SCHEMA {
             return None;
         }
-        let artifacts_raw = json::extract_raw(doc, "artifacts")?;
-        let artifacts = artifacts_raw
-            .trim_start_matches('[')
-            .trim_end_matches(']')
-            .split(',')
-            .filter_map(|s| {
-                let s = s.trim();
-                s.strip_prefix('"')?.strip_suffix('"').map(String::from)
-            })
-            .collect();
+        let artifacts = m
+            .get("artifacts")?
+            .as_arr()?
+            .iter()
+            .map(|a| a.as_str().map(String::from))
+            .collect::<Option<_>>()?;
         Some(RunManifest {
-            command: json::extract_str(doc, "command")?.to_string(),
-            scale: json::extract_str(doc, "scale")?.to_string(),
-            traces: json::extract_f64(doc, "traces")? as u64,
-            invocations: json::extract_f64(doc, "invocations")? as u64,
-            seed: json::extract_f64(doc, "seed")? as u64,
-            jobs: json::extract_f64(doc, "jobs")? as u64,
-            telemetry: json::extract_raw(doc, "telemetry")? == "true",
-            wall_s: json::extract_f64(doc, "wall_s")?,
+            command: str_field("command")?,
+            unix_time_s: m.get("unix_time_s")?.as_f64()?,
+            scale: str_field("scale")?,
+            traces: u64_field("traces")?,
+            invocations: u64_field("invocations")?,
+            seed: u64_field("seed")?,
+            jobs: u64_field("jobs")?,
+            telemetry: m.get("telemetry")?.as_bool()?,
+            wall_s: m.get("wall_s")?.as_f64()?,
             artifacts,
         })
     }
@@ -235,6 +237,7 @@ mod tests {
     fn manifest() -> RunManifest {
         RunManifest {
             command: "all --jobs 4".to_string(),
+            unix_time_s: 1_699_999_999.5,
             scale: "quick".to_string(),
             traces: 3,
             invocations: 1,
@@ -272,20 +275,50 @@ mod tests {
         assert_eq!(RunManifest::from_json(&m.to_json()), Some(m));
     }
 
+    /// Every truncation prefix and every single-bit flip of a manifest
+    /// is refused or reads back as a manifest that re-serializes to
+    /// exactly the damaged bytes — never a panic, never a guess.
+    #[test]
+    fn damaged_manifests_are_refused_or_exact() {
+        let doc = manifest().to_json();
+        let bytes = doc.as_bytes();
+        let prefixes = (0..bytes.len()).map(|n| bytes[..n].to_vec());
+        let flips = (0..bytes.len() * 8).map(|bit| {
+            let mut b = bytes.to_vec();
+            b[bit / 8] ^= 1 << (bit % 8);
+            b
+        });
+        // Damage that breaks UTF-8 fails the file read, before parsing.
+        for text in prefixes
+            .chain(flips)
+            .filter_map(|b| String::from_utf8(b).ok())
+        {
+            if let Some(m) = RunManifest::from_json(&text) {
+                assert_eq!(m.to_json(), text);
+            }
+        }
+        for text in ["[".repeat(1 << 20), "{\"a\":".repeat(1 << 20)] {
+            assert_eq!(RunManifest::from_json(&text), None);
+        }
+    }
+
     #[test]
     fn epoch_override_makes_documents_byte_identical() {
         // Process-wide and sticky, but no other test in this binary
         // asserts on `unix_time_s`, so pinning it here is safe.
         set_epoch_override(1_700_000_000.0);
-        let m = manifest();
+        let m = RunManifest {
+            unix_time_s: unix_time_s(),
+            ..manifest()
+        };
         assert_eq!(m.to_json(), m.to_json());
-        assert!(m.to_json().contains("\"unix_time_s\":1700000000"));
+        assert!(m.to_json().contains("\"unix_time_s\":1700000000,"));
         let mut r = BenchRecord::new("executor");
         r.push("x", 1.0, "ms");
         assert_eq!(r.to_json(), r.to_json());
         // Non-finite injections are ignored, not stored.
         set_epoch_override(f64::NAN);
-        assert!(m.to_json().contains("\"unix_time_s\":1700000000"));
+        assert_eq!(unix_time_s(), 1_700_000_000.0);
     }
 
     #[test]
@@ -296,8 +329,8 @@ mod tests {
         let doc = r.to_json();
         assert!(doc.contains("\"schema\":\"wn-bench-record-v1\""));
         assert_eq!(
-            wn_telemetry::json::extract_f64(&doc, "epoch_min_ms"),
-            Some(2.065)
+            json::parse(&doc).unwrap().get("epoch_min_ms"),
+            Some(&json::Value::Num(2.065))
         );
         assert!(doc.contains("\"epoch_min_ms\":\"ms\""));
     }
@@ -314,12 +347,13 @@ mod tests {
         assert_eq!(lines.len(), 2, "append-only: one line per run");
         for line in lines {
             assert!(line.starts_with('{') && line.ends_with('}'));
+            let record = json::parse(line).unwrap();
             assert_eq!(
-                wn_telemetry::json::extract_str(line, "schema"),
+                record.get("schema").and_then(json::Value::as_str),
                 Some(BENCH_SCHEMA)
             );
             assert_eq!(
-                wn_telemetry::json::extract_f64(line, "untraced_min_ms"),
+                record.get("untraced_min_ms").and_then(json::Value::as_f64),
                 Some(1.5)
             );
         }

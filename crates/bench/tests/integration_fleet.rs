@@ -9,7 +9,17 @@
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
-use wn_telemetry::json::extract_str;
+use wn_telemetry::json;
+
+/// The top-level string field `key` of a JSON document (which must
+/// parse).
+fn str_field(doc: &str, key: &str) -> Option<String> {
+    json::parse(doc)
+        .expect("valid JSON")
+        .get(key)?
+        .as_str()
+        .map(String::from)
+}
 
 fn scenario_path() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -53,8 +63,11 @@ fn smoke_run_emits_valid_report_and_manifest() {
     run_fleet_cli(&results, &["--jobs", "2", "--epoch", "1700000000"]);
 
     let report = read(&results, "fleet_smoke.json");
-    assert_eq!(extract_str(&report, "schema"), Some("wn-fleet-report-v1"));
-    assert_eq!(extract_str(&report, "scenario"), Some("smoke"));
+    assert_eq!(
+        str_field(&report, "schema").as_deref(),
+        Some("wn-fleet-report-v1")
+    );
+    assert_eq!(str_field(&report, "scenario").as_deref(), Some("smoke"));
     assert!(report.contains("\"devices\":320"));
     assert!(!report.contains("NaN") && !report.contains("inf"));
 
@@ -63,8 +76,38 @@ fn smoke_run_emits_valid_report_and_manifest() {
     assert!(csv.contains("_fleet,devices,320"));
 
     let manifest = read(&results, "manifest.json");
-    assert_eq!(extract_str(&manifest, "schema"), Some("wn-run-manifest-v1"));
+    assert_eq!(
+        str_field(&manifest, "schema").as_deref(),
+        Some("wn-run-manifest-v1")
+    );
     assert!(manifest.contains("\"unix_time_s\":1700000000"));
+
+    // `experiments report` reads the same manifest back.
+    let out = Command::new(env!("CARGO_BIN_EXE_experiments"))
+        .arg("report")
+        .env("WN_RESULTS_DIR", &results)
+        .output()
+        .expect("binary runs");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        out.status.success(),
+        "report failed:\nstdout:\n{stdout}\nstderr:\n{}",
+        String::from_utf8_lossy(&out.stderr),
+    );
+    assert!(stdout.contains("last run: experiments fleet"), "{stdout}");
+    let artifacts = json::parse(&manifest).unwrap();
+    let artifacts = artifacts
+        .get("artifacts")
+        .and_then(json::Value::as_arr)
+        .unwrap();
+    assert!(!artifacts.is_empty());
+    for a in artifacts {
+        let name = a.as_str().unwrap();
+        assert!(
+            stdout.contains(&format!("    {name}\n")),
+            "{name} not listed:\n{stdout}"
+        );
+    }
 
     std::fs::remove_dir_all(&results).unwrap();
 }
@@ -128,7 +171,10 @@ fn shard_log_appends_one_line_per_shard() {
     let lines: Vec<&str> = log.lines().collect();
     assert_eq!(lines.len(), 3, "320 devices / 128 per shard = 3 lines");
     for (i, line) in lines.iter().enumerate() {
-        assert_eq!(extract_str(line, "schema"), Some("wn-fleet-shard-v1"));
+        assert_eq!(
+            str_field(line, "schema").as_deref(),
+            Some("wn-fleet-shard-v1")
+        );
         assert!(line.contains(&format!("\"shard\":{i}")));
         let expected = if i < 2 { 128 } else { 64 };
         assert!(line.contains(&format!("\"devices\":{expected}")));

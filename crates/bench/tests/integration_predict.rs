@@ -9,7 +9,17 @@
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 
-use wn_telemetry::json::extract_str;
+use wn_telemetry::json;
+
+/// The top-level string field `key` of a JSON document (which must
+/// parse).
+fn str_field(doc: &str, key: &str) -> Option<String> {
+    json::parse(doc)
+        .expect("valid JSON")
+        .get(key)?
+        .as_str()
+        .map(String::from)
+}
 
 fn scenario_path() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -65,8 +75,11 @@ fn predict_report_shape_and_validate_agreement() {
     );
 
     let report = read(&results, "predict_smoke.json");
-    assert_eq!(extract_str(&report, "schema"), Some("wn-analyze-report-v1"));
-    assert_eq!(extract_str(&report, "scenario"), Some("smoke"));
+    assert_eq!(
+        str_field(&report, "schema").as_deref(),
+        Some("wn-analyze-report-v1")
+    );
+    assert_eq!(str_field(&report, "scenario").as_deref(), Some("smoke"));
     // Same aggregate grammar as the fleet report, plus the model block.
     for key in [
         "\"fleet\":{",
@@ -94,7 +107,10 @@ fn predict_report_shape_and_validate_agreement() {
     }
 
     let manifest = read(&results, "manifest.json");
-    assert_eq!(extract_str(&manifest, "schema"), Some("wn-run-manifest-v1"));
+    assert_eq!(
+        str_field(&manifest, "schema").as_deref(),
+        Some("wn-run-manifest-v1")
+    );
 
     // ---- predict --validate: the agreement gate ---------------------
     let results = temp_results("validate");
@@ -123,7 +139,10 @@ fn predict_report_shape_and_validate_agreement() {
     // checked-in baseline, with the latency and speedup keys the CI
     // gate compares.
     let bench = read(&results, "BENCH_analyze.json");
-    assert_eq!(extract_str(&bench, "schema"), Some("wn-bench-record-v1"));
+    assert_eq!(
+        str_field(&bench, "schema").as_deref(),
+        Some("wn-bench-record-v1")
+    );
     for key in ["\"predict_ms\":", "\"fleet_ms\":", "\"speedup\":"] {
         assert!(bench.contains(key), "missing {key} in {bench}");
     }

@@ -10,7 +10,7 @@
 use std::fs;
 use std::path::Path;
 
-use wn_telemetry::json::{extract_f64, extract_str, Obj};
+use wn_telemetry::json::{self, Obj, Value};
 
 use crate::codec::{StateReader, StateWriter};
 use crate::durable::persist_atomic;
@@ -48,47 +48,56 @@ impl Checkpoint {
             .finish()
     }
 
-    /// Parses a checkpoint document.
+    /// Parses a checkpoint document. Checkpoints are only ever written
+    /// by [`Checkpoint::to_json`], so a document that does not
+    /// re-serialize to its own bytes is damaged and refused — bit damage
+    /// that still parses (an upper-cased hex digit, a leading zero)
+    /// never resumes a sweep from a guess.
     ///
     /// # Errors
     ///
     /// Returns [`FleetError::Checkpoint`] on any malformed, truncated,
-    /// or wrong-schema input.
+    /// non-canonical, or wrong-schema input.
     pub fn from_json(doc: &str) -> Result<Checkpoint, FleetError> {
         let bad = |msg: &str| FleetError::Checkpoint(msg.to_string());
-        match extract_str(doc, "schema") {
+        let fields = json::parse(doc).map_err(|e| bad(&format!("not a JSON document: {e}")))?;
+        let str_field = |key: &str| fields.get(key).and_then(Value::as_str);
+        let count_field = |key: &str| {
+            fields
+                .get(key)
+                .and_then(Value::as_u64)
+                .and_then(|v| usize::try_from(v).ok())
+                .ok_or_else(|| bad(&format!("missing/invalid {key}")))
+        };
+        match str_field("schema") {
             Some(CKPT_SCHEMA) => {}
             Some(other) => return Err(bad(&format!("unexpected schema `{other}`"))),
             None => return Err(bad("missing schema field")),
         }
-        let fingerprint = extract_str(doc, "fingerprint")
+        let fingerprint = str_field("fingerprint")
             .and_then(|s| u64::from_str_radix(s, 16).ok())
             .ok_or_else(|| bad("missing/invalid fingerprint"))?;
-        let shards_done = extract_f64(doc, "shards_done")
-            .filter(|v| *v >= 0.0 && v.fract() == 0.0)
-            .ok_or_else(|| bad("missing/invalid shards_done"))? as usize;
-        let shard_count = extract_f64(doc, "shard_count")
-            .filter(|v| *v >= 0.0 && v.fract() == 0.0)
-            .ok_or_else(|| bad("missing/invalid shard_count"))? as usize;
-        let state = extract_str(doc, "state").ok_or_else(|| bad("missing state field"))?;
+        let shards_done = count_field("shards_done")?;
+        let shard_count = count_field("shard_count")?;
+        let state = str_field("state").ok_or_else(|| bad("missing state field"))?;
         let mut r = StateReader::new(state);
-        let n = r.u64().ok_or_else(|| bad("truncated state stream"))? as usize;
-        let mut cohorts = Vec::with_capacity(n);
-        for i in 0..n {
-            cohorts.push(
+        let n = r.u64().ok_or_else(|| bad("truncated state stream"))?;
+        let cohorts = (0..n)
+            .map(|i| {
                 CohortAggregate::load(&mut r)
-                    .ok_or_else(|| bad(&format!("truncated state for cohort {i}")))?,
-            );
-        }
-        if !r.is_empty() {
-            return Err(bad("trailing tokens in state stream"));
-        }
-        Ok(Checkpoint {
+                    .ok_or_else(|| bad(&format!("truncated state for cohort {i}")))
+            })
+            .collect::<Result<_, _>>()?;
+        let ckpt = Checkpoint {
             fingerprint,
             shards_done,
             shard_count,
             cohorts,
-        })
+        };
+        if ckpt.to_json() != doc {
+            return Err(bad("not the bytes the writer produces (damaged?)"));
+        }
+        Ok(ckpt)
     }
 }
 

@@ -391,6 +391,17 @@ pub fn run_fleet_with<F: FnMut(&ShardProgress<'_>)>(
                     "checkpoint cohort count does not match scenario".into(),
                 ));
             }
+            // A resume past the end would run no shard and report the
+            // partial aggregates as a complete sweep.
+            if ckpt.shard_count != shard_count || ckpt.shards_done > shard_count {
+                return Err(FleetError::Checkpoint(format!(
+                    "checkpoint {} says {} of {} shards are done, \
+                     but the scenario has {shard_count}",
+                    path.display(),
+                    ckpt.shards_done,
+                    ckpt.shard_count
+                )));
+            }
             cohorts = ckpt.cohorts;
             next_shard = ckpt.shards_done;
         }
@@ -793,6 +804,50 @@ environment = "solar"
         match r {
             Err(FleetError::Checkpoint(_)) => {}
             other => panic!("expected a Checkpoint error, got {other:?}"),
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A checkpoint that claims more shards than the sweep has (bit
+    /// damage, or a count from another scenario) must be refused: the
+    /// resume would run no shard and report partial aggregates as a
+    /// complete sweep.
+    #[test]
+    fn resume_past_the_end_of_the_sweep_is_refused() {
+        let s = tiny_scenario();
+        let dir = std::env::temp_dir().join(format!("wn-fleet-past-end-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("ckpt.json");
+        let pause = FleetOptions {
+            checkpoint: Some(path.clone()),
+            stop_after_shards: Some(1),
+            ..Default::default()
+        };
+        let resume = FleetOptions {
+            checkpoint: Some(path.clone()),
+            resume: true,
+            ..Default::default()
+        };
+        assert!(matches!(
+            run_fleet(&s, &pause).unwrap(),
+            FleetStatus::Paused { shards_done: 1, .. }
+        ));
+        let paused = checkpoint::load(&path).unwrap();
+        for damaged in [
+            Checkpoint {
+                shards_done: 99,
+                ..paused.clone()
+            },
+            Checkpoint {
+                shard_count: 99,
+                ..paused.clone()
+            },
+        ] {
+            checkpoint::store(&path, &damaged).unwrap();
+            match run_fleet(&s, &resume) {
+                Err(FleetError::Checkpoint(m)) => assert!(m.contains("shards are done"), "{m}"),
+                other => panic!("expected a Checkpoint error, got {other:?}"),
+            }
         }
         std::fs::remove_dir_all(&dir).unwrap();
     }

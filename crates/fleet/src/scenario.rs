@@ -13,8 +13,10 @@
 //! Scenarios parse from a small TOML subset (`[fleet]` + `[[cohort]]`
 //! tables, string/number/bool values) or from JSON with the same shape
 //! (`{"fleet": {...}, "cohorts": [...]}`); the two lower into one
-//! document model. No external parser crates exist in this container,
-//! so both grammars are hand-rolled here and deliberately tiny.
+//! document model. JSON is read by the workspace's one total reader,
+//! [`wn_telemetry::json::parse`], so it is strict RFC 8259 (no raw
+//! control bytes in strings, no leading `+`); the TOML subset is
+//! hand-rolled here and deliberately tiny.
 
 use std::fmt;
 
@@ -22,6 +24,7 @@ use wn_compiler::Technique;
 use wn_core::intermittent::SubstrateKind;
 use wn_energy::{EnvModel, SupplyConfig};
 use wn_kernels::{Benchmark, Scale};
+use wn_telemetry::json::{self, JsonError, Value};
 
 /// Default shard size: bounds peak memory at ~512 per-device outcome
 /// structs regardless of fleet size, while keeping the job pool fed.
@@ -362,15 +365,9 @@ fn parse_env(t: &TableDoc) -> Result<EnvModel, ScenarioError> {
                 mean_gap_ms,
             } = &mut m
             {
-                if let Some(v) = t.f64_opt("mean_power_uw")? {
-                    *mean_power_w = v * 1e-6;
-                }
-                if let Some(v) = t.f64_opt("burst_ms")? {
-                    *mean_burst_ms = v;
-                }
-                if let Some(v) = t.f64_opt("gap_ms")? {
-                    *mean_gap_ms = v;
-                }
+                t.override_f64("mean_power_uw", 1e-6, mean_power_w)?;
+                t.override_f64("burst_ms", 1.0, mean_burst_ms)?;
+                t.override_f64("gap_ms", 1.0, mean_gap_ms)?;
             }
             Ok(m)
         }
@@ -381,12 +378,8 @@ fn parse_env(t: &TableDoc) -> Result<EnvModel, ScenarioError> {
                 day_s,
             } = &mut m
             {
-                if let Some(v) = t.f64_opt("peak_power_uw")? {
-                    *peak_power_w = v * 1e-6;
-                }
-                if let Some(v) = t.f64_opt("day_s")? {
-                    *day_s = v;
-                }
+                t.override_f64("peak_power_uw", 1e-6, peak_power_w)?;
+                t.override_f64("day_s", 1.0, day_s)?;
             }
             Ok(m)
         }
@@ -399,18 +392,10 @@ fn parse_env(t: &TableDoc) -> Result<EnvModel, ScenarioError> {
                 mean_gap_ms,
             } = &mut m
             {
-                if let Some(v) = t.f64_opt("baseline_uw")? {
-                    *baseline_w = v * 1e-6;
-                }
-                if let Some(v) = t.f64_opt("impulse_uw")? {
-                    *impulse_w = v * 1e-6;
-                }
-                if let Some(v) = t.f64_opt("impulse_ms")? {
-                    *impulse_ms = v;
-                }
-                if let Some(v) = t.f64_opt("gap_ms")? {
-                    *mean_gap_ms = v;
-                }
+                t.override_f64("baseline_uw", 1e-6, baseline_w)?;
+                t.override_f64("impulse_uw", 1e-6, impulse_w)?;
+                t.override_f64("impulse_ms", 1.0, impulse_ms)?;
+                t.override_f64("gap_ms", 1.0, mean_gap_ms)?;
             }
             Ok(m)
         }
@@ -575,32 +560,20 @@ fn check_known_keys(t: &TableDoc, table: &str, allowed: &[&[&str]]) -> Result<()
 // Document model shared by the TOML and JSON frontends.
 // ---------------------------------------------------------------------
 
-#[derive(Debug, Clone, PartialEq)]
-enum DocValue {
-    Str(String),
-    Num(f64),
-    Bool(bool),
-}
-
 #[derive(Debug, Clone, Default, PartialEq)]
 struct TableDoc {
-    entries: Vec<(String, DocValue)>,
+    entries: Vec<(String, Value)>,
 }
 
 impl TableDoc {
-    fn get(&self, key: &str) -> Option<&DocValue> {
+    fn get(&self, key: &str) -> Option<&Value> {
         self.entries.iter().find(|(k, _)| k == key).map(|(_, v)| v)
     }
 
     /// Appends an entry, rejecting a key already present — the silent
     /// first-wins duplicate resolution this parser used to have turned
     /// edited-but-not-deleted lines into ignored overrides.
-    fn push_unique(
-        &mut self,
-        table: &str,
-        key: String,
-        value: DocValue,
-    ) -> Result<(), ScenarioError> {
+    fn push_unique(&mut self, table: &str, key: String, value: Value) -> Result<(), ScenarioError> {
         if self.get(&key).is_some() {
             return Err(ScenarioError::DuplicateKey {
                 table: table.to_string(),
@@ -613,9 +586,10 @@ impl TableDoc {
 
     fn str(&self, key: &str) -> Option<String> {
         match self.get(key)? {
-            DocValue::Str(s) => Some(s.clone()),
-            DocValue::Num(n) => Some(format!("{n}")),
-            DocValue::Bool(b) => Some(b.to_string()),
+            Value::Str(s) => Some(s.clone()),
+            Value::Num(n) => Some(format!("{n}")),
+            Value::Bool(b) => Some(b.to_string()),
+            _ => None, // tables hold leaves only
         }
     }
 
@@ -626,9 +600,18 @@ impl TableDoc {
     fn f64_opt(&self, key: &str) -> Result<Option<f64>, ScenarioError> {
         match self.get(key) {
             None => Ok(None),
-            Some(DocValue::Num(n)) => Ok(Some(*n)),
+            Some(Value::Num(n)) => Ok(Some(*n)),
             Some(_) => Err(err(&format!("field `{key}` must be a number"))),
         }
+    }
+
+    /// Sets `field` to `key`'s value times `scale` when the table has
+    /// `key` (µW keys scale by 1e-6 into watts).
+    fn override_f64(&self, key: &str, scale: f64, field: &mut f64) -> Result<(), ScenarioError> {
+        if let Some(v) = self.f64_opt(key)? {
+            *field = v * scale;
+        }
+        Ok(())
     }
 
     fn f64_or(&self, key: &str, default: f64) -> Result<f64, ScenarioError> {
@@ -722,73 +705,44 @@ fn strip_toml_comment(line: &str) -> &str {
     line
 }
 
-fn parse_toml_value(s: &str) -> Option<DocValue> {
+fn parse_toml_value(s: &str) -> Option<Value> {
     if let Some(inner) = s.strip_prefix('"').and_then(|r| r.strip_suffix('"')) {
-        return Some(DocValue::Str(inner.to_string()));
+        return Some(Value::Str(inner.to_string()));
     }
     match s {
-        "true" => return Some(DocValue::Bool(true)),
-        "false" => return Some(DocValue::Bool(false)),
+        "true" => return Some(Value::Bool(true)),
+        "false" => return Some(Value::Bool(false)),
         _ => {}
     }
-    s.parse::<f64>().ok().map(DocValue::Num)
+    s.parse::<f64>().ok().map(Value::Num)
 }
 
 // ---------------------------------------------------------------------
 // JSON frontend: `{"fleet": {...}, "cohorts": [{...}, ...]}` with
-// string / number / boolean leaf values. Recursive descent, no serde.
+// string / number / boolean leaf values, read by the one JSON reader.
 // ---------------------------------------------------------------------
 
 fn doc_from_json(text: &str) -> Result<ScenarioDoc, ScenarioError> {
-    let mut p = JsonParser {
-        bytes: text.as_bytes(),
-        pos: 0,
+    let top = json::parse(text).map_err(|e| match e {
+        JsonError::DuplicateKey(key) => ScenarioError::DuplicateKey {
+            table: "a JSON object".to_string(),
+            key,
+        },
+        e => err(&format!("JSON: {e}")),
+    })?;
+    let Value::Obj(top) = top else {
+        return Err(err("JSON: a scenario is an object"));
     };
-    p.skip_ws();
     let mut doc = ScenarioDoc::default();
-    let (mut seen_fleet, mut seen_cohorts) = (false, false);
-    p.expect(b'{')?;
-    loop {
-        p.skip_ws();
-        if p.eat(b'}') {
-            break;
-        }
-        let key = p.string()?;
-        p.skip_ws();
-        p.expect(b':')?;
-        p.skip_ws();
+    for (key, value) in top {
         match key.as_str() {
-            "fleet" if seen_fleet => {
-                return Err(ScenarioError::DuplicateKey {
-                    table: "the top-level object".to_string(),
-                    key,
-                })
-            }
-            "fleet" => {
-                seen_fleet = true;
-                doc.fleet = p.table("[fleet]")?;
-            }
-            "cohorts" if seen_cohorts => {
-                return Err(ScenarioError::DuplicateKey {
-                    table: "the top-level object".to_string(),
-                    key,
-                })
-            }
+            "fleet" => doc.fleet = json_table(value, "[fleet]")?,
             "cohorts" => {
-                seen_cohorts = true;
-                p.expect(b'[')?;
-                loop {
-                    p.skip_ws();
-                    if p.eat(b']') {
-                        break;
-                    }
-                    let context = format!("cohort[{}]", doc.cohorts.len());
-                    doc.cohorts.push(p.table(&context)?);
-                    p.skip_ws();
-                    if !p.eat(b',') {
-                        p.expect(b']')?;
-                        break;
-                    }
+                let Value::Arr(tables) = value else {
+                    return Err(err("JSON: `cohorts` must be an array"));
+                };
+                for (i, t) in tables.into_iter().enumerate() {
+                    doc.cohorts.push(json_table(t, &format!("cohort[{i}]"))?);
                 }
             }
             other => {
@@ -797,148 +751,26 @@ fn doc_from_json(text: &str) -> Result<ScenarioDoc, ScenarioError> {
                 )))
             }
         }
-        p.skip_ws();
-        if !p.eat(b',') {
-            p.expect(b'}')?;
-            break;
-        }
-    }
-    p.skip_ws();
-    if p.pos < p.bytes.len() {
-        return Err(err(&format!(
-            "JSON: trailing bytes after the top-level object at byte {}",
-            p.pos
-        )));
     }
     Ok(doc)
 }
 
-struct JsonParser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl JsonParser<'_> {
-    fn skip_ws(&mut self) {
-        while self
-            .bytes
-            .get(self.pos)
-            .is_some_and(|b| b.is_ascii_whitespace())
-        {
-            self.pos += 1;
-        }
+/// One scenario table: an object whose values are all leaves.
+fn json_table(value: Value, table: &str) -> Result<TableDoc, ScenarioError> {
+    let Value::Obj(fields) = value else {
+        return Err(err(&format!("JSON: {table} must be an object")));
+    };
+    if let Some((key, _)) = fields
+        .iter()
+        .find(|(_, v)| !matches!(v, Value::Str(_) | Value::Num(_) | Value::Bool(_)))
+    {
+        return Err(err(&format!(
+            "JSON: {table}.{key} must be a string, number or boolean"
+        )));
     }
-
-    fn eat(&mut self, b: u8) -> bool {
-        if self.bytes.get(self.pos) == Some(&b) {
-            self.pos += 1;
-            true
-        } else {
-            false
-        }
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), ScenarioError> {
-        self.skip_ws();
-        if self.eat(b) {
-            Ok(())
-        } else {
-            Err(err(&format!(
-                "JSON: expected `{}` at byte {}",
-                b as char, self.pos
-            )))
-        }
-    }
-
-    fn string(&mut self) -> Result<String, ScenarioError> {
-        self.skip_ws();
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            // A run of plain bytes is copied as one UTF-8 slice, so
-            // non-ASCII text survives intact.
-            let start = self.pos;
-            while self
-                .bytes
-                .get(self.pos)
-                .is_some_and(|&b| b != b'"' && b != b'\\')
-            {
-                self.pos += 1;
-            }
-            out.push_str(
-                std::str::from_utf8(&self.bytes[start..self.pos])
-                    .map_err(|_| err("JSON: invalid UTF-8 in string"))?,
-            );
-            match self.bytes.get(self.pos) {
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.bytes.get(self.pos) {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b't') => out.push('\t'),
-                        _ => return Err(err("JSON: unsupported escape in string")),
-                    }
-                    self.pos += 1;
-                }
-                _ => return Err(err("JSON: unterminated string")),
-            }
-        }
-    }
-
-    fn value(&mut self) -> Result<DocValue, ScenarioError> {
-        self.skip_ws();
-        match self.bytes.get(self.pos) {
-            Some(b'"') => Ok(DocValue::Str(self.string()?)),
-            Some(b't') if self.bytes[self.pos..].starts_with(b"true") => {
-                self.pos += 4;
-                Ok(DocValue::Bool(true))
-            }
-            Some(b'f') if self.bytes[self.pos..].starts_with(b"false") => {
-                self.pos += 5;
-                Ok(DocValue::Bool(false))
-            }
-            Some(_) => {
-                let start = self.pos;
-                while self.bytes.get(self.pos).is_some_and(|b| {
-                    b.is_ascii_digit() || matches!(b, b'-' | b'+' | b'.' | b'e' | b'E')
-                }) {
-                    self.pos += 1;
-                }
-                std::str::from_utf8(&self.bytes[start..self.pos])
-                    .ok()
-                    .and_then(|s| s.parse::<f64>().ok())
-                    .map(DocValue::Num)
-                    .ok_or_else(|| err(&format!("JSON: bad value at byte {start}")))
-            }
-            None => Err(err("JSON: unexpected end of input")),
-        }
-    }
-
-    fn table(&mut self, context: &str) -> Result<TableDoc, ScenarioError> {
-        self.expect(b'{')?;
-        let mut t = TableDoc::default();
-        loop {
-            self.skip_ws();
-            if self.eat(b'}') {
-                break;
-            }
-            let key = self.string()?;
-            self.expect(b':')?;
-            let value = self.value()?;
-            t.push_unique(context, key, value)?;
-            self.skip_ws();
-            if !self.eat(b',') {
-                self.expect(b'}')?;
-                break;
-            }
-        }
-        Ok(t)
-    }
+    Ok(TableDoc {
+        entries: fields.into_iter().collect(),
+    })
 }
 
 #[cfg(test)]
@@ -1095,6 +927,16 @@ day_s = 10.0
             (
                 "{\"cohorts\": [{\"benchmark\": \"home\"}]} {}",
                 "trailing bytes",
+            ),
+            // Strict RFC 8259: no raw control bytes inside strings, no
+            // leading `+` on numbers.
+            (
+                "{\"fleet\": {\"name\": \"a\tb\"}, \"cohorts\": [{\"benchmark\": \"home\"}]}",
+                "control byte in string",
+            ),
+            (
+                "{\"fleet\": {\"seed\": +1}, \"cohorts\": [{\"benchmark\": \"home\"}]}",
+                "expected a value",
             ),
         ] {
             let e = FleetScenario::parse(text).unwrap_err().to_string();

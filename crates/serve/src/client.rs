@@ -49,6 +49,15 @@ impl From<std::io::Error> for ClientError {
     }
 }
 
+/// The error for a response the caller did not ask for: the server's
+/// own error message, or the stray response itself.
+fn unexpected(response: Response) -> ClientError {
+    match response {
+        Response::Error { error } => ClientError::Server(error),
+        other => ClientError::Server(format!("unexpected response {other:?}")),
+    }
+}
+
 /// One connection to a wn-serve daemon.
 pub struct Client {
     stream: TcpStream,
@@ -96,10 +105,7 @@ impl Client {
             scenario: scenario_text.to_string(),
         })? {
             Response::Submitted { fingerprint, state } => Ok((fingerprint, state)),
-            Response::Error { error } => Err(ClientError::Server(error)),
-            other => Err(ClientError::Server(format!(
-                "unexpected response {other:?}"
-            ))),
+            other => Err(unexpected(other)),
         }
     }
 
@@ -114,10 +120,7 @@ impl Client {
         match self.request(&Request::Report { fingerprint })? {
             Response::Report { report, .. } => Ok(Some(report)),
             Response::Pending { .. } => Ok(None),
-            Response::Error { error } => Err(ClientError::Server(error)),
-            other => Err(ClientError::Server(format!(
-                "unexpected response {other:?}"
-            ))),
+            other => Err(unexpected(other)),
         }
     }
 
@@ -159,12 +162,7 @@ impl Client {
     ) -> Result<(), ClientError> {
         match self.request(&Request::Watch { fingerprint })? {
             Response::Watching { .. } => {}
-            Response::Error { error } => return Err(ClientError::Server(error)),
-            other => {
-                return Err(ClientError::Server(format!(
-                    "unexpected response {other:?}"
-                )))
-            }
+            other => return Err(unexpected(other)),
         }
         loop {
             let line = self.reader.next_line()?.ok_or(ClientError::Disconnected)?;
@@ -185,10 +183,7 @@ impl Client {
     pub fn stats(&mut self) -> Result<Response, ClientError> {
         match self.request(&Request::Stats)? {
             r @ Response::Stats { .. } => Ok(r),
-            Response::Error { error } => Err(ClientError::Server(error)),
-            other => Err(ClientError::Server(format!(
-                "unexpected response {other:?}"
-            ))),
+            other => Err(unexpected(other)),
         }
     }
 
@@ -200,9 +195,7 @@ impl Client {
     pub fn ping(&mut self) -> Result<(), ClientError> {
         match self.request(&Request::Ping)? {
             Response::Pong => Ok(()),
-            other => Err(ClientError::Server(format!(
-                "unexpected response {other:?}"
-            ))),
+            other => Err(unexpected(other)),
         }
     }
 
@@ -214,9 +207,7 @@ impl Client {
     pub fn shutdown(&mut self) -> Result<(), ClientError> {
         match self.request(&Request::Shutdown)? {
             Response::ShuttingDown => Ok(()),
-            other => Err(ClientError::Server(format!(
-                "unexpected response {other:?}"
-            ))),
+            other => Err(unexpected(other)),
         }
     }
 }

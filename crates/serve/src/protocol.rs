@@ -7,18 +7,18 @@
 //! `wn-fleet-*-v1` artifact schemas so incompatible changes rev the
 //! suffix instead of silently breaking peers.
 //!
-//! The parser here is deliberately small and total: a flat JSON object
-//! of string/number/bool/null values, with full string unescaping
-//! (scenario text rides inside a string field, so `\"` and `\\` are
-//! routine, not edge cases). Anything else — nesting, trailing bytes,
-//! bad escapes, truncation, an oversized line — is a typed
-//! [`ProtoError`], never a panic and never a hang.
+//! Lines are read with the workspace's one total JSON reader,
+//! [`wn_telemetry::json::parse`], and must be a flat object of
+//! string/number/bool/null values (scenario text rides inside a string
+//! field, so `\"` and `\\` are routine, not edge cases). Anything else —
+//! nesting, trailing bytes, bad escapes, truncation, an oversized line —
+//! is a typed [`ProtoError`], never a panic and never a hang.
 
 use std::collections::BTreeMap;
 use std::fmt;
 use std::io::Read;
 
-use wn_telemetry::json::{escape, Obj};
+use wn_telemetry::json::{self, Obj};
 
 /// Request-line schema tag.
 pub const REQ_SCHEMA: &str = "wn-serve-req-v1";
@@ -72,39 +72,9 @@ impl From<std::io::Error> for ProtoError {
     }
 }
 
-/// One value in a flat protocol object.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Value {
-    Str(String),
-    Num(f64),
-    Bool(bool),
-    Null,
-}
-
-impl Value {
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            Value::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    pub fn as_u64(&self) -> Option<u64> {
-        match self {
-            Value::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= u64::MAX as f64 => {
-                Some(*n as u64)
-            }
-            _ => None,
-        }
-    }
-
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Value::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-}
+/// One value in a protocol object (always a leaf: string, number,
+/// bool or null — [`parse_object`] refuses nesting).
+pub use wn_telemetry::json::Value;
 
 /// A parsed flat JSON object. `BTreeMap` so iteration (and thus any
 /// re-serialization) is deterministic.
@@ -119,196 +89,45 @@ pub type Fields = BTreeMap<String, Value>;
 /// keys included: a peer sending `{"op":"a","op":"b"}` is ambiguous and
 /// gets an error, mirroring the scenario parser's duplicate-key stance.
 pub fn parse_object(line: &str) -> Result<Fields, ProtoError> {
-    let mut p = Parser {
-        bytes: line.as_bytes(),
-        pos: 0,
+    let malformed = ProtoError::Malformed;
+    let Value::Obj(fields) = json::parse(line).map_err(|e| malformed(e.to_string()))? else {
+        return Err(malformed("expected `{`".to_string()));
     };
-    p.skip_ws();
-    p.expect(b'{')?;
-    let mut fields = Fields::new();
-    p.skip_ws();
-    if p.peek() == Some(b'}') {
-        p.pos += 1;
-    } else {
-        loop {
-            p.skip_ws();
-            let key = p.string()?;
-            p.skip_ws();
-            p.expect(b':')?;
-            p.skip_ws();
-            let value = p.value()?;
-            if fields.insert(key.clone(), value).is_some() {
-                return Err(ProtoError::Malformed(format!("duplicate key `{key}`")));
-            }
-            p.skip_ws();
-            match p.next() {
-                Some(b',') => continue,
-                Some(b'}') => break,
-                _ => return Err(ProtoError::Malformed("expected `,` or `}`".to_string())),
-            }
-        }
-    }
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(ProtoError::Malformed(
-            "trailing bytes after object".to_string(),
+    let nested = |v: &Value| matches!(v, Value::Arr(_) | Value::Obj(_));
+    if fields.values().any(nested) {
+        return Err(malformed(
+            "nested values are not part of this protocol".to_string(),
         ));
     }
     Ok(fields)
 }
 
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
+/// The fields of one line that must carry `"schema": schema`.
+fn message(line: &str, schema: &str) -> Result<Fields, ProtoError> {
+    let fields = parse_object(line)?;
+    match fields.get("schema").and_then(Value::as_str) {
+        Some(s) if s == schema => Ok(fields),
+        Some(other) => Err(bad(format!("unexpected schema `{other}`"))),
+        None => Err(bad("missing schema field")),
+    }
 }
 
-impl Parser<'_> {
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
+fn bad(msg: impl Into<String>) -> ProtoError {
+    ProtoError::BadMessage(msg.into())
+}
 
-    fn next(&mut self) -> Option<u8> {
-        let b = self.peek()?;
-        self.pos += 1;
-        Some(b)
-    }
+/// The hex `fingerprint` field.
+fn fingerprint_field(fields: &Fields) -> Option<u64> {
+    let hex = fields.get("fingerprint")?.as_str()?;
+    u64::from_str_radix(hex, 16).ok()
+}
 
-    fn skip_ws(&mut self) {
-        while matches!(self.peek(), Some(b' ' | b'\t' | b'\r' | b'\n')) {
-            self.pos += 1;
-        }
-    }
-
-    fn expect(&mut self, want: u8) -> Result<(), ProtoError> {
-        match self.next() {
-            Some(b) if b == want => Ok(()),
-            _ => Err(ProtoError::Malformed(format!(
-                "expected `{}`",
-                want as char
-            ))),
-        }
-    }
-
-    /// A JSON string, fully unescaped (including `\uXXXX` with
-    /// surrogate pairs).
-    fn string(&mut self) -> Result<String, ProtoError> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            // Consume a run of plain UTF-8 without byte-at-a-time
-            // decoding.
-            let start = self.pos;
-            while let Some(b) = self.peek() {
-                if b == b'"' || b == b'\\' || b < 0x20 {
-                    break;
-                }
-                self.pos += 1;
-            }
-            out.push_str(
-                std::str::from_utf8(&self.bytes[start..self.pos]).map_err(|_| ProtoError::Utf8)?,
-            );
-            match self.next() {
-                Some(b'"') => return Ok(out),
-                Some(b'\\') => match self.next() {
-                    Some(b'"') => out.push('"'),
-                    Some(b'\\') => out.push('\\'),
-                    Some(b'/') => out.push('/'),
-                    Some(b'n') => out.push('\n'),
-                    Some(b'r') => out.push('\r'),
-                    Some(b't') => out.push('\t'),
-                    Some(b'b') => out.push('\u{8}'),
-                    Some(b'f') => out.push('\u{c}'),
-                    Some(b'u') => {
-                        let hi = self.hex4()?;
-                        let c = if (0xD800..0xDC00).contains(&hi) {
-                            // High surrogate: require the paired low.
-                            if self.next() != Some(b'\\') || self.next() != Some(b'u') {
-                                return Err(ProtoError::Malformed(
-                                    "unpaired surrogate escape".to_string(),
-                                ));
-                            }
-                            let lo = self.hex4()?;
-                            if !(0xDC00..0xE000).contains(&lo) {
-                                return Err(ProtoError::Malformed(
-                                    "invalid low surrogate".to_string(),
-                                ));
-                            }
-                            let cp = 0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00);
-                            char::from_u32(cp)
-                        } else {
-                            char::from_u32(hi)
-                        };
-                        out.push(c.ok_or_else(|| {
-                            ProtoError::Malformed("invalid \\u escape".to_string())
-                        })?);
-                    }
-                    _ => {
-                        return Err(ProtoError::Malformed("invalid escape".to_string()));
-                    }
-                },
-                _ => {
-                    return Err(ProtoError::Malformed(
-                        "unterminated or control byte in string".to_string(),
-                    ))
-                }
-            }
-        }
-    }
-
-    fn hex4(&mut self) -> Result<u32, ProtoError> {
-        let mut v = 0u32;
-        for _ in 0..4 {
-            let d = match self.next() {
-                Some(b @ b'0'..=b'9') => (b - b'0') as u32,
-                Some(b @ b'a'..=b'f') => (b - b'a') as u32 + 10,
-                Some(b @ b'A'..=b'F') => (b - b'A') as u32 + 10,
-                _ => return Err(ProtoError::Malformed("bad hex escape".to_string())),
-            };
-            v = v * 16 + d;
-        }
-        Ok(v)
-    }
-
-    fn value(&mut self) -> Result<Value, ProtoError> {
-        match self.peek() {
-            Some(b'"') => Ok(Value::Str(self.string()?)),
-            Some(b't') => self.literal("true", Value::Bool(true)),
-            Some(b'f') => self.literal("false", Value::Bool(false)),
-            Some(b'n') => self.literal("null", Value::Null),
-            Some(b'-' | b'0'..=b'9') => self.number(),
-            Some(b'{' | b'[') => Err(ProtoError::Malformed(
-                "nested values are not part of this protocol".to_string(),
-            )),
-            _ => Err(ProtoError::Malformed("expected a value".to_string())),
-        }
-    }
-
-    fn literal(&mut self, word: &str, v: Value) -> Result<Value, ProtoError> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
-            self.pos += word.len();
-            Ok(v)
-        } else {
-            Err(ProtoError::Malformed(format!("expected `{word}`")))
-        }
-    }
-
-    fn number(&mut self) -> Result<Value, ProtoError> {
-        let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
-        }
-        while matches!(
-            self.peek(),
-            Some(b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-')
-        ) {
-            self.pos += 1;
-        }
-        std::str::from_utf8(&self.bytes[start..self.pos])
-            .ok()
-            .and_then(|s| s.parse::<f64>().ok())
-            .filter(|v| v.is_finite())
-            .map(Value::Num)
-            .ok_or_else(|| ProtoError::Malformed("invalid number".to_string()))
+/// Moves the string field `key` out of `fields` (reports and scenarios
+/// are large; no copy).
+fn take_str(fields: &mut Fields, key: &str) -> Option<String> {
+    match fields.remove(key)? {
+        Value::Str(s) => Some(s),
+        _ => None,
     }
 }
 
@@ -438,34 +257,17 @@ impl Request {
     /// [`ProtoError::Malformed`] for non-JSON, [`ProtoError::BadMessage`]
     /// for JSON that is not a `wn-serve-req-v1` request.
     pub fn parse(line: &str) -> Result<Request, ProtoError> {
-        let fields = parse_object(line)?;
-        let bad = |msg: String| ProtoError::BadMessage(msg);
-        match fields.get("schema").and_then(Value::as_str) {
-            Some(REQ_SCHEMA) => {}
-            Some(other) => return Err(bad(format!("unexpected schema `{other}`"))),
-            None => return Err(bad("missing schema field".to_string())),
-        }
-        let op = fields
-            .get("op")
-            .and_then(Value::as_str)
-            .ok_or_else(|| bad("missing op field".to_string()))?;
+        let mut fields = message(line, REQ_SCHEMA)?;
+        let op = take_str(&mut fields, "op").ok_or_else(|| bad("missing op field"))?;
         let fingerprint = || {
-            fields
-                .get("fingerprint")
-                .and_then(Value::as_str)
-                .and_then(|s| u64::from_str_radix(s, 16).ok())
+            fingerprint_field(&fields)
                 .ok_or_else(|| bad(format!("op `{op}` needs a hex fingerprint")))
         };
-        match op {
-            "submit" => {
-                let scenario = fields
-                    .get("scenario")
-                    .and_then(Value::as_str)
-                    .ok_or_else(|| bad("submit needs a scenario field".to_string()))?;
-                Ok(Request::Submit {
-                    scenario: scenario.to_string(),
-                })
-            }
+        match op.as_str() {
+            "submit" => Ok(Request::Submit {
+                scenario: take_str(&mut fields, "scenario")
+                    .ok_or_else(|| bad("submit needs a scenario field"))?,
+            }),
             "report" => Ok(Request::Report {
                 fingerprint: fingerprint()?,
             }),
@@ -617,31 +419,21 @@ impl Response {
     ///
     /// As [`Request::parse`], for responses.
     pub fn parse(line: &str) -> Result<Response, ProtoError> {
-        let fields = parse_object(line)?;
-        let bad = |msg: String| ProtoError::BadMessage(msg);
-        match fields.get("schema").and_then(Value::as_str) {
-            Some(RESP_SCHEMA) => {}
-            Some(other) => return Err(bad(format!("unexpected schema `{other}`"))),
-            None => return Err(bad("missing schema field".to_string())),
-        }
+        let mut fields = message(line, RESP_SCHEMA)?;
         let ok = fields
             .get("ok")
             .and_then(Value::as_bool)
-            .ok_or_else(|| bad("missing ok field".to_string()))?;
-        let op = fields.get("op").and_then(Value::as_str).unwrap_or("");
-        let fingerprint = || {
-            fields
-                .get("fingerprint")
-                .and_then(Value::as_str)
-                .and_then(|s| u64::from_str_radix(s, 16).ok())
-                .ok_or_else(|| bad("missing/invalid fingerprint".to_string()))
+            .ok_or_else(|| bad("missing ok field"))?;
+        let op = take_str(&mut fields, "op").unwrap_or_default();
+        let fingerprint = |fields: &Fields| {
+            fingerprint_field(fields).ok_or_else(|| bad("missing/invalid fingerprint"))
         };
-        let state = || {
+        let state = |fields: &Fields| {
             fields
                 .get("state")
                 .and_then(Value::as_str)
                 .and_then(JobState::parse)
-                .ok_or_else(|| bad("missing/invalid state".to_string()))
+                .ok_or_else(|| bad("missing/invalid state"))
         };
         let u64_field = |name: &str| {
             fields
@@ -654,32 +446,26 @@ impl Response {
             // failure; everything else is a plain error.
             if op == "report" && fields.contains_key("state") {
                 return Ok(Response::Pending {
-                    fingerprint: fingerprint()?,
-                    state: state()?,
+                    fingerprint: fingerprint(&fields)?,
+                    state: state(&fields)?,
                 });
             }
-            let error = fields
-                .get("error")
-                .and_then(Value::as_str)
-                .unwrap_or("unspecified error")
-                .to_string();
+            let error =
+                take_str(&mut fields, "error").unwrap_or_else(|| "unspecified error".to_string());
             return Ok(Response::Error { error });
         }
-        match op {
+        match op.as_str() {
             "submit" => Ok(Response::Submitted {
-                fingerprint: fingerprint()?,
-                state: state()?,
+                fingerprint: fingerprint(&fields)?,
+                state: state(&fields)?,
             }),
             "report" => Ok(Response::Report {
-                fingerprint: fingerprint()?,
-                report: fields
-                    .get("report")
-                    .and_then(Value::as_str)
-                    .ok_or_else(|| bad("missing report field".to_string()))?
-                    .to_string(),
+                fingerprint: fingerprint(&fields)?,
+                report: take_str(&mut fields, "report")
+                    .ok_or_else(|| bad("missing report field"))?,
             }),
             "watch" => Ok(Response::Watching {
-                fingerprint: fingerprint()?,
+                fingerprint: fingerprint(&fields)?,
             }),
             "stats" => Ok(Response::Stats {
                 queued: u64_field("queued")?,
@@ -748,47 +534,27 @@ impl Event {
     ///
     /// As [`Request::parse`], for events.
     pub fn parse(line: &str) -> Result<Event, ProtoError> {
-        let fields = parse_object(line)?;
-        let bad = |msg: String| ProtoError::BadMessage(msg);
-        match fields.get("schema").and_then(Value::as_str) {
-            Some(EVT_SCHEMA) => {}
-            Some(other) => return Err(bad(format!("unexpected schema `{other}`"))),
-            None => return Err(bad("missing schema field".to_string())),
-        }
-        let fingerprint = fields
-            .get("fingerprint")
-            .and_then(Value::as_str)
-            .and_then(|s| u64::from_str_radix(s, 16).ok())
-            .ok_or_else(|| bad("missing/invalid fingerprint".to_string()))?;
-        match fields.get("event").and_then(Value::as_str) {
+        let mut fields = message(line, EVT_SCHEMA)?;
+        let fingerprint =
+            fingerprint_field(&fields).ok_or_else(|| bad("missing/invalid fingerprint"))?;
+        let u64_field = |fields: &Fields, name: &str| {
+            fields
+                .get(name)
+                .and_then(Value::as_u64)
+                .ok_or_else(|| bad(format!("missing {name}")))
+        };
+        match take_str(&mut fields, "event").as_deref() {
             Some("shard") => Ok(Event::Shard {
                 fingerprint,
-                shard: fields
-                    .get("shard")
-                    .and_then(Value::as_u64)
-                    .ok_or_else(|| bad("missing shard".to_string()))?,
-                shard_count: fields
-                    .get("shard_count")
-                    .and_then(Value::as_u64)
-                    .ok_or_else(|| bad("missing shard_count".to_string()))?,
-                line: fields
-                    .get("line")
-                    .and_then(Value::as_str)
-                    .ok_or_else(|| bad("missing line".to_string()))?
-                    .to_string(),
+                shard: u64_field(&fields, "shard")?,
+                shard_count: u64_field(&fields, "shard_count")?,
+                line: take_str(&mut fields, "line").ok_or_else(|| bad("missing line"))?,
             }),
             Some("done") => Ok(Event::Done { fingerprint }),
             Some(other) => Err(bad(format!("unknown event `{other}`"))),
-            None => Err(bad("missing event field".to_string())),
+            None => Err(bad("missing event field")),
         }
     }
-}
-
-/// Escapes `s` as the body of a JSON string (no quotes). Re-exported
-/// convenience over [`wn_telemetry::json::escape`] so protocol users
-/// have one import.
-pub fn escape_str(s: &str) -> String {
-    escape(s)
 }
 
 #[cfg(test)]

@@ -130,7 +130,7 @@ proptest! {
         );
     }
 
-    /// Arbitrary bytes through the request parser: errors, never
+    /// Arbitrary bytes through the JSON reader and the message parsers: errors, never
     /// panics. (The `unwrap_or` is the assertion — a panic fails the
     /// test harness.)
     #[test]
@@ -138,6 +138,7 @@ proptest! {
         bytes in proptest::collection::vec(any::<u8>(), 0..300),
     ) {
         let line = String::from_utf8_lossy(&bytes).into_owned();
+        let _ = wn_telemetry::json::parse(&line);
         let _ = parse_object(&line);
         let _ = Request::parse(&line);
         let _ = Response::parse(&line);
@@ -214,5 +215,18 @@ proptest! {
             Ok(Request::Submit { scenario: back }) => prop_assert_eq!(back, scenario),
             other => prop_assert!(false, "round trip failed: {:?}", other),
         }
+    }
+}
+
+/// A line of a MiB of unclosed nesting is a typed error from the
+/// depth cap, not a stack overflow in the daemon.
+#[test]
+fn hostile_nesting_is_malformed_not_a_stack_overflow() {
+    for line in ["[".repeat(1 << 20), "{\"a\":".repeat(1 << 20)] {
+        assert!(matches!(parse_object(&line), Err(ProtoError::Malformed(_))));
+        assert!(matches!(
+            Request::parse(&line),
+            Err(ProtoError::Malformed(_))
+        ));
     }
 }
