@@ -21,10 +21,9 @@
 //!   ([`wn_energy::HarvestStats`]) — renewal CLT for RF/piezo, exact
 //!   phase quadrature for solar.
 //!
-//! Cohorts the model cannot handle (memoization-enabled cores,
-//! telemetry-traced runs) come back as
-//! [`CohortPrediction::Unsupported`] with the reason — never silently
-//! skipped. The fleet's `predict` path (wn-fleet) turns these
+//! Cohorts the model cannot handle (memoization-enabled cores) come
+//! back as [`CohortPrediction::Unsupported`] with the reason — never
+//! silently skipped. The fleet's `predict` path (wn-fleet) turns these
 //! predictions into a `wn-analyze-report-v1` report shaped like the
 //! fleet's own, and `experiments predict --validate` cross-checks the
 //! two.

@@ -27,7 +27,7 @@
 //!   deterministic replay, not estimated.
 
 use wn_core::intermittent::SubstrateKind;
-use wn_core::{telemetry, PreparedRun, WnError};
+use wn_core::{PreparedRun, WnError};
 use wn_energy::{EnvModel, HarvestStats, SupplyConfig};
 use wn_intermittent::{FaultFreeProfile, ProgressModel};
 
@@ -121,13 +121,6 @@ pub fn predict(q: &CohortQuery) -> Result<CohortPrediction, WnError> {
         return Ok(CohortPrediction::Unsupported {
             reason: "memoization-enabled core: memo hit rates make block costs \
                      data-dependent, outside the static cost model"
-                .into(),
-        });
-    }
-    if telemetry::is_enabled() {
-        return Ok(CohortPrediction::Unsupported {
-            reason: "global telemetry collector enabled: the analytic model predicts \
-                     aggregates, not event streams"
                 .into(),
         });
     }

@@ -42,10 +42,10 @@ fn bench_figures(c: &mut Criterion) {
         b.iter(|| fig09::run(&quick()).unwrap())
     });
     g.bench_function("fig10_clank_speedups", |b| {
-        b.iter(|| fig10::run(&tiny_intermittent(), SubstrateKind::clank()).unwrap())
+        b.iter(|| fig10::run(&tiny_intermittent(), SubstrateKind::clank(), false).unwrap())
     });
     g.bench_function("fig11_nvp_speedups", |b| {
-        b.iter(|| fig10::run(&tiny_intermittent(), SubstrateKind::nvp()).unwrap())
+        b.iter(|| fig10::run(&tiny_intermittent(), SubstrateKind::nvp(), false).unwrap())
     });
     g.bench_function("fig12_vectorized_loads", |b| {
         b.iter(|| fig12::run(&quick()).unwrap())

@@ -8,7 +8,7 @@
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 
 use wn_core::jobs;
-use wn_fleet::{run_fleet, FleetEngine, FleetOptions, FleetScenario, FleetStatus};
+use wn_fleet::{run_fleet, FleetOptions, FleetScenario, FleetStatus};
 
 const SCENARIO: &str = r#"
 [fleet]
@@ -51,21 +51,13 @@ fn devices_per_second(c: &mut Criterion) {
     let mut g = c.benchmark_group("fleet");
     g.throughput(Throughput::Elements(devices));
     g.sample_size(10);
-    // `scalar` is the per-device-executor baseline the lockstep engine
-    // is measured against; `jobs1`/`global` run the default (batched)
-    // engine, whose reports are byte-identical to scalar.
-    for (label, jobs, engine) in [
-        ("scalar", Some(1), FleetEngine::Scalar),
-        ("jobs1", Some(1), FleetEngine::default()),
-        ("global", None, FleetEngine::default()),
-    ] {
+    for (label, jobs) in [("jobs1", Some(1)), ("global", None)] {
         g.bench_function(label, |b| {
             b.iter(|| {
                 let status = run_fleet(
                     &scenario,
                     &FleetOptions {
                         jobs,
-                        engine,
                         ..Default::default()
                     },
                 )

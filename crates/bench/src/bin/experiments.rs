@@ -7,7 +7,7 @@
 //! # One experiment at the paper's methodology (full sizes, 9 traces x 3):
 //! cargo run --release -p wn-bench --bin experiments -- fig10 --paper
 //!
-//! # Same, with the telemetry collector on (adds results/run_report.json):
+//! # Same, with every intermittent run traced (adds results/run_report.json):
 //! cargo run --release -p wn-bench --bin experiments -- all --telemetry
 //!
 //! # Provenance of the last run (reads results/manifest.json):
@@ -32,10 +32,12 @@ use wn_bench::{read_artifact, results_dir, write_artifact};
 use wn_core::experiments::{
     fig01, fig02, fig03, fig09, fig10, fig12, fig13, fig14, fig15, fig17, table1, ExperimentConfig,
 };
-use wn_core::{jobs, telemetry};
+use wn_core::intermittent::SubstrateKind;
+use wn_core::jobs;
 use wn_telemetry::json::{self, Value};
+use wn_telemetry::RunReport;
 
-const USAGE: &str = "usage: experiments <all|table1|fig01|fig02|fig03|fig09|fig10|fig11|fig12|fig13|fig14|fig15|fig17|task|area_power|report|bench|bench-fleet> [--paper] [--jobs N] [--telemetry] [--epoch N]\n       experiments fleet <scenario.toml|.json> [--check] [--jobs N] [--engine scalar|batched] [--resume] [--shard-jsonl] [--stop-after-shards N] [--epoch N]\n       experiments predict <scenario.toml|.json> [--validate] [--jobs N] [--epoch N]\n       experiments serve [--addr HOST:PORT] [--data-dir DIR] [--jobs N] [--queue N] [--cache-cap N] [--engine scalar|batched] [--stop-after-shards N]";
+const USAGE: &str = "usage: experiments <all|table1|fig01|fig02|fig03|fig09|fig10|fig11|fig12|fig13|fig14|fig15|fig17|task|area_power|report|bench|bench-fleet> [--paper] [--jobs N] [--telemetry] [--epoch N]\n       experiments fleet <scenario.toml|.json> [--check] [--jobs N] [--resume] [--shard-jsonl] [--stop-after-shards N] [--epoch N]\n       experiments predict <scenario.toml|.json> [--validate] [--jobs N] [--epoch N]\n       experiments serve [--addr HOST:PORT] [--data-dir DIR] [--jobs N] [--queue N] [--cache-cap N] [--stop-after-shards N]";
 
 fn main() -> ExitCode {
     let args: Vec<String> = env::args().skip(1).collect();
@@ -77,7 +79,6 @@ fn main() -> ExitCode {
                     flag,
                     "jobs"
                         | "epoch"
-                        | "engine"
                         | "stop-after-shards"
                         | "addr"
                         | "data-dir"
@@ -110,7 +111,6 @@ fn main() -> ExitCode {
         return serve(&args);
     }
 
-    telemetry::set_enabled(telemetry_on);
     let config = if paper {
         ExperimentConfig::paper()
     } else {
@@ -133,6 +133,9 @@ fn main() -> ExitCode {
     let total = Instant::now();
     let mut failed = false;
     let mut artifacts: Vec<String> = Vec::new();
+    // Traced runs in the order the experiments ran them (each
+    // experiment returns its own in grid order), folded once at the end.
+    let mut traced: Vec<RunReport> = Vec::new();
     for name in &which {
         let run_all = *name == "all";
         let names: Vec<&str> = if run_all {
@@ -157,7 +160,7 @@ fn main() -> ExitCode {
         for n in names {
             println!("==== {n} ====");
             let start = Instant::now();
-            if let Err(e) = run_one(n, &config, &mut artifacts) {
+            if let Err(e) = run_one(n, &config, &mut artifacts, telemetry_on, &mut traced) {
                 eprintln!("{n} failed: {e}");
                 failed = true;
             }
@@ -165,7 +168,7 @@ fn main() -> ExitCode {
         }
     }
     if telemetry_on {
-        if let Err(e) = save_telemetry(&mut artifacts) {
+        if let Err(e) = save_telemetry(RunReport::aggregate(traced), &mut artifacts) {
             eprintln!("telemetry report failed: {e}");
             failed = true;
         }
@@ -224,23 +227,14 @@ fn parse_jobs(args: &[String]) -> Result<Option<usize>, String> {
         .transpose()
 }
 
-/// Parses `--engine scalar|batched` (default batched). Engine choice
-/// changes speed only: reports are byte-identical either way (`scalar`
-/// keeps the per-device oracle honest in CI).
-fn parse_engine(args: &[String]) -> Result<wn_fleet::FleetEngine, String> {
-    match parse_flag_value(args, "--engine")?.as_deref() {
-        None | Some("batched") => Ok(wn_fleet::FleetEngine::default()),
-        Some("scalar") => Ok(wn_fleet::FleetEngine::Scalar),
-        Some(other) => Err(format!(
-            "--engine must be `scalar` or `batched`, got `{other}`"
-        )),
-    }
-}
-
+/// Runs one experiment and saves its artifacts. With `traced` set, the
+/// intermittent experiments append their runs' reports to `reports`.
 fn run_one(
     name: &str,
     config: &ExperimentConfig,
     artifacts: &mut Vec<String>,
+    traced: bool,
+    reports: &mut Vec<RunReport>,
 ) -> Result<(), Box<dyn std::error::Error>> {
     match name {
         "table1" => {
@@ -272,13 +266,15 @@ fn run_one(
             save("fig09.csv", &f.to_csv(), artifacts)?;
         }
         "fig10" => {
-            let f = fig10::run_fig10(config)?;
+            let (f, runs) = fig10::run(config, SubstrateKind::clank(), traced)?;
+            reports.extend(runs);
             println!("{f}");
             println!("paper: 1.78x (8-bit), 3.02x (4-bit) average on the volatile processor");
             save("fig10.csv", &f.to_csv(), artifacts)?;
         }
         "fig11" => {
-            let f = fig10::run_fig11(config)?;
+            let (f, runs) = fig10::run(config, SubstrateKind::nvp(), traced)?;
+            reports.extend(runs);
             println!("{f}");
             println!("paper: 1.41x (8-bit), 2.26x (4-bit) average on the NVP");
             save("fig11.csv", &f.to_csv(), artifacts)?;
@@ -288,7 +284,8 @@ fn run_one(
         // own supply (largest-task rule), so its artifact is additive
         // and the checkpoint-substrate artifact set stays byte-stable.
         "task" => {
-            let f = fig10::run_task(config)?;
+            let (f, runs) = fig10::run_task(config, traced)?;
+            reports.extend(runs);
             println!("{f}");
             save("fig_task.csv", &f.to_csv(), artifacts)?;
         }
@@ -346,11 +343,14 @@ fn run_one(
     Ok(())
 }
 
-/// Drains the global telemetry collector into `run_report.json` /
+/// Writes the traced runs' aggregate as `run_report.json` /
 /// `run_report.csv` artifacts.
-fn save_telemetry(artifacts: &mut Vec<String>) -> std::io::Result<()> {
+fn save_telemetry(
+    aggregate: Option<RunReport>,
+    artifacts: &mut Vec<String>,
+) -> std::io::Result<()> {
     println!("==== telemetry ====");
-    match telemetry::take() {
+    match aggregate {
         Some(report) => {
             println!(
                 "{} intermittent runs: {} outages, {} checkpoints, {} events",
@@ -443,7 +443,6 @@ fn bench() -> ExitCode {
     use wn_energy::{PowerTrace, TraceKind};
     use wn_intermittent::{Clank, IntermittentExecutor, Substrate};
     use wn_kernels::{Benchmark, Scale};
-    use wn_telemetry::RunReport;
 
     let instance = Benchmark::MatMul.instance(Scale::Quick, 42);
     let prepared = PreparedRun::new(&instance, wn_core::Technique::Precise).unwrap();
@@ -533,8 +532,10 @@ fn bench() -> ExitCode {
 }
 
 /// `experiments bench-fleet`: fleet-runner throughput trajectory.
-/// Times two 128-device populations on the scalar engine and on the
-/// default lockstep (batched) engine — the criterion-bench anytime
+/// Times two 128-device populations on the scalar executor (each device
+/// through `wn_fleet::simulate_device`, no aggregate fold) and through
+/// `run_fleet`, whose planner puts both on the lockstep (batched)
+/// engine — the criterion-bench anytime
 /// population (every completing device skims, so nearly all diverge
 /// onto the scalar path) and a precise population (no skim points, so
 /// every device finishes on the shared tape) — plus a checkpoint-free
@@ -543,7 +544,7 @@ fn bench() -> ExitCode {
 /// regime into `BENCH_fleet.json` and the `bench_history.jsonl`
 /// trajectory.
 fn bench_fleet() -> ExitCode {
-    use wn_fleet::{run_fleet, FleetEngine, FleetOptions, FleetScenario};
+    use wn_fleet::{run_fleet, simulate_device, FleetOptions, FleetScenario};
 
     let population = |technique: &str| {
         // Mirrors the criterion bench population (crates/bench/benches/
@@ -575,23 +576,34 @@ day_s = 10.0
         ))
         .unwrap()
     };
-    let time = |scenario: &FleetScenario, engine: FleetEngine| {
+    let best_of_10 = |sweep: &dyn Fn()| {
         let mut best = f64::INFINITY;
         for _ in 0..10 {
             let t0 = Instant::now();
-            let status = run_fleet(
-                scenario,
-                &FleetOptions {
-                    jobs: Some(1),
-                    engine,
-                    ..Default::default()
-                },
-            )
-            .unwrap();
+            sweep();
             best = best.min(t0.elapsed().as_secs_f64());
-            assert!(status.report().is_some());
         }
         best
+    };
+    let time = |scenario: &FleetScenario| {
+        best_of_10(&|| {
+            let options = FleetOptions {
+                jobs: Some(1),
+                ..Default::default()
+            };
+            assert!(run_fleet(scenario, &options).unwrap().report().is_some());
+        })
+    };
+    // The scalar reference: every device, serially, through the
+    // runner's scalar path.
+    let time_scalar = |scenario: &FleetScenario| {
+        best_of_10(&|| {
+            for device in 0..scenario.total_devices() {
+                if let Err((device, e)) = simulate_device(scenario, device) {
+                    panic!("device {device} failed: {e}");
+                }
+            }
+        })
     };
     let mut record = BenchRecord::new("fleet");
     wn_energy::memo_stats::reset();
@@ -599,9 +611,9 @@ day_s = 10.0
         let scenario = population(technique);
         let devices = scenario.total_devices();
         // Warm the per-cohort compilation cache off the clock.
-        time(&scenario, FleetEngine::Scalar);
-        let scalar_s = time(&scenario, FleetEngine::Scalar);
-        let batched_s = time(&scenario, FleetEngine::default());
+        time_scalar(&scenario);
+        let scalar_s = time_scalar(&scenario);
+        let batched_s = time(&scenario);
         let scalar = devices as f64 / scalar_s;
         let batched = devices as f64 / batched_s;
         let speedup = scalar_s / batched_s;
@@ -656,8 +668,8 @@ day_s = 10.0
         )
         .unwrap();
         let devices = scenario.total_devices();
-        time(&scenario, FleetEngine::default()); // warm compile cache
-        let task_s = time(&scenario, FleetEngine::default());
+        time(&scenario); // warm compile cache
+        let task_s = time(&scenario);
         let task = devices as f64 / task_s;
         println!("fleet bench [task]: {task:.0} devices/s, {devices} devices at --jobs 1");
         record.push("task_devices_per_s", task, "devices/s");
@@ -742,7 +754,6 @@ fn serve(args: &[String]) -> ExitCode {
         if let Some(n) = flag_usize("--stop-after-shards")? {
             config.stop_after_shards = Some(n);
         }
-        config.engine = parse_engine(args)?;
         Ok(())
     })();
     if let Err(e) = parsed {
@@ -779,13 +790,6 @@ fn fleet(args: &[String], operands: &[&str]) -> ExitCode {
     let [path] = operands else {
         eprintln!("fleet needs exactly one scenario file\n{USAGE}");
         return ExitCode::FAILURE;
-    };
-    let engine = match parse_engine(args) {
-        Ok(engine) => engine,
-        Err(e) => {
-            eprintln!("{e}\n{USAGE}");
-            return ExitCode::FAILURE;
-        }
     };
     let scenario = match load_scenario(path) {
         Ok(s) => s,
@@ -835,7 +839,6 @@ fn fleet(args: &[String], operands: &[&str]) -> ExitCode {
     let shard_jsonl = args.iter().any(|a| a == "--shard-jsonl");
     let options = FleetOptions {
         jobs: None, // the global pool, already sized by --jobs / WN_JOBS
-        engine,
         checkpoint: Some(results.join(format!("fleet_{stem}.ckpt.json"))),
         resume: args.iter().any(|a| a == "--resume"),
         shard_log: shard_jsonl.then(|| results.join(format!("fleet_{stem}.shards.jsonl"))),

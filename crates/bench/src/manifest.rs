@@ -44,7 +44,7 @@ pub struct RunManifest {
     pub seed: u64,
     /// Worker threads the job pool fanned out on.
     pub jobs: u64,
-    /// Whether the global telemetry collector was enabled.
+    /// Whether the run was traced (`--telemetry`).
     pub telemetry: bool,
     /// Host wall-clock of the whole invocation, in seconds.
     pub wall_s: f64,

@@ -1,49 +1,42 @@
 //! Golden-CSV regression pins for fig17 and table1 (companions to
-//! `golden_fig10.rs`), plus the telemetry-transparency invariant: the
-//! global collector only *observes*, so enabling it must not move a
-//! byte of any figure CSV.
+//! `golden_fig10.rs`), plus the telemetry-transparency invariant:
+//! tracing only *observes*, so a traced Fig. 10 grid must render the
+//! same figure as an untraced one.
 //!
 //! The goldens are the quick-scale artifacts committed from the PR 2
-//! engine. Everything runs inside one test function because the
-//! telemetry flag is process-global and tests in one binary run
-//! concurrently.
+//! engine.
 
 use wn_core::experiments::{fig10, fig17, table1, ExperimentConfig};
-use wn_core::telemetry;
+use wn_core::intermittent::SubstrateKind;
+use wn_telemetry::RunReport;
 
 #[test]
 fn fig17_table1_quick_csvs_match_golden_with_telemetry_on_and_off() {
     let config = ExperimentConfig::quick();
 
-    // Telemetry off (the default): byte-identical to the goldens.
-    let fig17_off = fig17::run(&config).unwrap().to_csv();
-    let table1_off = table1::run(&config).unwrap().to_csv();
-    let fig10_off = fig10::run_fig10(&config).unwrap().to_csv();
     assert_eq!(
-        fig17_off,
+        fig17::run(&config).unwrap().to_csv(),
         include_str!("golden/fig17_quick.csv"),
         "fig17 quick CSV drifted"
     );
     assert_eq!(
-        table1_off,
+        table1::run(&config).unwrap().to_csv(),
         include_str!("golden/table1_quick.csv"),
         "table1 quick CSV drifted"
     );
 
-    // Telemetry on: identical CSVs, and the intermittent experiment
-    // (fig10) leaves an aggregate report behind while the continuous
-    // ones (fig17/table1) do not touch the collector.
-    telemetry::set_enabled(true);
-    let fig17_on = fig17::run(&config).unwrap().to_csv();
-    let table1_on = table1::run(&config).unwrap().to_csv();
-    let fig10_on = fig10::run_fig10(&config).unwrap().to_csv();
-    telemetry::set_enabled(false);
-
-    assert_eq!(fig17_on, fig17_off, "telemetry must not change fig17");
-    assert_eq!(table1_on, table1_off, "telemetry must not change table1");
-    assert_eq!(fig10_on, fig10_off, "telemetry must not change fig10");
-
-    let report = telemetry::take().expect("fig10 traces intermittent runs");
+    // Traced: the identical figure, plus one report per grid run.
+    let (fig10_off, untraced) = fig10::run(&config, SubstrateKind::clank(), false).unwrap();
+    let (fig10_on, traced) = fig10::run(&config, SubstrateKind::clank(), true).unwrap();
+    assert_eq!(
+        fig10_on.to_csv(),
+        fig10_off.to_csv(),
+        "telemetry must not change fig10"
+    );
+    assert!(untraced.is_empty(), "untraced runs report nothing");
+    let runs = traced.len() as u64;
+    let report = RunReport::aggregate(traced).expect("fig10 traces intermittent runs");
+    assert_eq!(report.label, "aggregate");
+    assert_eq!(report.runs, runs);
     assert!(report.runs > 0 && report.outages > 0);
-    assert!(telemetry::take().is_none(), "take drains the collector");
 }

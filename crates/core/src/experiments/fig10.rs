@@ -11,12 +11,15 @@
 use std::fmt;
 
 use wn_compiler::Technique;
+use wn_energy::SupplyConfig;
 use wn_kernels::Benchmark;
+use wn_telemetry::RunReport;
 
 use crate::error::WnError;
 use crate::experiments::ExperimentConfig;
 use crate::intermittent::{
-    max_task_cycles, median, run_intermittent, task_supply_for, SubstrateKind,
+    max_task_cycles, median, run_intermittent, run_intermittent_reported, task_supply_for,
+    IntermittentOutcome, SubstrateKind,
 };
 use crate::jobs::run_jobs;
 use crate::prepared::PreparedRun;
@@ -128,43 +131,60 @@ impl fmt::Display for SpeedupFigure {
     }
 }
 
-/// Runs Fig. 10 (Clank) or Fig. 11 (NVP) depending on `substrate`.
-///
-/// # Errors
-///
-/// Propagates compilation, supply and simulation errors.
-pub fn run(config: &ExperimentConfig, substrate: SubstrateKind) -> Result<SpeedupFigure, WnError> {
+/// Grid variants per benchmark: precise, 8-bit, 4-bit.
+const VARIANTS: usize = 3;
+
+fn technique_of(benchmark: Benchmark, variant: usize) -> Technique {
+    match variant {
+        0 => Technique::Precise,
+        1 => benchmark.technique(8),
+        _ => benchmark.technique(4),
+    }
+}
+
+/// Runs the flat grid benchmark × {precise, 8-bit, 4-bit} × trace on
+/// `substrate`, benchmark `b` on `supplies[b]`, and reassembles it in
+/// grid order, so the rows (and their medians) are identical to a
+/// serial run at any worker count. With `traced` set, each run's
+/// [`RunReport`] comes back in grid-index order.
+fn run_grid(
+    config: &ExperimentConfig,
+    substrate: SubstrateKind,
+    supplies: &[SupplyConfig],
+    traced: bool,
+) -> Result<(SpeedupFigure, Vec<RunReport>), WnError> {
     let traces = config.trace_ensemble();
     let n_traces = traces.len();
-    // The whole figure is a flat grid of independent intermittent runs:
-    // benchmark × {precise, 8-bit, 4-bit} × trace. Fan it out and
-    // reassemble in grid order, so the rows (and their medians) are
-    // identical to a serial run at any worker count.
-    const VARIANTS: usize = 3;
-    let outcomes = run_jobs(Benchmark::ALL.len() * VARIANTS * n_traces, |i| {
-        let benchmark = Benchmark::ALL[i / (VARIANTS * n_traces)];
-        let technique = match (i / n_traces) % VARIANTS {
-            0 => Technique::Precise,
-            1 => benchmark.technique(8),
-            _ => benchmark.technique(4),
-        };
+    let cells = run_jobs(Benchmark::ALL.len() * VARIANTS * n_traces, |i| {
+        let b = i / (VARIANTS * n_traces);
+        let benchmark = Benchmark::ALL[b];
         // The Task substrate runs the task-decomposed binary; Clank and
         // NVP keep the plain build (same cache entries as before).
         let prepared = PreparedRun::cached_with_tasks(
             benchmark,
             config.scale,
             config.seed,
-            technique,
+            technique_of(benchmark, (i / n_traces) % VARIANTS),
             matches!(substrate, SubstrateKind::Task(_)),
         )?;
-        run_intermittent(
-            &prepared,
-            substrate,
-            &traces[i % n_traces],
-            config.supply,
-            config.wall_limit_s,
-        )
+        let (trace, supply) = (&traces[i % n_traces], supplies[b]);
+        if traced {
+            let (outcome, report) = run_intermittent_reported(
+                &prepared,
+                substrate,
+                trace,
+                supply,
+                config.wall_limit_s,
+            )?;
+            // Boxed, so an untraced grid's cells stay outcome-sized.
+            Ok::<_, WnError>((outcome, Some(Box::new(report))))
+        } else {
+            let outcome =
+                run_intermittent(&prepared, substrate, trace, supply, config.wall_limit_s)?;
+            Ok((outcome, None))
+        }
     })?;
+    let (outcomes, reports): (Vec<IntermittentOutcome>, Vec<_>) = cells.into_iter().unzip();
 
     let mut rows = Vec::new();
     for (b, benchmark) in Benchmark::ALL.into_iter().enumerate() {
@@ -189,14 +209,39 @@ pub fn run(config: &ExperimentConfig, substrate: SubstrateKind) -> Result<Speedu
             });
         }
     }
-    Ok(SpeedupFigure {
+    let figure = SpeedupFigure {
         substrate: match substrate {
             SubstrateKind::Clank(_) => "clank",
             SubstrateKind::Nvp(_) => "nvp",
             SubstrateKind::Task(_) => "task",
         },
         rows,
-    })
+    };
+    Ok((figure, reports.into_iter().flatten().map(|r| *r).collect()))
+}
+
+/// Runs Fig. 10 (Clank) or Fig. 11 (NVP) depending on `substrate`.
+///
+/// With `traced` set, every grid run is traced and its [`RunReport`]
+/// returned in grid-index order — the same order at any worker count,
+/// so folding them with [`RunReport::aggregate`] gives the same bytes
+/// at any `--jobs` width. Untraced, the report list is empty. The
+/// figure is identical either way.
+///
+/// # Errors
+///
+/// Propagates compilation, supply and simulation errors.
+pub fn run(
+    config: &ExperimentConfig,
+    substrate: SubstrateKind,
+    traced: bool,
+) -> Result<(SpeedupFigure, Vec<RunReport>), WnError> {
+    run_grid(
+        config,
+        substrate,
+        &[config.supply; Benchmark::ALL.len()],
+        traced,
+    )
 }
 
 /// The checkpoint-free third column: the same speedup/quality grid on
@@ -208,20 +253,16 @@ pub fn run(config: &ExperimentConfig, substrate: SubstrateKind) -> Result<Speedu
 /// grid-wide capacitor would hand small benchmarks a charge that
 /// swallows their whole precise run, collapsing the speedup ratio into
 /// a recharge-time artifact. Kept out of `experiments all` so the
-/// checkpoint-substrate artifact set is untouched.
+/// checkpoint-substrate artifact set is untouched. `traced` works as
+/// in [`run`].
 ///
 /// # Errors
 ///
 /// See [`run`].
-pub fn run_task(config: &ExperimentConfig) -> Result<SpeedupFigure, WnError> {
-    let traces = config.trace_ensemble();
-    let n_traces = traces.len();
-    const VARIANTS: usize = 3;
-    let technique_of = |benchmark: Benchmark, v: usize| match v {
-        0 => Technique::Precise,
-        1 => benchmark.technique(8),
-        _ => benchmark.technique(4),
-    };
+pub fn run_task(
+    config: &ExperimentConfig,
+    traced: bool,
+) -> Result<(SpeedupFigure, Vec<RunReport>), WnError> {
     // Pre-size each benchmark's buffer (cache-warm, serial: the
     // largest-task measurement is itself a full run per build).
     let mut supplies = Vec::new();
@@ -239,52 +280,7 @@ pub fn run_task(config: &ExperimentConfig) -> Result<SpeedupFigure, WnError> {
         }
         supplies.push(task_supply_for(largest));
     }
-
-    let outcomes = run_jobs(Benchmark::ALL.len() * VARIANTS * n_traces, |i| {
-        let b = i / (VARIANTS * n_traces);
-        let benchmark = Benchmark::ALL[b];
-        let prepared = PreparedRun::cached_with_tasks(
-            benchmark,
-            config.scale,
-            config.seed,
-            technique_of(benchmark, (i / n_traces) % VARIANTS),
-            true,
-        )?;
-        run_intermittent(
-            &prepared,
-            SubstrateKind::task(),
-            &traces[i % n_traces],
-            supplies[b],
-            config.wall_limit_s,
-        )
-    })?;
-
-    let mut rows = Vec::new();
-    for (b, benchmark) in Benchmark::ALL.into_iter().enumerate() {
-        let variant = |v: usize| {
-            let start = (b * VARIANTS + v) * n_traces;
-            &outcomes[start..start + n_traces]
-        };
-        let precise_times: Vec<f64> = variant(0).iter().map(|o| o.time_s).collect();
-        let precise_median = median(&precise_times);
-        for (v, bits) in [(1usize, 8u8), (2, 4)] {
-            let outcomes = variant(v);
-            let times: Vec<f64> = outcomes.iter().map(|o| o.time_s).collect();
-            let errors: Vec<f64> = outcomes.iter().map(|o| o.error_percent).collect();
-            let skims = outcomes.iter().filter(|o| o.skimmed).count();
-            rows.push(SpeedupRow {
-                benchmark,
-                bits,
-                speedup: precise_median / median(&times),
-                nrmse_percent: median(&errors),
-                skim_rate: skims as f64 / outcomes.len() as f64,
-            });
-        }
-    }
-    Ok(SpeedupFigure {
-        substrate: "task",
-        rows,
-    })
+    run_grid(config, SubstrateKind::task(), &supplies, traced)
 }
 
 /// Convenience: Fig. 10 — the Clank volatile processor.
@@ -293,7 +289,7 @@ pub fn run_task(config: &ExperimentConfig) -> Result<SpeedupFigure, WnError> {
 ///
 /// See [`run`].
 pub fn run_fig10(config: &ExperimentConfig) -> Result<SpeedupFigure, WnError> {
-    run(config, SubstrateKind::clank())
+    Ok(run(config, SubstrateKind::clank(), false)?.0)
 }
 
 /// Convenience: Fig. 11 — the non-volatile processor.
@@ -302,7 +298,7 @@ pub fn run_fig10(config: &ExperimentConfig) -> Result<SpeedupFigure, WnError> {
 ///
 /// See [`run`].
 pub fn run_fig11(config: &ExperimentConfig) -> Result<SpeedupFigure, WnError> {
-    run(config, SubstrateKind::nvp())
+    Ok(run(config, SubstrateKind::nvp(), false)?.0)
 }
 
 #[cfg(test)]

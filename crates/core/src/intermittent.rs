@@ -10,7 +10,6 @@ use wn_telemetry::RunReport;
 
 use crate::error::WnError;
 use crate::prepared::PreparedRun;
-use crate::telemetry;
 
 /// Which substrate an intermittent run executes on.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -187,14 +186,6 @@ pub fn run_intermittent(
     supply: SupplyConfig,
     wall_limit_s: f64,
 ) -> Result<IntermittentOutcome, WnError> {
-    // When the global collector is on, trace the run and fold its
-    // report in; execution is identical either way (tracing observes).
-    if telemetry::is_enabled() {
-        let (outcome, report) =
-            run_intermittent_reported(prepared, substrate, trace, supply, wall_limit_s)?;
-        telemetry::record(&report);
-        return Ok(outcome);
-    }
     let core = prepared.fresh_core()?;
     let (run, error_percent) = match substrate {
         SubstrateKind::Clank(cfg) => {
@@ -227,8 +218,11 @@ pub fn run_intermittent(
 
 /// [`run_intermittent`] with telemetry: traces the run into a fresh
 /// [`RunReport`] (labelled `benchmark/technique/substrate`) and returns
-/// it alongside the outcome. Used by the `experiments report`
-/// subcommand and whenever the global collector is enabled.
+/// it alongside the outcome, which is identical to the untraced run's
+/// (tracing observes, it never changes what executes). Callers that
+/// trace many runs merge the reports themselves, in a fixed order; the
+/// traced Fig. 10/11 grid ([`crate::experiments::fig10::run`]) merges
+/// them in grid-index order.
 ///
 /// # Errors
 ///

@@ -28,10 +28,7 @@
 //! * [`experiments`] — one entry point per table and figure in the paper,
 //!   each returning a typed, printable, CSV-able result;
 //! * [`jobs`] — the deterministic fork–join pool the experiments fan out
-//!   on (`--jobs N` / `WN_JOBS`, default: all cores);
-//! * [`telemetry`] — the process-global run-report collector feeding
-//!   [`wn_telemetry`] sinks from every traced intermittent run
-//!   (`experiments --telemetry`, `experiments report`).
+//!   on (`--jobs N` / `WN_JOBS`, default: all cores).
 //!
 //! ## Quickstart
 //!
@@ -57,7 +54,6 @@ pub mod intermittent;
 pub mod jobs;
 pub mod prepared;
 pub mod stream;
-pub mod telemetry;
 
 pub use error::WnError;
 pub use prepared::{

@@ -1,30 +1,24 @@
 //! The device power supply: capacitor + harvester + on/off thresholds.
 
-use std::collections::HashMap;
 use std::fmt;
-use std::sync::{Mutex, OnceLock};
 
 use crate::capacitor::Capacitor;
 use crate::trace::{PowerTrace, SAMPLE_HZ};
 
-/// Process-wide effectiveness counters for the supply's memoized
-/// fast-forward machinery (segment-native charge/discharge replay).
+/// Process-wide effectiveness counters for the supply's fast-forward
+/// machinery (segment-native charge/discharge replay).
 ///
-/// Two memo tables back the fast paths: the **brown-out threshold memo**
-/// (per electrical config, the exact energy at which `voltage()` crosses
-/// `v_off`, shared by every device in a cohort) and the **wait-chain
+/// One immutable table backs the recharge path: the **wait-chain
 /// table** (the replayed `waited += 1 ms` accumulator of
-/// [`EnergySupply::wait_for_power`], shared by every recharge wait in the
-/// process). Counters are relaxed atomics: they never order anything,
-/// they only report. Fleet reports never include them — they are
-/// diagnostics for `experiments bench-fleet`, the fleet smoke CI check
-/// (which asserts the segmented path is actually active), and the
-/// `wn-serve` `stats` request.
+/// [`EnergySupply::wait_for_power`], built at compile time and shared
+/// by every recharge wait in the process). Counters are relaxed
+/// atomics: they never order anything, they only report. Fleet reports
+/// never include them — they are diagnostics for `experiments
+/// bench-fleet`, the fleet smoke CI check (which asserts the segmented
+/// path is actually active), and the `wn-serve` `stats` request.
 pub mod memo_stats {
     use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 
-    pub(super) static THRESHOLD_HITS: AtomicU64 = AtomicU64::new(0);
-    pub(super) static THRESHOLD_MISSES: AtomicU64 = AtomicU64::new(0);
     pub(super) static WAIT_TABLE_HITS: AtomicU64 = AtomicU64::new(0);
     pub(super) static WAIT_TABLE_MISSES: AtomicU64 = AtomicU64::new(0);
     pub(super) static CHARGE_FF_SPRINTS: AtomicU64 = AtomicU64::new(0);
@@ -34,11 +28,12 @@ pub mod memo_stats {
     /// Snapshot of the supply-memo counters.
     #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
     pub struct SupplyMemoStats {
-        /// Lookups served from a memo table (threshold + wait chain).
+        /// Recharge waits whose return value came from the wait-chain
+        /// table.
         pub memo_hits: u64,
-        /// Lookups that had to compute and populate an entry.
+        /// Recharge waits longer than the table, chained from its end.
         pub memo_misses: u64,
-        /// Entries currently resident across the memo tables.
+        /// Entries in the wait-chain table (fixed at compile time).
         pub memo_entries: u64,
         /// Zero-harvest charge sprints taken by `wait_for_power`.
         pub charge_ff_sprints: u64,
@@ -68,21 +63,19 @@ pub mod memo_stats {
     /// except across [`reset`]).
     pub fn snapshot() -> SupplyMemoStats {
         SupplyMemoStats {
-            memo_hits: THRESHOLD_HITS.load(Relaxed) + WAIT_TABLE_HITS.load(Relaxed),
-            memo_misses: THRESHOLD_MISSES.load(Relaxed) + WAIT_TABLE_MISSES.load(Relaxed),
-            memo_entries: super::memo_entries(),
+            memo_hits: WAIT_TABLE_HITS.load(Relaxed),
+            memo_misses: WAIT_TABLE_MISSES.load(Relaxed),
+            memo_entries: super::WAIT_CHAIN_CAP as u64,
             charge_ff_sprints: CHARGE_FF_SPRINTS.load(Relaxed),
             charge_ff_steps: CHARGE_FF_STEPS.load(Relaxed),
             discharge_ext_events: DISCHARGE_EXT_EVENTS.load(Relaxed),
         }
     }
 
-    /// Zeroes the hit/miss/fast-forward counters (memo tables and their
-    /// entry counts persist — they stay valid across runs).
+    /// Zeroes the hit/miss/fast-forward counters (the wait-chain table
+    /// is immutable, so its entry count never changes).
     pub fn reset() {
         for c in [
-            &THRESHOLD_HITS,
-            &THRESHOLD_MISSES,
             &WAIT_TABLE_HITS,
             &WAIT_TABLE_MISSES,
             &CHARGE_FF_SPRINTS,
@@ -96,73 +89,37 @@ pub mod memo_stats {
 
 use std::sync::atomic::Ordering::Relaxed;
 
-/// Brown-out threshold memo: electrical config (by exact bits) → the
-/// minimal stored energy whose computed voltage reaches `v_off`
-/// (`Capacitor::voltage_threshold_energy`). Keyed by
-/// `(capacitance, v_max, v_off)` bits, so every device in a cohort —
-/// and every cohort sharing the default electricals — resolves to one
-/// entry. The value is a pure function of the key; racing duplicate
-/// inserts are idempotent.
-type ThresholdKey = (u64, u64, u64);
-static THRESHOLD_MEMO: OnceLock<Mutex<HashMap<ThresholdKey, u64>>> = OnceLock::new();
-
-fn threshold_memo() -> &'static Mutex<HashMap<ThresholdKey, u64>> {
-    THRESHOLD_MEMO.get_or_init(|| Mutex::new(HashMap::new()))
-}
-
-fn outage_threshold_energy(cap: &Capacitor, v_off: f64) -> f64 {
-    let key = (
-        cap.capacitance().to_bits(),
-        cap.v_max().to_bits(),
-        v_off.to_bits(),
-    );
-    let mut memo = threshold_memo().lock().unwrap();
-    if let Some(&bits) = memo.get(&key) {
-        memo_stats::THRESHOLD_HITS.fetch_add(1, Relaxed);
-        return f64::from_bits(bits);
-    }
-    memo_stats::THRESHOLD_MISSES.fetch_add(1, Relaxed);
-    let e = cap.voltage_threshold_energy(v_off);
-    memo.insert(key, e.to_bits());
-    e
-}
-
 /// Wait-chain table: `W[k]` = the value of `wait_for_power`'s `waited`
 /// accumulator after `k` iterations of `waited += 1e-3` starting from
 /// `0.0` — a pure chain independent of trace, device, and start time,
-/// so one process-wide table replays every recharge wait's return value
-/// exactly. Bounded; waits longer than the table chain from its end.
-static WAIT_CHAIN: OnceLock<Mutex<Vec<f64>>> = OnceLock::new();
+/// so one table replays every recharge wait's return value exactly.
+/// Built by the compiler (IEEE-754 addition rounds identically at
+/// compile time and run time) and never written. Waits longer than the
+/// table chain from its end.
 const WAIT_CHAIN_CAP: usize = 1 << 16;
+static WAIT_CHAIN: [f64; WAIT_CHAIN_CAP] = wait_chain();
+
+const fn wait_chain() -> [f64; WAIT_CHAIN_CAP] {
+    let mut table = [0.0; WAIT_CHAIN_CAP];
+    let mut k = 1;
+    while k < WAIT_CHAIN_CAP {
+        table[k] = table[k - 1] + 1e-3;
+        k += 1;
+    }
+    table
+}
 
 fn wait_chain_value(k: u64) -> f64 {
-    let table = WAIT_CHAIN.get_or_init(|| Mutex::new(vec![0.0]));
-    let mut t = table.lock().unwrap();
-    if (k as usize) < t.len() {
+    if let Some(&w) = usize::try_from(k).ok().and_then(|k| WAIT_CHAIN.get(k)) {
         memo_stats::WAIT_TABLE_HITS.fetch_add(1, Relaxed);
-        return t[k as usize];
+        return w;
     }
     memo_stats::WAIT_TABLE_MISSES.fetch_add(1, Relaxed);
-    while t.len() <= (k as usize).min(WAIT_CHAIN_CAP - 1) {
-        let w = t.last().unwrap() + 1e-3;
-        t.push(w);
-    }
-    if (k as usize) < t.len() {
-        return t[k as usize];
-    }
-    let mut w = *t.last().unwrap();
-    for _ in (t.len() as u64 - 1)..k {
+    let mut w = WAIT_CHAIN[WAIT_CHAIN_CAP - 1];
+    for _ in (WAIT_CHAIN_CAP as u64 - 1)..k {
         w += 1e-3;
     }
     w
-}
-
-fn memo_entries() -> u64 {
-    let thresholds = threshold_memo().lock().unwrap().len() as u64;
-    let waits = WAIT_CHAIN
-        .get()
-        .map_or(0, |t| t.lock().unwrap().len() as u64);
-    thresholds + waits
 }
 
 /// Electrical configuration of the supply.
@@ -316,10 +273,10 @@ pub struct EnergySupply {
     /// Cached `cap.energy_at(v_off)`: the brown-out energy floor used to
     /// size leases in [`EnergySupply::grant_cycles`].
     e_off_j: f64,
-    /// Memoized exact brown-out threshold: the minimal stored energy
-    /// whose computed voltage reaches `v_off`
-    /// ([`Capacitor::voltage_threshold_energy`], shared per config via
-    /// the process-wide memo). `energy < e_outage_j` is bit-equivalent
+    /// Exact brown-out threshold: the minimal stored energy whose
+    /// computed voltage reaches `v_off`
+    /// ([`Capacitor::voltage_threshold_energy`], one bisection per
+    /// supply). `energy < e_outage_j` is bit-equivalent
     /// to `voltage() < v_off`, so [`EnergySupply::consume_cycles`] needs
     /// no `sqrt` per call.
     e_outage_j: f64,
@@ -366,7 +323,7 @@ impl EnergySupply {
             cap.set_voltage(config.v_on);
         }
         let e_off_j = cap.energy_at(config.v_off);
-        let e_outage_j = outage_threshold_energy(&cap, config.v_off);
+        let e_outage_j = cap.voltage_threshold_energy(config.v_off);
         let drain_per_cycle_j = config.pj_per_cycle * 1e-12;
         let dt_table = (0..256).map(|c| c as f64 / config.clock_hz).collect();
         Ok(EnergySupply {
@@ -446,11 +403,12 @@ impl EnergySupply {
     ///   and skips the rest, staying conservatively short of the run's
     ///   end so every elided step provably read only zero samples.
     /// - **Wait-chain replay**: the `waited` accumulator is a pure
-    ///   `0.0 (+1 ms)^k` chain, replayed from the process-wide table
-    ///   ([`memo_stats`]) instead of recomputed; the hourly starvation
-    ///   guard compares `k` against a step count that provably
-    ///   under-runs `3600.0` (the chain's accumulated rounding is below
-    ///   `1e-6` there), falling back to the exact chain beyond it.
+    ///   `0.0 (+1 ms)^k` chain, replayed from an immutable table built
+    ///   at compile time ([`memo_stats`]) instead of recomputed; the
+    ///   hourly starvation guard compares `k` against a step count that
+    ///   provably under-runs `3600.0` (the chain's accumulated rounding
+    ///   is below `1e-6` there), falling back to the exact chain beyond
+    ///   it.
     ///
     /// # Errors
     ///
@@ -1349,9 +1307,6 @@ mod tests {
             ..SupplyConfig::default()
         };
         let trace = EnvModel::rf_default().synthesize(99, 20.0);
-        // Two supplies with identical electricals: the second threshold
-        // lookup is a guaranteed memo hit.
-        let _warm = EnergySupply::new(trace.clone(), cfg);
         let mut s = EnergySupply::new(trace, cfg);
         s.wait_for_power().unwrap();
         let after = memo_stats::snapshot();

@@ -19,18 +19,19 @@
 //! the ordinary scalar [`wn_intermittent::IntermittentExecutor`] —
 //! which then performs the jump and the approximate-region execution
 //! exactly as an unbatched run would. Cohorts the replay cannot mirror
-//! bit-exactly (telemetry enabled, per-word checkpoint costs,
-//! memoization, and the whole Task substrate — whose re-execution from
+//! bit-exactly (per-word checkpoint costs, memoization, a tape beyond
+//! the step cap, and the whole Task substrate — whose re-execution from
 //! task entries *does* replay instructions, violating the shared
-//! trajectory premise) fall back to the scalar engine wholesale, so
-//! fleet reports are byte-identical across engines by construction.
+//! trajectory premise) fall back to the scalar executor wholesale.
+//! [`build_plans`] is the only place that choice is made, from the
+//! cohort alone; fleet reports are byte-identical to an all-scalar
+//! sweep by construction.
 
 use std::sync::Arc;
 
 use wn_core::error::WnError;
 use wn_core::intermittent::{IntermittentOutcome, SubstrateKind};
 use wn_core::prepared::PreparedRun;
-use wn_core::telemetry;
 use wn_energy::{EnergySupply, SupplyError};
 use wn_intermittent::{replay_run_clank, replay_run_nvp, ExecError};
 use wn_sim::{Core, ExecutionTape, WalkCache};
@@ -49,29 +50,6 @@ pub const DEFAULT_CHUNK: usize = 32;
 /// that faults mid-trajectory) falls back to the scalar engine instead
 /// of holding an unbounded tape.
 const TAPE_STEP_CAP: u64 = 8_000_000;
-
-/// Which execution engine [`crate::runner::run_fleet`] drives devices
-/// through. Results are byte-identical either way (proven by the
-/// differential tests in this module); the engine only changes speed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FleetEngine {
-    /// One scalar intermittent executor per device.
-    Scalar,
-    /// Lockstep tape replay per cohort, `chunk` devices per pool job;
-    /// divergent (skimming) devices peel onto the scalar engine.
-    Batched {
-        /// Devices per pool job.
-        chunk: usize,
-    },
-}
-
-impl Default for FleetEngine {
-    fn default() -> FleetEngine {
-        FleetEngine::Batched {
-            chunk: DEFAULT_CHUNK,
-        }
-    }
-}
 
 /// Per-cohort execution plan, built once per sweep.
 pub(crate) enum CohortPlan {
@@ -112,14 +90,10 @@ pub(crate) fn build_plans(scenario: &FleetScenario) -> Vec<CohortPlan> {
 
 fn build_plan(scenario: &FleetScenario, cohort: usize) -> CohortPlan {
     let spec = &scenario.cohorts[cohort];
-    // Telemetry observes scalar-executor internals the replayer does
-    // not produce; per-word checkpoint costs need register dirty-word
-    // counts the tape does not carry.
-    if telemetry::is_enabled() {
-        return CohortPlan::Scalar;
-    }
     match spec.substrate.kind() {
         SubstrateKind::Clank(cfg) => {
+            // Per-word checkpoint costs need register dirty-word counts
+            // the tape does not carry.
             if cfg.cycles_per_checkpoint_word != 0 {
                 return CohortPlan::Scalar;
             }
@@ -312,15 +286,6 @@ environment = "rf-bursty"
         let s = mixed_scenario();
         let plans = build_plans(&s);
         assert!(matches!(plans[3], CohortPlan::Scalar));
-    }
-
-    #[test]
-    fn telemetry_forces_the_scalar_plan() {
-        let s = mixed_scenario();
-        telemetry::set_enabled(true);
-        let plans = build_plans(&s);
-        telemetry::set_enabled(false);
-        assert!(plans.iter().all(|p| matches!(p, CohortPlan::Scalar)));
     }
 
     /// The acceptance property at device granularity: every device in

@@ -24,7 +24,6 @@ pub mod runner;
 pub mod scenario;
 
 pub use agg::{FixedSketch, MetricAgg, StreamStats};
-pub use batch::FleetEngine;
 pub use checkpoint::Checkpoint;
 pub use durable::persist_atomic;
 pub use predict::{
@@ -33,7 +32,7 @@ pub use predict::{
 };
 pub use report::FleetReport;
 pub use runner::{
-    run_fleet, run_fleet_with, CohortAggregate, DeviceFate, DeviceOutcome, FleetError,
-    FleetOptions, FleetStatus, ShardProgress,
+    run_fleet, run_fleet_with, simulate_device, CohortAggregate, DeviceFate, DeviceOutcome,
+    FleetError, FleetOptions, FleetStatus, ShardProgress,
 };
 pub use scenario::{CohortSpec, FleetScenario, ScenarioError, SubstrateChoice};

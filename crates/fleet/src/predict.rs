@@ -514,17 +514,19 @@ day_s = 10.0
     #[test]
     fn unsupported_cohorts_are_reported_not_skipped() {
         let s = FleetScenario::parse(SMOKE_LIKE).unwrap();
-        // Telemetry makes every cohort unsupported (the analytic model
-        // predicts aggregates, not event streams).
-        wn_core::telemetry::set_enabled(true);
-        let r = predict_fleet(&s);
-        wn_core::telemetry::set_enabled(false);
-        let r = r.unwrap();
-        assert_eq!(r.cohorts.len(), 2);
-        assert_eq!(r.unsupported(), 2);
+        let r = PredictReport {
+            scenario: s.name.clone(),
+            seed: s.seed,
+            fingerprint: s.fingerprint(),
+            specs: s.cohorts[..1].to_vec(),
+            cohorts: vec![CohortForecast::Unsupported {
+                reason: "outside the static cost model".into(),
+            }],
+        };
+        assert_eq!(r.unsupported(), 1);
         let doc = r.to_json();
-        assert!(doc.contains("\"unsupported\":2"));
-        assert!(doc.contains("telemetry"), "{doc}");
+        assert!(doc.contains("\"unsupported\":1"));
+        assert!(doc.contains("outside the static cost model"), "{doc}");
         // Cohort identity fields stay present for unsupported cohorts.
         assert!(doc.contains("\"benchmark\":\"matadd\""));
         let csv = r.to_csv();

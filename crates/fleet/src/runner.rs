@@ -29,7 +29,7 @@ use wn_telemetry::json::Obj;
 use wn_telemetry::Histogram;
 
 use crate::agg::MetricAgg;
-use crate::batch::{self, FleetEngine};
+use crate::batch::{self, CohortPlan, DEFAULT_CHUNK};
 use crate::checkpoint::{self, Checkpoint};
 use crate::codec::{StateReader, StateWriter};
 use crate::report::FleetReport;
@@ -220,9 +220,6 @@ impl CohortAggregate {
 pub struct FleetOptions {
     /// Worker count; `None` uses the global pool width (`WN_JOBS`).
     pub jobs: Option<usize>,
-    /// Execution engine (lockstep tape replay by default; results are
-    /// byte-identical across engines).
-    pub engine: FleetEngine,
     /// Checkpoint file: written atomically after every shard, consumed
     /// by `resume`.
     pub checkpoint: Option<PathBuf>,
@@ -352,7 +349,29 @@ pub fn run_fleet_with<F: FnMut(&ShardProgress<'_>)>(
     scenario: &FleetScenario,
     options: &FleetOptions,
     pause: Option<&AtomicBool>,
+    observe: F,
+) -> Result<FleetStatus, FleetError> {
+    sweep(
+        scenario,
+        options,
+        pause,
+        observe,
+        batch::build_plans,
+        DEFAULT_CHUNK,
+    )
+}
+
+/// The sweep behind [`run_fleet_with`]: `plan` picks each cohort's
+/// execution path once the resume state is validated, and `chunk`
+/// devices make one pool job. Tests substitute an all-scalar planner
+/// to hold the lockstep replay against its reference.
+fn sweep<F: FnMut(&ShardProgress<'_>)>(
+    scenario: &FleetScenario,
+    options: &FleetOptions,
+    pause: Option<&AtomicBool>,
     mut observe: F,
+    plan: fn(&FleetScenario) -> Vec<CohortPlan>,
+    chunk: usize,
 ) -> Result<FleetStatus, FleetError> {
     let shard_count = scenario.shard_count();
     let total = scenario.total_devices();
@@ -411,17 +430,14 @@ pub fn run_fleet_with<F: FnMut(&ShardProgress<'_>)>(
         Some(n) => JobPool::with_jobs(n),
         None => JobPool::global(),
     };
-    // Lockstep plans are built once per sweep; cohorts the replay
-    // cannot mirror bit-exactly fall back to the scalar path inside.
-    let plans = match options.engine {
-        FleetEngine::Scalar => None,
-        FleetEngine::Batched { .. } => Some(batch::build_plans(scenario)),
-    };
+    // Plans are built once per sweep; cohorts the lockstep replay
+    // cannot mirror bit-exactly get the scalar executor.
+    let plans = plan(scenario);
 
     for (ran, shard) in (next_shard..shard_count).enumerate() {
         let lo = shard as u64 * scenario.shard_size as u64;
         let hi = (lo + scenario.shard_size as u64).min(total);
-        let outcomes = run_shard(scenario, options.engine, plans.as_deref(), &pool, lo, hi)
+        let outcomes = run_shard(scenario, &plans, chunk, &pool, lo, hi)
             .map_err(|(device, source)| FleetError::Device { device, source })?;
         // Index order: the pool returns job-index order, which is
         // device order within the shard.
@@ -466,34 +482,28 @@ pub fn run_fleet_with<F: FnMut(&ShardProgress<'_>)>(
     Ok(FleetStatus::Complete(FleetReport::new(scenario, cohorts)))
 }
 
-/// Fans one shard's devices `lo..hi` across the pool under the chosen
-/// engine, returning outcomes in device order either way.
+/// Fans one shard's devices `lo..hi` across the pool, `chunk` devices
+/// per job, returning outcomes in device order.
 fn run_shard(
     scenario: &FleetScenario,
-    engine: FleetEngine,
-    plans: Option<&[batch::CohortPlan]>,
+    plans: &[CohortPlan],
+    chunk: usize,
     pool: &JobPool,
     lo: u64,
     hi: u64,
 ) -> Result<Vec<DeviceOutcome>, (u64, WnError)> {
+    // Chunked jobs amortize pool dispatch over the (cheap) per-device
+    // replays; flattening job-index order preserves device order
+    // because chunks are contiguous.
     let n = (hi - lo) as usize;
-    match (engine, plans) {
-        (FleetEngine::Batched { chunk }, Some(plans)) => {
-            // Chunked jobs amortize pool dispatch over the (cheap)
-            // per-device replays; flattening job-index order preserves
-            // device order because chunks are contiguous.
-            let chunk = chunk.max(1);
-            let batches = pool.run(n.div_ceil(chunk), |j| {
-                let start = lo + (j * chunk) as u64;
-                let end = (start + chunk as u64).min(hi);
-                (start..end)
-                    .map(|device| batch::simulate_device_batched(scenario, plans, device))
-                    .collect::<Result<Vec<DeviceOutcome>, (u64, WnError)>>()
-            })?;
-            Ok(batches.into_iter().flatten().collect())
-        }
-        _ => pool.run(n, |i| simulate_device(scenario, lo + i as u64)),
-    }
+    let batches = pool.run(n.div_ceil(chunk), |j| {
+        let start = lo + (j * chunk) as u64;
+        let end = (start + chunk as u64).min(hi);
+        (start..end)
+            .map(|device| batch::simulate_device_batched(scenario, plans, device))
+            .collect::<Result<Vec<DeviceOutcome>, (u64, WnError)>>()
+    })?;
+    Ok(batches.into_iter().flatten().collect())
 }
 
 /// Assembles a completed device's outcome from its run totals. Shared
@@ -546,14 +556,15 @@ pub(crate) fn incomplete_outcome(device: u64, cohort: usize, fate: DeviceFate) -
     }
 }
 
-/// Simulates one device end to end: derive its seeds, synthesize its
-/// environment, run it on its cohort's substrate.
+/// Simulates one device end to end on the scalar executor: derive its
+/// seeds, synthesize its environment, run it on its cohort's substrate.
+/// This is the reference the lockstep engine is checked against.
 ///
 /// # Errors
 ///
 /// Fatal errors only (tagged with the device index); starvation and
 /// wall-clock expiry are outcomes.
-pub(crate) fn simulate_device(
+pub fn simulate_device(
     scenario: &FleetScenario,
     device: u64,
 ) -> Result<DeviceOutcome, (u64, WnError)> {
@@ -731,30 +742,137 @@ environment = "solar"
         assert_eq!(simulate_device(&s, 14).unwrap().cohort, 1);
     }
 
-    /// Acceptance property at report granularity: scalar and batched
-    /// engines render byte-identical JSON and CSV at several chunk
-    /// widths (including a width that straddles shard boundaries).
+    /// The reference planner: every cohort on the scalar executor.
+    fn all_scalar(scenario: &FleetScenario) -> Vec<CohortPlan> {
+        scenario
+            .cohorts
+            .iter()
+            .map(|_| CohortPlan::Scalar)
+            .collect()
+    }
+
+    /// A report's per-cohort aggregates (every counter, sketch bin and
+    /// stream-stats internal) next to its rendered JSON and CSV.
+    type Rendered = (Vec<CohortAggregate>, String, String);
+
+    fn rendered(report: FleetReport) -> Rendered {
+        let (json, csv) = (report.to_json(), report.to_csv());
+        (report.cohorts, json, csv)
+    }
+
+    /// Sweeps `scenario` under `plan` at `jobs` workers and `chunk`
+    /// devices per pool job.
+    fn render(
+        scenario: &FleetScenario,
+        plan: fn(&FleetScenario) -> Vec<CohortPlan>,
+        jobs: usize,
+        chunk: usize,
+    ) -> Rendered {
+        let options = FleetOptions {
+            jobs: Some(jobs),
+            ..Default::default()
+        };
+        rendered(
+            sweep(scenario, &options, None, |_| {}, plan, chunk)
+                .unwrap()
+                .report()
+                .unwrap(),
+        )
+    }
+
+    /// Acceptance property at report granularity: the planned sweep and
+    /// the all-scalar reference agree on every cohort aggregate and
+    /// render byte-identical JSON and CSV at several chunk widths
+    /// (including a width that straddles shard boundaries).
     #[test]
     fn engines_produce_identical_reports_at_any_chunk_width() {
         let s = tiny_scenario();
-        let run = |engine| {
-            run_fleet(
-                &s,
-                &FleetOptions {
-                    engine,
-                    ..Default::default()
-                },
-            )
-            .unwrap()
-            .report()
-            .unwrap()
-        };
-        let scalar = run(FleetEngine::Scalar);
+        let scalar = render(&s, all_scalar, 1, 1);
         for chunk in [1, 4, 33] {
-            let batched = run(FleetEngine::Batched { chunk });
-            assert_eq!(scalar.cohorts, batched.cohorts, "chunk {chunk}");
-            assert_eq!(scalar.to_json(), batched.to_json(), "chunk {chunk}");
-            assert_eq!(scalar.to_csv(), batched.to_csv(), "chunk {chunk}");
+            let batched = render(&s, batch::build_plans, 1, chunk);
+            assert_eq!(scalar, batched, "chunk {chunk}");
+        }
+    }
+
+    /// The CI smoke fleet yields the same aggregates and bytes through
+    /// `run_fleet` as through the all-scalar reference, at `--jobs` 1, 2
+    /// and 4.
+    #[test]
+    fn engine_parity_on_the_smoke_fleet_at_any_jobs_width() {
+        let path = concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/../../scenarios/fleet_smoke.toml"
+        );
+        let s = FleetScenario::parse(&std::fs::read_to_string(path).unwrap()).unwrap();
+        let reference = render(&s, all_scalar, 1, 1);
+        for jobs in [1, 2, 4] {
+            if jobs > 1 {
+                let scalar = render(&s, all_scalar, jobs, 1);
+                assert_eq!(reference, scalar, "scalar must be jobs-invariant");
+            }
+            let planned = rendered(
+                run_fleet(
+                    &s,
+                    &FleetOptions {
+                        jobs: Some(jobs),
+                        ..Default::default()
+                    },
+                )
+                .unwrap()
+                .report()
+                .unwrap(),
+            );
+            assert_eq!(reference.0, planned.0, "aggregates diverged at jobs={jobs}");
+            assert_eq!(reference.1, planned.1, "JSON diverged at jobs={jobs}");
+            assert_eq!(reference.2, planned.2, "CSV diverged at jobs={jobs}");
+        }
+    }
+
+    fn mini_scenario(seed: u64, substrate: &str, benchmark: &str, count: u32) -> FleetScenario {
+        FleetScenario::parse(&format!(
+            r#"
+[fleet]
+name = "mini"
+seed = {seed}
+shard_size = 8
+wall_limit_s = 600.0
+trace_duration_s = 20.0
+
+[[cohort]]
+count = {count}
+benchmark = "{benchmark}"
+technique = "anytime8"
+substrate = "{substrate}"
+environment = "rf-bursty"
+"#
+        ))
+        .unwrap()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(8))]
+
+        /// Planned ≡ all-scalar on generated fleets: any seed, both
+        /// checkpoint substrates, chunk widths 1 / 4 / 33 (sub-shard,
+        /// mid, and beyond-shard chunking).
+        #[test]
+        fn engine_parity_on_generated_fleets(
+            seed in 0u64..1000,
+            clank in 0u8..2,
+            matadd in 0u8..2,
+            count in 3u32..20,
+        ) {
+            let s = mini_scenario(
+                seed,
+                if clank == 1 { "clank" } else { "nvp" },
+                if matadd == 1 { "matadd" } else { "home" },
+                count,
+            );
+            let scalar = render(&s, all_scalar, 1, 1);
+            for chunk in [1usize, 4, 33] {
+                let batched = render(&s, batch::build_plans, 1, chunk);
+                proptest::prop_assert_eq!(&scalar, &batched, "chunk {}", chunk);
+            }
         }
     }
 

@@ -528,32 +528,59 @@ const COHORT_KEYS: &[&str] = &[
     "environment",
 ];
 
+/// Environment parameter keys, per harvester family.
+const RF_KEYS: &[&str] = &["mean_power_uw", "burst_ms", "gap_ms"];
+const SOLAR_KEYS: &[&str] = &["peak_power_uw", "day_s"];
+const PIEZO_KEYS: &[&str] = &["baseline_uw", "impulse_uw", "impulse_ms", "gap_ms"];
+
+/// Every key a section may hold whatever its values: what the TOML
+/// reader admits before the per-family check in [`parse_cohort`].
+const FLEET_UNIVERSE: &[&[&str]] = &[FLEET_KEYS];
+const COHORT_UNIVERSE: &[&[&str]] = &[COHORT_KEYS, RF_KEYS, SOLAR_KEYS, PIEZO_KEYS];
+
 /// The per-family environment parameter keys a cohort may override.
 fn env_param_keys(family: &str) -> &'static [&'static str] {
     match family {
-        "rf-bursty" | "rf" => &["mean_power_uw", "burst_ms", "gap_ms"],
-        "solar-diurnal" | "solar" => &["peak_power_uw", "day_s"],
-        "piezo-impulse" | "piezo" => &["baseline_uw", "impulse_uw", "impulse_ms", "gap_ms"],
+        "rf-bursty" | "rf" => RF_KEYS,
+        "solar-diurnal" | "solar" => SOLAR_KEYS,
+        "piezo-impulse" | "piezo" => PIEZO_KEYS,
         _ => &[],
     }
 }
 
-/// Rejects any key in `t` that none of the `allowed` sets contain.
-fn check_known_keys(t: &TableDoc, table: &str, allowed: &[&[&str]]) -> Result<(), ScenarioError> {
-    for (key, _) in &t.entries {
-        if !allowed.iter().any(|set| set.contains(&key.as_str())) {
-            return Err(ScenarioError::UnknownKey {
-                table: table.to_string(),
-                key: key.clone(),
-                valid: allowed
-                    .iter()
-                    .flat_map(|set| set.iter().copied())
-                    .collect::<Vec<_>>()
-                    .join(", "),
-            });
+fn is_known(allowed: &[&[&str]], key: &str) -> bool {
+    allowed.iter().any(|set| set.contains(&key))
+}
+
+/// The [`ScenarioError::UnknownKey`] for `key`, listing each key of the
+/// `allowed` sets once.
+fn unknown_key(table: &str, key: &str, allowed: &[&[&str]]) -> ScenarioError {
+    let mut valid: Vec<&str> = Vec::new();
+    for &k in allowed.iter().flat_map(|set| set.iter()) {
+        if !valid.contains(&k) {
+            valid.push(k);
         }
     }
-    Ok(())
+    ScenarioError::UnknownKey {
+        table: table.to_string(),
+        key: key.to_string(),
+        valid: valid.join(", "),
+    }
+}
+
+/// Rejects the first key, in read order, that none of the `allowed`
+/// sets contain — a stored entry or the table's stray key.
+fn check_known_keys(t: &TableDoc, table: &str, allowed: &[&[&str]]) -> Result<(), ScenarioError> {
+    let listed = t
+        .entries
+        .iter()
+        .position(|(key, _)| !is_known(allowed, key));
+    let key = match (&t.stray, listed) {
+        (Some((at, key)), i) if i.is_none_or(|i| *at <= i) => key,
+        (_, Some(i)) => &t.entries[i].0,
+        _ => return Ok(()),
+    };
+    Err(unknown_key(table, key, allowed))
 }
 
 // ---------------------------------------------------------------------
@@ -563,6 +590,10 @@ fn check_known_keys(t: &TableDoc, table: &str, allowed: &[&[&str]]) -> Result<()
 #[derive(Debug, Clone, Default, PartialEq)]
 struct TableDoc {
     entries: Vec<(String, Value)>,
+    /// The first key read outside the section's key universe, with the
+    /// number of entries read before it. It is never stored; the
+    /// per-family check reports it in its read position.
+    stray: Option<(usize, String)>,
 }
 
 impl TableDoc {
@@ -570,10 +601,25 @@ impl TableDoc {
         self.entries.iter().find(|(k, _)| k == key).map(|(_, v)| v)
     }
 
-    /// Appends an entry, rejecting a key already present — the silent
-    /// first-wins duplicate resolution this parser used to have turned
-    /// edited-but-not-deleted lines into ignored overrides.
-    fn push_unique(&mut self, table: &str, key: String, value: Value) -> Result<(), ScenarioError> {
+    /// Appends an entry. A key outside `allowed`, the section's key
+    /// universe, is dropped as soon as it is read (the first one is kept
+    /// as the table's stray key, for [`check_known_keys`] to report), so
+    /// a table never holds more entries than the universe has keys and
+    /// the duplicate scan stays bounded however long the input is. A
+    /// key already present is rejected — the silent first-wins duplicate
+    /// resolution this parser used to have turned edited-but-not-deleted
+    /// lines into ignored overrides.
+    fn push_unique(
+        &mut self,
+        table: &str,
+        allowed: &[&[&str]],
+        key: String,
+        value: Value,
+    ) -> Result<(), ScenarioError> {
+        if !is_known(allowed, &key) {
+            self.stray.get_or_insert((self.entries.len(), key));
+            return Ok(());
+        }
         if self.get(&key).is_some() {
             return Err(ScenarioError::DuplicateKey {
                 table: table.to_string(),
@@ -674,20 +720,21 @@ fn doc_from_toml(text: &str) -> Result<ScenarioDoc, ScenarioError> {
         let key = key.trim().to_string();
         let value = parse_toml_value(value.trim())
             .ok_or_else(|| at(&format!("cannot parse value for `{key}`")))?;
-        let (table, context) = match section {
-            Section::Fleet => (&mut doc.fleet, "[fleet]".to_string()),
+        let (table, context, allowed) = match section {
+            Section::Fleet => (&mut doc.fleet, "[fleet]".to_string(), FLEET_UNIVERSE),
             Section::Cohort => {
                 let context = format!("cohort[{}]", doc.cohorts.len() - 1);
                 (
                     doc.cohorts.last_mut().expect("pushed on [[cohort]]"),
                     context,
+                    COHORT_UNIVERSE,
                 )
             }
             Section::None => {
                 return Err(at("key outside any section (start with [fleet])"));
             }
         };
-        table.push_unique(&context, key, value)?;
+        table.push_unique(&context, allowed, key, value)?;
     }
     Ok(doc)
 }
@@ -770,6 +817,7 @@ fn json_table(value: Value, table: &str) -> Result<TableDoc, ScenarioError> {
     }
     Ok(TableDoc {
         entries: fields.into_iter().collect(),
+        stray: None,
     })
 }
 
@@ -1077,6 +1125,59 @@ day_s = 10.0
         let ok = "[fleet]\n[[cohort]]\nbenchmark = \"home\"\n\
                   environment = \"solar\"\nday_s = 10.0\n";
         assert!(FleetScenario::parse(ok).is_ok());
+    }
+
+    /// A key outside the section's universe is dropped as soon as it is
+    /// read: 4 MiB of distinct keys (the daemon's submit bound) is read
+    /// in linear time, without scanning every earlier entry per line,
+    /// and fails on the first one.
+    #[test]
+    fn distinct_unknown_keys_fail_on_the_first_one() {
+        let mut toml = String::from("[fleet]\n");
+        let mut n = 0;
+        while toml.len() < 4 << 20 {
+            toml.push_str(&format!("k{n} = 1\n"));
+            n += 1;
+        }
+        match FleetScenario::parse(&toml) {
+            Err(ScenarioError::UnknownKey { table, key, .. }) => {
+                assert_eq!(table, "[fleet]");
+                assert_eq!(key, "k0");
+            }
+            other => panic!("expected UnknownKey, got {other:?}"),
+        }
+    }
+
+    /// The TOML reader's early drop of out-of-universe keys changes no
+    /// error: the same cohort as TOML and as JSON fails with the same
+    /// message — the per-family key list wherever `environment` sits,
+    /// and a semantic error still ahead of an unknown key.
+    #[test]
+    fn unknown_key_errors_match_across_formats() {
+        let cases: &[&[(&str, &str)]] = &[
+            &[("benchmark", "\"home\""), ("bogus", "1")],
+            &[("environment", "\"solar\""), ("bogus", "1")],
+            &[("bogus", "1"), ("environment", "\"piezo\"")],
+            &[
+                ("gap_ms", "1"),
+                ("environment", "\"solar\""),
+                ("bogus", "1"),
+            ],
+            &[("bogus", "1"), ("day_s", "1"), ("environment", "\"rf\"")],
+            &[("benchmark", "\"nope\""), ("bogus", "1")],
+        ];
+        for fields in cases {
+            let toml = fields
+                .iter()
+                .fold(String::from("[fleet]\n[[cohort]]\n"), |acc, (k, v)| {
+                    acc + &format!("{k} = {v}\n")
+                });
+            let body: Vec<String> = fields.iter().map(|(k, v)| format!("\"{k}\":{v}")).collect();
+            let json = format!("{{\"fleet\":{{}},\"cohorts\":[{{{}}}]}}", body.join(","));
+            let (t, j) = (FleetScenario::parse(&toml), FleetScenario::parse(&json));
+            assert!(t.is_err(), "{toml}");
+            assert_eq!(t, j, "{toml}");
+        }
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! wn-serve listen --data-dir DIR [--addr HOST:PORT] [--jobs N]
-//!                 [--queue N] [--cache-cap N] [--engine scalar|batched]
+//!                 [--queue N] [--cache-cap N]
 //! wn-serve submit   --addr HOST:PORT <scenario.toml|.json> [--wait SECS]
 //! wn-serve report   --addr HOST:PORT <fingerprint|scenario file>
 //! wn-serve watch    --addr HOST:PORT <fingerprint|scenario file>
@@ -19,12 +19,12 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 use std::time::Duration;
 
-use wn_fleet::{FleetEngine, FleetScenario};
+use wn_fleet::FleetScenario;
 use wn_serve::protocol::Event;
 use wn_serve::server::{start, ServeConfig};
 use wn_serve::Client;
 
-const USAGE: &str = "usage: wn-serve listen --data-dir DIR [--addr HOST:PORT] [--jobs N] [--queue N] [--cache-cap N] [--engine scalar|batched] [--stop-after-shards N]\n       wn-serve submit --addr HOST:PORT <scenario> [--wait SECS]\n       wn-serve report|watch --addr HOST:PORT <fingerprint|scenario>\n       wn-serve stats|ping|shutdown --addr HOST:PORT";
+const USAGE: &str = "usage: wn-serve listen --data-dir DIR [--addr HOST:PORT] [--jobs N] [--queue N] [--cache-cap N] [--stop-after-shards N]\n       wn-serve submit --addr HOST:PORT <scenario> [--wait SECS]\n       wn-serve report|watch --addr HOST:PORT <fingerprint|scenario>\n       wn-serve stats|ping|shutdown --addr HOST:PORT";
 
 fn flag_value(args: &[String], flag: &str) -> Option<String> {
     args.iter()
@@ -102,12 +102,6 @@ fn listen(args: &[String]) -> Result<(), String> {
             n.parse::<usize>()
                 .map_err(|_| "--stop-after-shards must be a number")?,
         );
-    }
-    match flag_value(args, "--engine").as_deref() {
-        None => {}
-        Some("scalar") => config.engine = FleetEngine::Scalar,
-        Some("batched") => config.engine = FleetEngine::default(),
-        Some(other) => return Err(format!("--engine must be scalar|batched, got `{other}`")),
     }
     let handle = start(&config).map_err(|e| format!("starting server: {e}"))?;
     println!("wn-serve listening on {}", handle.local_addr());

@@ -332,10 +332,11 @@ pub enum Response {
         cache_evictions: u64,
         cache_hits: u64,
         cache_misses: u64,
-        /// Supply fast-forward memo lookups served from the tables
-        /// (`wn_energy::memo_stats`), across every sweep this daemon ran.
+        /// Recharge waits replayed from the supply's immutable
+        /// wait-chain table (`wn_energy::memo_stats`), across every
+        /// sweep this daemon ran.
         supply_memo_hits: u64,
-        /// Supply memo lookups that computed a fresh entry.
+        /// Recharge waits longer than the table, chained from its end.
         supply_memo_misses: u64,
         /// 1 ms recharge steps elided by zero-run charge sprints.
         supply_charge_ff_steps: u64,

@@ -22,7 +22,7 @@ use std::thread;
 use std::time::Duration;
 
 use wn_core::prepared::{prepared_cache_stats, set_prepared_cache_capacity};
-use wn_fleet::{run_fleet_with, FleetEngine, FleetOptions, FleetScenario, FleetStatus};
+use wn_fleet::{run_fleet_with, FleetOptions, FleetScenario, FleetStatus};
 
 use crate::protocol::{Event, JobState, LineReader, ProtoError, Request, Response, MAX_LINE_BYTES};
 use crate::queue::{JobQueue, PushError, QueuedJob};
@@ -68,9 +68,6 @@ pub struct ServeConfig {
     pub queue_capacity: usize,
     /// Worker width for fleet runs; `None` uses the global pool.
     pub jobs: Option<usize>,
-    /// Fleet execution engine (results are byte-identical across
-    /// engines).
-    pub engine: FleetEngine,
     /// Rebound the process-wide compilation cache at startup.
     pub prepared_cache_capacity: Option<usize>,
     /// Install SIGTERM/SIGINT handlers that trigger graceful pause.
@@ -95,7 +92,6 @@ impl ServeConfig {
             data_dir,
             queue_capacity: 64,
             jobs: None,
-            engine: FleetEngine::default(),
             prepared_cache_capacity: None,
             install_signal_handlers: false,
             stop_after_shards: None,
@@ -118,7 +114,6 @@ struct Inner {
     /// Progress subscribers per fingerprint.
     subscribers: Mutex<HashMap<u64, Vec<mpsc::Sender<Event>>>>,
     jobs: Option<usize>,
-    engine: FleetEngine,
     signals: bool,
     stop_after_shards: Option<usize>,
 }
@@ -228,7 +223,6 @@ pub fn start(config: &ServeConfig) -> std::io::Result<ServerHandle> {
         failed: Mutex::new(HashMap::new()),
         subscribers: Mutex::new(HashMap::new()),
         jobs: config.jobs,
-        engine: config.engine,
         signals: config.install_signal_handlers,
         stop_after_shards: config.stop_after_shards,
         store,
@@ -308,7 +302,6 @@ fn run_job(inner: &Arc<Inner>, job: &QueuedJob) {
     *inner.running.lock().unwrap_or_else(PoisonError::into_inner) = Some(fp);
     let options = FleetOptions {
         jobs: inner.jobs,
-        engine: inner.engine,
         checkpoint: Some(inner.store.checkpoint_path(fp)),
         resume: true,
         shard_log: Some(inner.store.shard_log_path(fp)),

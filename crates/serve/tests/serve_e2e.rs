@@ -4,8 +4,7 @@
 //! The properties under test are the service's whole contract:
 //!
 //! 1. Reports served over the socket are **byte-identical** to running
-//!    the same scenario in-process (and to the scalar engine, crossing
-//!    both the transport and the engine dimension at once).
+//!    the same scenario in-process.
 //! 2. Concurrent submissions all complete, idempotently.
 //! 3. The compilation cache stays bounded — evictions happen and are
 //!    observable over `stats`, and results do not change.
@@ -17,7 +16,7 @@ use std::path::PathBuf;
 use std::sync::Mutex;
 use std::time::Duration;
 
-use wn_fleet::{run_fleet, FleetEngine, FleetOptions, FleetScenario};
+use wn_fleet::{run_fleet, FleetOptions, FleetScenario};
 use wn_serve::protocol::{Event, JobState, Response};
 use wn_serve::server::{start, ServeConfig};
 use wn_serve::Client;
@@ -62,21 +61,15 @@ environment = "solar"
     )
 }
 
-/// The reference bytes: an in-process run on the *scalar* engine, no
-/// service anywhere near it.
+/// The reference bytes: an in-process `run_fleet`, no service anywhere
+/// near it.
 fn reference_report(text: &str) -> String {
     let scenario = FleetScenario::parse(text).unwrap();
-    run_fleet(
-        &scenario,
-        &FleetOptions {
-            engine: FleetEngine::Scalar,
-            ..FleetOptions::default()
-        },
-    )
-    .unwrap()
-    .report()
-    .unwrap()
-    .to_json()
+    run_fleet(&scenario, &FleetOptions::default())
+        .unwrap()
+        .report()
+        .unwrap()
+        .to_json()
 }
 
 #[test]
@@ -110,7 +103,7 @@ fn concurrent_submissions_serve_reports_byte_identical_to_in_process_runs() {
         assert_eq!(
             report,
             &reference_report(text),
-            "served report differs from the in-process scalar run"
+            "served report differs from the in-process run"
         );
     }
 

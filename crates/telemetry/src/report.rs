@@ -308,6 +308,20 @@ impl RunReport {
         self.checkpoint_causes[cause_slot(cause)]
     }
 
+    /// Folds `reports` left to right into one cross-run report: the
+    /// first, relabelled `"aggregate"`, absorbs the rest in order. Float
+    /// totals depend on that order, so callers pass runs in a fixed one
+    /// (never thread-completion order). `None` when there are no runs.
+    pub fn aggregate(reports: impl IntoIterator<Item = RunReport>) -> Option<RunReport> {
+        let mut reports = reports.into_iter();
+        let mut aggregate = reports.next()?;
+        aggregate.label = "aggregate".to_string();
+        for r in reports {
+            aggregate.merge(&r);
+        }
+        Some(aggregate)
+    }
+
     /// Fold another report into this one (for cross-run aggregation).
     /// Sums are merged; `completed`/`skimmed` become "any run did".
     pub fn merge(&mut self, other: &RunReport) {

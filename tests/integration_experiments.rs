@@ -19,8 +19,8 @@ fn config() -> ExperimentConfig {
 #[test]
 fn headline_speedups_hold_on_both_substrates() {
     let cfg = config();
-    let clank = fig10::run(&cfg, SubstrateKind::clank()).unwrap();
-    let nvp = fig10::run(&cfg, SubstrateKind::nvp()).unwrap();
+    let (clank, _) = fig10::run(&cfg, SubstrateKind::clank(), false).unwrap();
+    let (nvp, _) = fig10::run(&cfg, SubstrateKind::nvp(), false).unwrap();
 
     for fig in [&clank, &nvp] {
         let s8 = fig.mean_speedup(8).unwrap();
