@@ -9,11 +9,11 @@
 //!
 //! The pipeline has two halves:
 //!
-//! * **Exact profiling** ([`profile`]): one [`ExecutionTape`] of the
-//!   precise path and one continuous-power intermittent run give the
-//!   compute cycle count, block structure, task-region entry lengths,
-//!   skim arm point, and the substrate's fault-free counters. Nothing
-//!   here is estimated.
+//! * **Exact profiling** ([`profile`]): one fused run of the precise
+//!   path ([`ExecutionTape`] for task substrates) and one
+//!   continuous-power intermittent run give the compute cycle count,
+//!   task-region entry lengths, skim arm point, and the substrate's
+//!   fault-free counters. Nothing here is estimated.
 //! * **Closed-form solving** ([`predict`]): per-period energy budgets,
 //!   the substrate's expected per-outage dead cycles
 //!   ([`wn_intermittent::ProgressModel`]), energy-conservation

@@ -1,9 +1,10 @@
 //! Per-cohort kernel profiling: everything the solver needs that can
 //! be measured *exactly*, from two fault-free executions.
 //!
-//! 1. An [`ExecutionTape`] of the precise path gives the compute cycle
-//!    count, per-step PCs (for task-region attribution) and the skim
-//!    arm point.
+//! 1. A fused run of the precise path gives the compute cycle count,
+//!    instruction count and skim arm point; task substrates record an
+//!    [`ExecutionTape`] instead, whose per-step PCs attribute cycles to
+//!    task regions.
 //! 2. One [`run_intermittent`] under a continuous 1 W trace — four
 //!    orders of magnitude above the ~6 mW execution drain, so the
 //!    device never browns out — gives the substrate's own fault-free
@@ -13,14 +14,23 @@
 //! Nothing in this module estimates; the expectations live in the
 //! solver.
 
+use std::ops::ControlFlow;
+
 use wn_core::intermittent::{run_intermittent, SubstrateKind};
 use wn_core::{PreparedRun, WnError};
 use wn_energy::{PowerTrace, SupplyConfig};
-use wn_sim::{ExecutionTape, TapeKind};
+use wn_sim::{
+    Core, ExecutionTape, HookBreak, HookKind, SimError, StepEvent, StepHook, StepInfo, StopReason,
+    TapeKind,
+};
 
 /// Step budget for the profiling tape; generous multiple of the
 /// largest fleet-scale kernel.
 const MAX_PROFILE_STEPS: u64 = 200_000_000;
+
+/// Cycle budget for the fused profiling run: the step budget at the
+/// costliest (16-cycle) instruction.
+const MAX_PROFILE_CYCLES: u64 = 16 * MAX_PROFILE_STEPS;
 
 /// Skim-point facts read off the tape.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -64,42 +74,71 @@ fn continuous_trace(power_w: f32) -> PowerTrace {
     PowerTrace::from_samples(vec![power_w; 1000])
 }
 
+/// Notes the first skim point a fused run retires. `SKM` always ends a
+/// fused block, so the hook observes every one.
+struct FirstSkim(Option<SkimProfile>);
+
+impl StepHook for FirstSkim {
+    const KIND: HookKind = HookKind::MemoryOps;
+
+    fn on_step(&mut self, core: &mut Core, info: &StepInfo) -> ControlFlow<HookBreak, u64> {
+        if let (None, StepEvent::SkimSet(target)) = (self.0, info.event) {
+            self.0 = Some(SkimProfile {
+                arm_compute_cycles: core.stats.cycles,
+                target,
+            });
+        }
+        ControlFlow::Continue(0)
+    }
+
+    fn block_budget(&self) -> u64 {
+        u64::MAX
+    }
+}
+
 /// Profiles `prepared` for the solver. Runs the precise path twice
-/// (once on a tape, once under the substrate with continuous power);
-/// both runs are deterministic.
+/// (once fused, or on a tape for task substrates, and once under the
+/// substrate with continuous power); both runs are deterministic.
 pub fn profile_kernel(
     prepared: &PreparedRun,
     substrate: SubstrateKind,
     supply: &SupplyConfig,
 ) -> Result<KernelProfile, WnError> {
     let mut core = prepared.fresh_core()?;
-    let tape = ExecutionTape::record(&mut core, MAX_PROFILE_STEPS)?.ok_or(WnError::Sim(
-        wn_sim::SimError::CycleLimit {
-            limit: MAX_PROFILE_STEPS,
-        },
-    ))?;
+    let (compute_cycles, instructions, skim, region_entry_cycles) =
+        if matches!(substrate, SubstrateKind::Task(_)) {
+            let tape = ExecutionTape::record(&mut core, MAX_PROFILE_STEPS)?.ok_or(WnError::Sim(
+                SimError::CycleLimit {
+                    limit: MAX_PROFILE_STEPS,
+                },
+            ))?;
+            let skim = (0..tape.len())
+                .find(|&i| tape.kind(i) == TapeKind::Skim)
+                .map(|i| SkimProfile {
+                    arm_compute_cycles: tape.span_cycles(0, i + 1),
+                    target: tape.skim(i),
+                });
+            let entries = region_entries(prepared, &tape);
+            (tape.total_cycles(), tape.len() as u64, skim, entries)
+        } else {
+            let mut first_skim = FirstSkim(None);
+            let run = core.run_steps_hooked(MAX_PROFILE_CYCLES, &mut first_skim)?;
+            if run.stop != StopReason::Halted {
+                return Err(WnError::Sim(SimError::CycleLimit {
+                    limit: MAX_PROFILE_CYCLES,
+                }));
+            }
+            let stats = &core.stats;
+            (stats.cycles, stats.instructions, first_skim.0, Vec::new())
+        };
 
     let outcome = run_intermittent(prepared, substrate, &continuous_trace(1.0), *supply, 1e9)?;
     debug_assert_eq!(outcome.outages, 0, "continuous power must not brown out");
 
-    let compute_cycles = tape.total_cycles();
-    let overhead_ff = outcome.substrate.overhead_cycles;
-    let region_entry_cycles = if matches!(substrate, SubstrateKind::Task(_)) {
-        region_entries(prepared, &tape)
-    } else {
-        Vec::new()
-    };
-    let skim = (0..tape.len())
-        .find(|&i| tape.kind(i) == TapeKind::Skim)
-        .map(|i| SkimProfile {
-            arm_compute_cycles: tape.span_cycles(0, i + 1),
-            target: tape.skim(i),
-        });
-
     Ok(KernelProfile {
         compute_cycles,
-        instructions: tape.len() as u64,
-        overhead_ff,
+        instructions,
+        overhead_ff: outcome.substrate.overhead_cycles,
         executed_ff: outcome.active_cycles,
         checkpoints_ff: outcome.substrate.checkpoints,
         commits_ff: outcome.substrate.commits,

@@ -13,12 +13,13 @@
 //! skipping per-device decode/execute/memory work entirely.
 //!
 //! The single way a device can leave the shared trajectory is a taken
-//! skim jump. The replayer detects it (armed SKM register at a
-//! restore), reconstructs the device's architectural state by walking
-//! the master core to the resume position, and hands the device off to
-//! the ordinary scalar [`wn_intermittent::IntermittentExecutor`] —
-//! which then performs the jump and the approximate-region execution
-//! exactly as an unbatched run would. Cohorts the replay cannot mirror
+//! skim jump. The replay runs on the ordinary
+//! [`wn_intermittent::IntermittentExecutor`] power loop; at a restore
+//! with the SKM register armed it reconstructs the device's
+//! architectural state by walking the master core to the resume
+//! position and continues on that core in the same loop — the jump and
+//! the approximate-region execution run exactly as in an unbatched
+//! run. Cohorts the replay cannot mirror
 //! bit-exactly (per-word checkpoint costs, memoization, a tape beyond
 //! the step cap, and the whole Task substrate — whose re-execution from
 //! task entries *does* replay instructions, violating the shared

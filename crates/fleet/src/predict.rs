@@ -22,6 +22,7 @@
 use wn_analyze::{CohortPrediction, CohortQuery, Prediction};
 use wn_core::error::WnError;
 use wn_core::intermittent::SubstrateKind;
+use wn_core::jobs::JobPool;
 use wn_core::prepared::PreparedRun;
 use wn_telemetry::json::{self, Obj};
 
@@ -83,9 +84,9 @@ pub struct CheckSummary {
 ///
 /// The first cohort whose kernel cannot be prepared.
 pub fn check_scenario(scenario: &FleetScenario) -> Result<CheckSummary, WnError> {
-    for (cohort, _) in scenario.cohorts.iter().enumerate() {
-        prepare_cohort(scenario, cohort)?;
-    }
+    JobPool::global().run(scenario.cohorts.len(), |cohort| {
+        prepare_cohort(scenario, cohort)
+    })?;
     Ok(CheckSummary {
         name: scenario.name.clone(),
         fingerprint: scenario.fingerprint(),
@@ -141,16 +142,17 @@ pub struct PredictReport {
 
 /// Predicts every cohort of a scenario. Runs [`check_scenario`] first,
 /// so a scenario rejected by `fleet --check` is rejected here with the
-/// same error.
+/// same error. Cohorts are profiled in parallel on
+/// [`JobPool::global`] and reassembled in index order.
 ///
 /// # Errors
 ///
-/// Kernel preparation or profiling failures; an *unsupported* cohort
-/// is not an error.
+/// Kernel preparation or profiling failures (the lowest failing
+/// cohort's); an *unsupported* cohort is not an error.
 pub fn predict_fleet(scenario: &FleetScenario) -> Result<PredictReport, WnError> {
     check_scenario(scenario)?;
-    let mut cohorts = Vec::with_capacity(scenario.cohorts.len());
-    for (i, spec) in scenario.cohorts.iter().enumerate() {
+    let cohorts = JobPool::global().run(scenario.cohorts.len(), |i| {
+        let spec = &scenario.cohorts[i];
         let prepared = prepare_cohort(scenario, i)?;
         let q = CohortQuery {
             prepared: &prepared,
@@ -160,14 +162,14 @@ pub fn predict_fleet(scenario: &FleetScenario) -> Result<PredictReport, WnError>
             devices: spec.count,
             wall_limit_s: scenario.wall_limit_s,
         };
-        cohorts.push(match wn_analyze::predict(&q)? {
+        Ok::<_, WnError>(match wn_analyze::predict(&q)? {
             CohortPrediction::Unsupported { reason } => CohortForecast::Unsupported { reason },
             CohortPrediction::Predicted(model) => CohortForecast::Predicted {
                 aggregate: Box::new(aggregate_of(i, &model)),
                 model,
             },
-        });
-    }
+        })
+    })?;
     Ok(PredictReport {
         scenario: scenario.name.clone(),
         seed: scenario.seed,

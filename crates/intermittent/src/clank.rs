@@ -18,9 +18,9 @@
 //! set of distinct buffered words.
 
 use wn_sim::cpu::CpuSnapshot;
-use wn_sim::{AccessKind, Core, MemAccess, StepEvent, StepInfo};
+use wn_sim::{AccessKind, MemAccess, SimError, StepEvent, StepInfo};
 
-use crate::checkpoint::DiffCheckpoint;
+use crate::execution::{Execution, Saved};
 use crate::substrate::{Substrate, SubstrateStats};
 
 /// Clank configuration.
@@ -63,11 +63,9 @@ impl Default for ClankConfig {
 /// Membership of word addresses since the last checkpoint, tracked with
 /// an epoch-stamped direct-mapped array: `clear()` is O(1) (bump the
 /// epoch) and probes are one index — this sits on the per-instruction
-/// hot path of every intermittent run. Crate-visible so the lockstep
-/// tape replayer's Clank mirror tracks its sets with identical
-/// membership semantics.
+/// hot path of every intermittent run.
 #[derive(Debug, Clone, Default)]
-pub(crate) struct WordSet {
+struct WordSet {
     epochs: Vec<u32>,
     epoch: u32,
     len: usize,
@@ -75,14 +73,14 @@ pub(crate) struct WordSet {
 
 impl WordSet {
     #[inline]
-    pub(crate) fn contains(&self, word: u32) -> bool {
+    fn contains(&self, word: u32) -> bool {
         let i = (word >> 2) as usize;
         self.epochs.get(i).copied() == Some(self.epoch)
     }
 
     /// Inserts; returns true when the word was new.
     #[inline]
-    pub(crate) fn insert(&mut self, word: u32) -> bool {
+    fn insert(&mut self, word: u32) -> bool {
         let i = (word >> 2) as usize;
         if i >= self.epochs.len() {
             self.epochs.resize(i + 1, self.epoch.wrapping_sub(1));
@@ -96,11 +94,11 @@ impl WordSet {
         }
     }
 
-    pub(crate) fn len(&self) -> usize {
+    fn len(&self) -> usize {
         self.len
     }
 
-    pub(crate) fn clear(&mut self) {
+    fn clear(&mut self) {
         self.epoch = self.epoch.wrapping_add(1);
         self.len = 0;
         if self.epoch == 0 {
@@ -114,7 +112,7 @@ impl WordSet {
 #[derive(Debug, Clone)]
 pub struct Clank {
     config: ClankConfig,
-    checkpoint: DiffCheckpoint,
+    checkpoint: Saved,
     /// Pre-write values since the last checkpoint, in program order.
     undo_log: Vec<MemAccess>,
     /// Distinct buffered word addresses (capacity accounting).
@@ -144,7 +142,7 @@ impl Clank {
         );
         Clank {
             config,
-            checkpoint: DiffCheckpoint::new(),
+            checkpoint: Saved::default(),
             undo_log: Vec::new(),
             buffered_words: WordSet::default(),
             read_words: WordSet::default(),
@@ -158,66 +156,43 @@ impl Clank {
         self.config
     }
 
-    /// Reconstructs a Clank mid-run, in the state it holds immediately
-    /// after an outage: checkpoint primed with `snapshot` (the state
-    /// the device's last checkpoint captured), counters continuing from
-    /// `stats`, and the post-outage invariants (empty undo log and
-    /// read/buffer sets, zero cycles since checkpoint). Used by the
-    /// fleet's lockstep tape replayer to hand a diverged device back to
-    /// the scalar engine.
-    pub fn resumed(config: ClankConfig, snapshot: CpuSnapshot, stats: SubstrateStats) -> Clank {
-        let mut clank = Clank::new(config);
-        clank.checkpoint.capture(snapshot);
-        clank.stats = stats;
-        clank
-    }
-
     /// Kept out of line: checkpoints are rare (hundreds per run against
     /// hundreds of thousands of retirements), and inlining the snapshot
     /// copy into [`Substrate::after_step`] bloats the bulk-loop hot path.
     #[inline(never)]
-    fn take_checkpoint(&mut self, core: &Core) -> u64 {
+    fn take_checkpoint<E: Execution>(&mut self, exec: &E) -> u64 {
         // Differential capture: only CPU words dirty since the previous
         // checkpoint hit storage; the buffered stores flush either way.
-        let cpu_words = self.checkpoint.capture(core.cpu.snapshot());
-        let mem_words = self.buffered_words.len() as u64;
-        self.stats.checkpoint_words_saved += cpu_words + mem_words;
-        self.stats.checkpoint_words_full += CpuSnapshot::WORDS as u64 + mem_words;
+        // A tape keeps no register values, so its words go uncounted.
+        let mut words = 0;
+        if let Some(cpu_words) = exec.save(&mut self.checkpoint) {
+            let mem_words = self.buffered_words.len() as u64;
+            words = cpu_words + mem_words;
+            self.stats.checkpoint_words_saved += words;
+            self.stats.checkpoint_words_full += CpuSnapshot::WORDS as u64 + mem_words;
+        }
         self.undo_log.clear();
         self.buffered_words.clear();
         self.read_words.clear();
         self.cycles_since_checkpoint = 0;
         self.stats.checkpoints += 1;
-        let cost = self.config.checkpoint_cycles
-            + self.config.cycles_per_checkpoint_word * (cpu_words + mem_words);
+        let cost = self.config.checkpoint_cycles + self.config.cycles_per_checkpoint_word * words;
         self.stats.overhead_cycles += cost;
         cost
     }
 
-    fn rollback_memory(&mut self, core: &mut Core) {
-        for access in self.undo_log.drain(..).rev() {
-            let r = match access.size {
-                1 => core.mem.store_u8(access.addr, access.prev as u8),
-                2 => core.mem.store_u16(access.addr, access.prev as u16),
-                _ => core.mem.store_u32(access.addr, access.prev),
-            };
-            debug_assert!(
-                r.is_ok(),
-                "rollback of a previously successful store cannot fail"
-            );
-        }
+    fn rollback_memory<E: Execution>(&mut self, exec: &mut E) {
+        exec.undo(&mut self.undo_log);
         self.buffered_words.clear();
         self.read_words.clear();
     }
-}
 
-impl Clank {
     /// The non-trivial tail of [`Substrate::after_step`], reached only
     /// for memory accesses, skim points, and watchdog expiry. Kept out of
     /// line so the common case (a register-only instruction between
     /// checkpoints) inlines into the bulk loop as a few compares.
     #[inline(never)]
-    fn after_step_slow(&mut self, core: &mut Core, info: &StepInfo) -> u64 {
+    fn after_step_slow<E: Execution>(&mut self, exec: &E, info: &StepInfo) -> u64 {
         let mut overhead = 0;
 
         // A skim point declares the current output acceptable (§III-C:
@@ -225,7 +200,7 @@ impl Clank {
         // restore state includes it). Without this, a rollback could
         // commit a state *older* than the skim point's result.
         if matches!(info.event, StepEvent::SkimSet(_)) {
-            overhead += self.take_checkpoint(core);
+            overhead += self.take_checkpoint(exec);
         }
 
         if let Some(access) = info.access {
@@ -242,17 +217,17 @@ impl Clank {
                         // Idempotency violation: Clank checkpoints at the
                         // violating store, committing it.
                         self.stats.violation_checkpoints += 1;
-                        overhead += self.take_checkpoint(core);
+                        overhead += self.take_checkpoint(exec);
                     } else if self.buffered_words.len() > self.config.wb_entries {
                         self.stats.capacity_checkpoints += 1;
-                        overhead += self.take_checkpoint(core);
+                        overhead += self.take_checkpoint(exec);
                     }
                 }
             }
         }
         if self.cycles_since_checkpoint >= self.config.watchdog_cycles {
             self.stats.watchdog_checkpoints += 1;
-            overhead += self.take_checkpoint(core);
+            overhead += self.take_checkpoint(exec);
         }
         overhead
     }
@@ -260,7 +235,7 @@ impl Clank {
 
 impl Substrate for Clank {
     #[inline]
-    fn after_step(&mut self, core: &mut Core, info: &StepInfo) -> u64 {
+    fn after_step<E: Execution>(&mut self, exec: &mut E, info: &StepInfo) -> u64 {
         self.cycles_since_checkpoint += info.cycles;
         if self.cycles_since_checkpoint < self.config.watchdog_cycles
             && !matches!(info.event, StepEvent::SkimSet(_))
@@ -277,7 +252,7 @@ impl Substrate for Clank {
                 Some(_) => {}
             }
         }
-        self.after_step_slow(core, info)
+        self.after_step_slow(exec, info)
     }
 
     fn lease_cap(&self) -> u64 {
@@ -304,6 +279,7 @@ impl Substrate for Clank {
             .saturating_sub(1)
     }
 
+    #[inline]
     fn after_fused(&mut self, _instructions: u64, cycles: u64, reads: &[u32]) -> u64 {
         self.cycles_since_checkpoint += cycles;
         // The block's loads, wholesale. Set insertion commutes and no
@@ -316,27 +292,21 @@ impl Substrate for Clank {
         0
     }
 
-    fn on_outage(&mut self, core: &mut Core) {
+    fn on_outage<E: Execution>(&mut self, exec: &mut E) {
         // Uncommitted work is lost: roll memory back to the checkpoint and
         // drop volatile processor state.
         self.stats.lost_cycles += self.cycles_since_checkpoint;
         self.cycles_since_checkpoint = 0;
-        self.rollback_memory(core);
-        core.cpu.power_loss();
+        self.rollback_memory(exec);
+        exec.power_loss();
     }
 
-    fn on_restore(&mut self, core: &mut Core) -> u64 {
-        match self.checkpoint.restore() {
-            Some(snap) => core.cpu.restore(&snap),
-            None => {
-                // Never checkpointed: cold boot from the entry point.
-                let entry = core.program().entry;
-                core.cpu.pc = entry;
-                core.cpu.halted = false;
-            }
-        }
+    fn on_restore<E: Execution>(&mut self, exec: &mut E) -> Result<u64, SimError> {
+        // Before the first checkpoint this is a cold boot from the
+        // entry point.
+        exec.restore(&mut self.checkpoint)?;
         self.stats.overhead_cycles += self.config.restore_cycles;
-        self.config.restore_cycles
+        Ok(self.config.restore_cycles)
     }
 
     fn stats(&self) -> SubstrateStats {
@@ -358,7 +328,7 @@ impl Substrate for Clank {
 mod tests {
     use super::*;
     use wn_isa::asm::assemble;
-    use wn_sim::{CoreConfig, StepEvent};
+    use wn_sim::{Core, CoreConfig, StepEvent};
 
     fn core(src: &str) -> Core {
         Core::new(&assemble(src).unwrap(), CoreConfig::default()).unwrap()
@@ -464,7 +434,7 @@ mod tests {
             0,
             "uncommitted store rolled back"
         );
-        clank.on_restore(&mut c);
+        clank.on_restore(&mut c).unwrap();
         assert_eq!(c.cpu.pc, pc_at_checkpoint, "restored to checkpoint PC");
         assert_eq!(c.cpu.reg(wn_isa::Reg::R1), 1, "registers restored");
     }
@@ -475,7 +445,7 @@ mod tests {
         let mut clank = Clank::default();
         step(&mut c, &mut clank);
         clank.on_outage(&mut c);
-        clank.on_restore(&mut c);
+        clank.on_restore(&mut c).unwrap();
         assert_eq!(c.cpu.pc, 0, "no checkpoint: restart at entry");
     }
 
@@ -501,7 +471,7 @@ mod tests {
             steps += 1;
             if steps.is_multiple_of(9) {
                 clank.on_outage(&mut c);
-                clank.on_restore(&mut c);
+                clank.on_restore(&mut c).unwrap();
             }
             assert!(steps < 10_000, "must converge");
         }

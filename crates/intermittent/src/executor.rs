@@ -9,6 +9,7 @@ use wn_energy::{EnergySupply, PowerStatus, PowerTrace, SupplyConfig, SupplyError
 use wn_sim::{Core, HookBreak, HookKind, SimError, StepHook, StepInfo};
 use wn_telemetry::{Event, EventKind, EventSink, NullSink};
 
+use crate::execution::Execution;
 use crate::substrate::{Substrate, SubstrateStats};
 
 /// The lease hook: charges substrate overhead and settles energy as
@@ -24,7 +25,9 @@ use crate::substrate::{Substrate, SubstrateStats};
 /// headroom keeps the watchdog out of reach, NVP checkpoints only on
 /// outage, Task never fuses), so the traced event stream is the one a
 /// per-instruction engine would emit.
-struct FusedLeaseHook<'a, S: Substrate, K: EventSink> {
+///
+/// Built only by the power loop; [`Execution::run_lease`] drives it.
+pub struct Lease<'a, S: Substrate, K: EventSink> {
     supply: &'a mut EnergySupply,
     substrate: &'a mut S,
     sink: &'a mut K,
@@ -37,13 +40,17 @@ struct FusedLeaseHook<'a, S: Substrate, K: EventSink> {
     carried: u64,
 }
 
-impl<S: Substrate, K: EventSink> StepHook for FusedLeaseHook<'_, S, K> {
-    const KIND: HookKind = HookKind::MemoryOps;
-
+impl<S: Substrate, K: EventSink> Lease<'_, S, K> {
+    /// [`StepHook::on_step`] over any execution source: one individually
+    /// retired instruction of `exec`.
     #[inline]
-    fn on_step(&mut self, core: &mut Core, info: &StepInfo) -> ControlFlow<HookBreak, u64> {
+    pub(crate) fn after_step<E: Execution>(
+        &mut self,
+        exec: &mut E,
+        info: &StepInfo,
+    ) -> ControlFlow<HookBreak, u64> {
         let before = self.sink.enabled().then(|| self.substrate.stats());
-        let overhead = self.substrate.after_step(core, info);
+        let overhead = self.substrate.after_step(exec, info);
         debug_assert!(
             overhead <= self.cap,
             "substrate overhead {overhead} exceeds its lease_cap {}",
@@ -65,15 +72,27 @@ impl<S: Substrate, K: EventSink> StepHook for FusedLeaseHook<'_, S, K> {
         }
         ControlFlow::Continue(overhead)
     }
+}
 
+impl<S: Substrate, K: EventSink> StepHook for Lease<'_, S, K> {
+    const KIND: HookKind = HookKind::MemoryOps;
+
+    #[inline]
+    fn on_step(&mut self, core: &mut Core, info: &StepInfo) -> ControlFlow<HookBreak, u64> {
+        self.after_step(core, info)
+    }
+
+    #[inline]
     fn block_budget(&self) -> u64 {
         self.substrate.fused_headroom()
     }
 
+    #[inline]
     fn block_instr_overhead(&self) -> u64 {
         self.substrate.fused_instr_overhead()
     }
 
+    #[inline]
     fn on_block(&mut self, costs: &[u64], cycles: u64, tail_extra: u64, reads: &[u32]) -> u64 {
         // Settle per instruction: the supply must see the same float
         // operation sequence as the per-instruction engines so its
@@ -165,7 +184,8 @@ impl From<SimError> for ExecError {
     }
 }
 
-/// Drives a [`Core`] through power outages on a [`Substrate`].
+/// Drives an [`Execution`] source — a live [`Core`] by default — through
+/// power outages on a [`Substrate`].
 ///
 /// The executor owns the **skim-point restore logic** (paper §III-C): on
 /// every restore after an outage it first consults the core's non-volatile
@@ -174,19 +194,19 @@ impl From<SimError> for ExecError {
 /// approximate output is committed by running (from the skim target) to
 /// `HALT`. The register is cleared so the next input starts fresh.
 #[derive(Debug)]
-pub struct IntermittentExecutor<S: Substrate> {
-    core: Core,
+pub struct IntermittentExecutor<S: Substrate, E: Execution = Core> {
+    core: E,
     supply: EnergySupply,
     substrate: S,
     skim_enabled: bool,
 }
 
-impl<S: Substrate> IntermittentExecutor<S> {
+impl<S: Substrate, E: Execution> IntermittentExecutor<S, E> {
     /// Creates an executor over a fresh supply built from `trace`. The
     /// trace is borrowed — its samples are behind an `Arc`, so the supply
     /// shares them instead of copying (experiment fan-out runs many
     /// executors over one ensemble concurrently).
-    pub fn new(core: Core, trace: &PowerTrace, supply_config: SupplyConfig, substrate: S) -> Self {
+    pub fn new(core: E, trace: &PowerTrace, supply_config: SupplyConfig, substrate: S) -> Self {
         IntermittentExecutor::with_supply(
             core,
             EnergySupply::new(trace.clone(), supply_config),
@@ -197,7 +217,7 @@ impl<S: Substrate> IntermittentExecutor<S> {
     /// Creates an executor over an existing supply — used by the stream
     /// harness, where one energy environment persists across many input
     /// invocations (paper Fig. 1).
-    pub fn with_supply(core: Core, supply: EnergySupply, substrate: S) -> Self {
+    pub fn with_supply(core: E, supply: EnergySupply, substrate: S) -> Self {
         IntermittentExecutor {
             core,
             supply,
@@ -212,10 +232,9 @@ impl<S: Substrate> IntermittentExecutor<S> {
         self.supply
     }
 
-    /// Consumes the executor and returns its parts — the lockstep
-    /// handoff path needs the final core (for output decode) and the
-    /// supply's absolute clocks after a resumed run.
-    pub fn into_parts(self) -> (Core, EnergySupply, S) {
+    /// Consumes the executor and returns its parts (e.g. the final core,
+    /// for output decoding).
+    pub fn into_parts(self) -> (E, EnergySupply, S) {
         (self.core, self.supply, self.substrate)
     }
 
@@ -228,12 +247,12 @@ impl<S: Substrate> IntermittentExecutor<S> {
 
     /// The core (e.g. to inject inputs before running or decode outputs
     /// after).
-    pub fn core(&self) -> &Core {
+    pub fn core(&self) -> &E {
         &self.core
     }
 
     /// Mutable access to the core.
-    pub fn core_mut(&mut self) -> &mut Core {
+    pub fn core_mut(&mut self) -> &mut E {
         &mut self.core
     }
 
@@ -255,7 +274,7 @@ impl<S: Substrate> IntermittentExecutor<S> {
     /// brown-outs even with zero harvest. When the lease comfortably
     /// exceeds the worst case of one instruction plus the substrate's
     /// [`Substrate::lease_cap`] overhead, execution proceeds in bulk
-    /// through [`Core::run_steps_hooked`] with no per-instruction voltage
+    /// through [`Execution::run_lease`] with no per-instruction voltage
     /// check: the hook charges substrate overhead and settles energy
     /// ([`EnergySupply::settle`]) as pure bookkeeping. Near the brown-out
     /// threshold (or the wall-clock limit) it falls back to the exact
@@ -283,22 +302,7 @@ impl<S: Substrate> IntermittentExecutor<S> {
     /// `limit_s`, [`ExecError::WallClock`] on timeout, or a wrapped
     /// supply / simulator error.
     pub fn run(&mut self, limit_s: f64) -> Result<IntermittentRun, ExecError> {
-        self.power_loop(limit_s, false, &mut NullSink)
-    }
-
-    /// [`IntermittentExecutor::run`] entered as if resuming a run that
-    /// was interrupted by an outage: the first restore behaves like a
-    /// post-outage boot, so an armed skim point is honored immediately.
-    /// Used by the fleet's lockstep tape replayer to hand a diverged
-    /// (skimming) device back to the scalar engine mid-run — the
-    /// executor performs the wait/restore/consume/skim sequence itself,
-    /// exactly as the scalar run it must stay bit-identical to.
-    ///
-    /// # Errors
-    ///
-    /// As [`IntermittentExecutor::run`].
-    pub fn run_resumed(&mut self, limit_s: f64) -> Result<IntermittentRun, ExecError> {
-        self.power_loop(limit_s, true, &mut NullSink)
+        self.power_loop(limit_s, &mut NullSink)
     }
 
     /// [`IntermittentExecutor::run`] with lifecycle tracing: lifecycle
@@ -317,30 +321,28 @@ impl<S: Substrate> IntermittentExecutor<S> {
         limit_s: f64,
         sink: &mut K,
     ) -> Result<IntermittentRun, ExecError> {
-        self.power_loop(limit_s, false, sink)
+        self.power_loop(limit_s, sink)
     }
 
-    /// The power-cycle loop behind [`IntermittentExecutor::run`],
-    /// [`IntermittentExecutor::run_resumed`] and
-    /// [`IntermittentExecutor::run_with_sink`]. `resumed` makes the first
-    /// restore count as post-outage. Every emission is gated on
-    /// `sink.enabled()`, so with a [`NullSink`] it folds away.
+    /// The power-cycle loop behind [`IntermittentExecutor::run`] and
+    /// [`IntermittentExecutor::run_with_sink`], the only one shipped.
+    /// Every emission is gated on `sink.enabled()`, so with a
+    /// [`NullSink`] it folds away.
     fn power_loop<K: EventSink>(
         &mut self,
         limit_s: f64,
-        resumed: bool,
         sink: &mut K,
     ) -> Result<IntermittentRun, ExecError> {
         validate_limit(limit_s)?;
         let mut active_cycles = 0u64;
         let mut skimmed = false;
-        let mut had_outage = resumed;
+        let mut had_outage = false;
         // Report per-run deltas even when the supply is shared across
         // inputs (the stream harness reuses one energy environment).
         let outages0 = self.supply.outage_count();
         let time0 = self.supply.time_s();
         let on_time0 = self.supply.on_time_s();
-        let max_instr_cycles = self.core.config().cycle_model.max_instr_cycles();
+        let max_instr_cycles = self.core.max_instr_cycles();
 
         self.emit(sink, EventKind::RunStart);
         'power_cycles: loop {
@@ -355,7 +357,7 @@ impl<S: Substrate> IntermittentExecutor<S> {
 
             // Restore path — checked: a weak checkpoint restore can brown
             // out before the first instruction.
-            let cost_cycles = self.substrate.on_restore(&mut self.core);
+            let cost_cycles = self.substrate.on_restore(&mut self.core)?;
             self.emit(sink, EventKind::Restore { cost_cycles });
             if self.consume(cost_cycles, &mut active_cycles, sink)? == PowerStatus::Outage {
                 self.outage(sink);
@@ -370,10 +372,13 @@ impl<S: Substrate> IntermittentExecutor<S> {
             // missed shortcut, never a wrong result. With skimming
             // disabled the restore deliberately ignores an armed point.
             if had_outage {
-                match self.core.cpu.skm.filter(|_| self.skim_enabled) {
+                let taken = if self.skim_enabled {
+                    self.core.take_skim()
+                } else {
+                    None
+                };
+                match taken {
                     Some(target) => {
-                        self.core.cpu.pc = target;
-                        self.core.cpu.skm = None;
                         skimmed = true;
                         self.emit(sink, EventKind::SkimTaken { target });
                     }
@@ -399,7 +404,7 @@ impl<S: Substrate> IntermittentExecutor<S> {
                     .grant_cycles(cycles_until_limit(&self.supply, limit_s));
                 if grant > slack {
                     self.emit(sink, EventKind::LeaseGrant { cycles: grant });
-                    let mut hook = FusedLeaseHook {
+                    let mut lease = Lease {
                         supply: &mut self.supply,
                         substrate: &mut self.substrate,
                         sink: &mut *sink,
@@ -410,8 +415,8 @@ impl<S: Substrate> IntermittentExecutor<S> {
                     // arm: the lease loop re-iterates, re-checks halt
                     // and wall clock, and grants afresh with the commit
                     // already settled.
-                    let bulk = self.core.run_steps_hooked(grant - slack, &mut hook)?;
-                    let cycles = bulk.cycles + hook.carried;
+                    let bulk = self.core.run_lease(grant - slack, &mut lease)?;
+                    let cycles = bulk.cycles + lease.carried;
                     active_cycles += cycles;
                     self.emit(
                         sink,
@@ -490,7 +495,7 @@ impl<S: Substrate> IntermittentExecutor<S> {
             self.supply.wait_for_power()?;
 
             // Restore path.
-            let restore_cost = self.substrate.on_restore(&mut self.core);
+            let restore_cost = self.substrate.on_restore(&mut self.core)?;
             if self.consume(restore_cost, &mut active_cycles, &mut NullSink)? == PowerStatus::Outage
             {
                 self.substrate.on_outage(&mut self.core);
@@ -498,12 +503,8 @@ impl<S: Substrate> IntermittentExecutor<S> {
                 continue 'power_cycles;
             }
             // Skim check (§III-C), as in `run`.
-            if self.skim_enabled && had_outage {
-                if let Some(target) = self.core.cpu.skm {
-                    self.core.cpu.pc = target;
-                    self.core.cpu.skm = None;
-                    skimmed = true;
-                }
+            if self.skim_enabled && had_outage && self.core.take_skim().is_some() {
+                skimmed = true;
             }
 
             // Execute until outage or completion. The wall-clock guard
@@ -587,7 +588,7 @@ impl<S: Substrate> IntermittentExecutor<S> {
 /// Rejects wall-clock budgets the loop cannot terminate under (NaN
 /// makes every limit comparison false) or that are nonsensical
 /// (negative). `+∞` is allowed and means "no limit".
-pub(crate) fn validate_limit(limit_s: f64) -> Result<(), ExecError> {
+fn validate_limit(limit_s: f64) -> Result<(), ExecError> {
     if limit_s.is_nan() || limit_s < 0.0 {
         Err(ExecError::InvalidLimit { limit_s })
     } else {
@@ -597,9 +598,8 @@ pub(crate) fn validate_limit(limit_s: f64) -> Result<(), ExecError> {
 
 /// Cycles of execution remaining until the wall-clock limit (rounded up
 /// so the final lease can actually cross the limit), saturating for
-/// far-away limits. Crate-visible so the lockstep tape replayer caps
-/// its leases with the identical arithmetic.
-pub(crate) fn cycles_until_limit(supply: &EnergySupply, limit_s: f64) -> u64 {
+/// far-away limits.
+fn cycles_until_limit(supply: &EnergySupply, limit_s: f64) -> u64 {
     let left_s = limit_s - supply.time_s();
     // A NaN limit (rejected by `validate_limit`, but guarded here too)
     // must grant zero cycles instead of falling through to the cast
@@ -1116,7 +1116,7 @@ mod tests {
         assert_eq!(on.kind, EventKind::PowerOn { waited_s });
         assert_eq!(on.t_s.to_bits(), twin.time_s().to_bits());
 
-        let restore = nvp.on_restore(&mut core);
+        let restore = nvp.on_restore(&mut core).unwrap();
         assert_eq!(twin.consume_cycles(restore).unwrap(), PowerStatus::On);
         loop {
             let info = core.step().unwrap();

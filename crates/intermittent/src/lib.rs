@@ -42,6 +42,7 @@
 
 pub mod checkpoint;
 pub mod clank;
+pub mod execution;
 pub mod executor;
 pub mod lockstep;
 pub mod nvp;
@@ -51,11 +52,9 @@ pub mod task;
 
 pub use checkpoint::DiffCheckpoint;
 pub use clank::{Clank, ClankConfig};
+pub use execution::{Execution, Saved};
 pub use executor::{ExecError, IntermittentExecutor, IntermittentRun};
-pub use lockstep::{
-    replay_run_clank, replay_run_nvp, replay_tape, ClankMirror, NvpMirror, ReplayEnd,
-    SubstrateMirror,
-};
+pub use lockstep::{replay_run_clank, replay_run_nvp};
 pub use nvp::{Nvp, NvpConfig};
 pub use progress::{FaultFreeProfile, ProgressModel};
 pub use substrate::Substrate;

@@ -13,488 +13,229 @@
 //! that: one compiled program, one input image, devices differing only
 //! in their power environment.
 //!
-//! [`wn_sim::ExecutionTape`] records the trajectory once. Replaying one
-//! device then needs no interpreter and no memory image: it walks the
-//! tape's cost/kind/word arrays, feeding the device's own
-//! [`EnergySupply`] the **identical sequence of float operations** the
-//! scalar [`IntermittentExecutor::run`] would issue (`settle_run` over
-//! the same cost slices, `consume_cycles` of the same totals, leases
-//! capped by the same `cycles_until_limit` arithmetic), while a
-//! [`SubstrateMirror`] reproduces the substrate's cycle accounting
-//! (checkpoint triggers, overhead, lost work) from the tape's
-//! read/write/skim/halt row kinds. Fused-block admission consults the
-//! master core's own fused table ([`wn_sim::Core::fused_summary`]) with
-//! the same saturating worst-case arithmetic, so block dispatch
-//! decisions — and therefore the settle-vs-consume split — match the
-//! scalar engine exactly.
+//! [`wn_sim::ExecutionTape`] records the trajectory once. A device then
+//! runs on the ordinary [`IntermittentExecutor`] power loop with its own
+//! [`EnergySupply`] and substrate, over a `TapeCursor` instead of a
+//! core: steps are the tape's rows, a checkpoint is a tape position, and
+//! bulk execution walks the tape's cost arrays, admitting fused blocks
+//! from the master core's own table ([`wn_sim::Core::fused_summary`])
+//! with the core's arithmetic. The supply therefore sees the identical
+//! float operation sequence, and the substrate the identical calls, that
+//! a run on a live core would issue.
 //!
-//! ## Divergence peeling
+//! ## Leaving the trajectory
 //!
-//! The one event that leaves the shared trajectory is a taken skim
-//! jump: after that, the device executes instructions the tape never
-//! recorded. The replay detects the moment the scalar engine would
-//! jump (a restore following an outage with the SKM register armed)
-//! and **hands off**: the caller walks a clone of the master core to
-//! the device's resume position (cheap — the walk itself uses the
-//! fused fast path), rebuilds the substrate via [`Clank::resumed`] /
-//! [`Nvp::resumed`], and finishes on the ordinary scalar executor
-//! ([`IntermittentExecutor::run_resumed`]). The handoff happens at the
-//! top of the power loop — before the wait/restore/consume/skim
-//! sequence — so the scalar engine performs that sequence itself,
-//! identically to a never-replayed run.
+//! The one event that leaves the shared trajectory is a taken skim jump:
+//! after it, the device executes instructions the tape never recorded.
+//! A restore with the SKM register armed leads straight to that jump, so
+//! the cursor's restore reconstructs the device's core at its resume
+//! position ([`ExecutionTape::reconstruct`], from the cohort's
+//! [`WalkCache`]), primes the substrate's checkpoint with that core's
+//! snapshot, and from then on delegates to the core — in the same loop,
+//! so the jump and everything after it run exactly as on a core from the
+//! start.
 //!
-//! ## What the mirror cannot see
+//! ## What the tape cannot see
 //!
 //! Differential checkpoint *word counts* (`checkpoint_words_saved` /
-//! `checkpoint_words_full`) depend on register values the mirror does
-//! not track, so those two counters are not maintained during replay.
-//! Every cycle-accounted quantity — overhead, lost work, checkpoint
-//! counts, outage placement, timing — is exact. Callers that consume
-//! word counts (none of the fleet reports do) must use the scalar
-//! path; the fleet also falls back to scalar when a nonzero
-//! `cycles_per_checkpoint_word` makes checkpoint *cost* depend on word
-//! counts.
+//! `checkpoint_words_full`) depend on register values the tape does not
+//! keep, so those two counters are not maintained on it. Every
+//! cycle-accounted quantity — overhead, lost work, checkpoint counts,
+//! outage placement, timing — is exact. Callers that consume word
+//! counts (none of the fleet reports do) must run on a core; the fleet
+//! also does so when a nonzero `cycles_per_checkpoint_word` makes
+//! checkpoint *cost* depend on word counts.
 
-use wn_energy::{EnergySupply, PowerStatus};
-use wn_sim::cpu::CpuSnapshot;
-use wn_sim::tape::{ExecutionTape, TapeKind, WalkCache};
-use wn_sim::Core;
+use std::ops::ControlFlow;
 
-use crate::clank::{Clank, ClankConfig, WordSet};
-use crate::executor::{
-    cycles_until_limit, validate_limit, ExecError, IntermittentExecutor, IntermittentRun,
+use wn_energy::EnergySupply;
+use wn_sim::tape::{ExecutionTape, WalkCache};
+use wn_sim::{
+    BulkRun, Core, HookBreak, MemAccess, SimError, StepEvent, StepHook, StepInfo, StopReason,
 };
+use wn_telemetry::EventSink;
+
+use crate::clank::{Clank, ClankConfig};
+use crate::execution::{Execution, Saved};
+use crate::executor::{ExecError, IntermittentExecutor, IntermittentRun, Lease};
 use crate::nvp::{Nvp, NvpConfig};
-use crate::substrate::{Substrate, SubstrateStats};
+use crate::substrate::Substrate;
 
-/// Substrate bookkeeping over tape rows instead of a live core: the
-/// mirror half of [`crate::substrate::Substrate`], with positions on
-/// the tape standing in for architectural state.
-pub trait SubstrateMirror {
-    /// Restore cost charged at every power-on (first boot included).
-    fn on_restore(&mut self) -> u64;
-    /// Mirrors `Substrate::after_step` for the tape step of the given
-    /// kind/word; `post_pos` is the tape position after the retirement
-    /// (the position a checkpoint taken here captures).
-    fn after_step(&mut self, cost: u64, kind: TapeKind, word: u32, post_pos: usize) -> u64;
-    /// Mirrors `Substrate::lease_cap`.
-    fn lease_cap(&self) -> u64;
-    /// Mirrors `Substrate::fused_headroom`.
-    fn fused_headroom(&self) -> u64;
-    /// Mirrors `Substrate::fused_instr_overhead`.
-    fn fused_instr_overhead(&self) -> u64;
-    /// Mirrors `Substrate::after_fused` for tape steps
-    /// `[start, start + len)` whose summed actual cost is `cycles`.
-    fn after_fused(&mut self, cycles: u64, tape: &ExecutionTape, start: usize, len: usize) -> u64;
-    /// Mirrors `Substrate::on_outage`; `pos` is the tape position the
-    /// outage interrupted.
-    fn on_outage(&mut self, pos: usize);
-    /// The tape position the next restore resumes from (checkpoint
-    /// position for Clank, interrupted position for NVP, 0 cold).
-    fn resume_pos(&self) -> usize;
-    /// Counters so far (word counts not maintained — module docs).
-    fn stats(&self) -> SubstrateStats;
+/// One device's execution source over a cohort's tape, until a skim
+/// jump hands it a core of its own.
+#[derive(Debug)]
+struct TapeCursor<'a> {
+    tape: &'a ExecutionTape,
+    /// The cohort's pristine core: its fused-block table admits blocks,
+    /// and handoffs reconstruct from it. Never mutated.
+    master: &'a Core,
+    cache: &'a WalkCache,
+    /// Tape steps retired: the device's architectural state.
+    pos: usize,
+    halted: bool,
+    /// The non-volatile SKM register.
+    skm: Option<u32>,
+    /// The device's own core, once it has left the trajectory.
+    live: Option<Core>,
 }
 
-/// [`Clank`]'s mirror: watchdog distance, read/buffer word sets and
-/// checkpoint triggers over tape rows, with the checkpointed *tape
-/// position* standing in for the register/memory snapshot.
-#[derive(Debug, Clone)]
-pub struct ClankMirror {
-    config: ClankConfig,
-    buffered_words: WordSet,
-    read_words: WordSet,
-    cycles_since_checkpoint: u64,
-    /// Tape position the last checkpoint captured (0 = entry, which is
-    /// visibly identical to Clank's cold boot).
-    ckpt_pos: usize,
-    stats: SubstrateStats,
-}
-
-impl ClankMirror {
-    /// Creates the mirror.
-    ///
-    /// # Panics
-    ///
-    /// As [`Clank::new`]: zero write-back capacity is rejected.
-    pub fn new(config: ClankConfig) -> ClankMirror {
-        assert!(
-            config.wb_entries > 0,
-            "write-back buffer needs at least one entry"
-        );
-        ClankMirror {
-            config,
-            buffered_words: WordSet::default(),
-            read_words: WordSet::default(),
-            cycles_since_checkpoint: 0,
-            ckpt_pos: 0,
-            stats: SubstrateStats::default(),
-        }
-    }
-
-    fn take_checkpoint(&mut self, post_pos: usize) -> u64 {
-        // Word-count stats are not mirrorable (module docs); with the
-        // flat cost model the replay gate enforces, the cost is exact.
-        debug_assert_eq!(self.config.cycles_per_checkpoint_word, 0);
-        self.undo_clear();
-        self.cycles_since_checkpoint = 0;
-        self.ckpt_pos = post_pos;
-        self.stats.checkpoints += 1;
-        let cost = self.config.checkpoint_cycles;
-        self.stats.overhead_cycles += cost;
-        cost
-    }
-
-    fn undo_clear(&mut self) {
-        self.buffered_words.clear();
-        self.read_words.clear();
-    }
-
-    fn after_step_slow(&mut self, kind: TapeKind, word: u32, post_pos: usize) -> u64 {
-        let mut overhead = 0;
-        if kind == TapeKind::Skim {
-            overhead += self.take_checkpoint(post_pos);
-        }
-        match kind {
-            TapeKind::Read => {
-                self.read_words.insert(word);
-            }
-            TapeKind::Write => {
-                let war = self.read_words.contains(word) && !self.buffered_words.contains(word);
-                self.buffered_words.insert(word);
-                if war {
-                    self.stats.violation_checkpoints += 1;
-                    overhead += self.take_checkpoint(post_pos);
-                } else if self.buffered_words.len() > self.config.wb_entries {
-                    self.stats.capacity_checkpoints += 1;
-                    overhead += self.take_checkpoint(post_pos);
-                }
-            }
-            TapeKind::None | TapeKind::Skim | TapeKind::Halt => {}
-        }
-        if self.cycles_since_checkpoint >= self.config.watchdog_cycles {
-            self.stats.watchdog_checkpoints += 1;
-            overhead += self.take_checkpoint(post_pos);
-        }
-        overhead
-    }
-}
-
-impl SubstrateMirror for ClankMirror {
-    fn on_restore(&mut self) -> u64 {
-        self.stats.overhead_cycles += self.config.restore_cycles;
-        self.config.restore_cycles
-    }
-
+impl TapeCursor<'_> {
+    /// Retires the next tape row.
     #[inline]
-    fn after_step(&mut self, cost: u64, kind: TapeKind, word: u32, post_pos: usize) -> u64 {
-        self.cycles_since_checkpoint += cost;
-        if self.cycles_since_checkpoint < self.config.watchdog_cycles && kind != TapeKind::Skim {
-            match kind {
-                TapeKind::None | TapeKind::Halt => return 0,
-                TapeKind::Read => {
-                    self.read_words.insert(word);
-                    return 0;
-                }
-                TapeKind::Write | TapeKind::Skim => {}
+    fn tape_step(&mut self) -> StepInfo {
+        let info = self.tape.info(self.pos);
+        match info.event {
+            StepEvent::SkimSet(target) => self.skm = Some(target),
+            // HALT keeps its pc: a checkpoint here captures the halt site.
+            StepEvent::Halted => {
+                self.halted = true;
+                return info;
             }
+            StepEvent::None | StepEvent::BranchTaken => {}
         }
-        self.after_step_slow(kind, word, post_pos)
-    }
-
-    fn lease_cap(&self) -> u64 {
-        let worst_words = (CpuSnapshot::WORDS + self.config.wb_entries + 1) as u64;
-        3 * (self.config.checkpoint_cycles + self.config.cycles_per_checkpoint_word * worst_words)
-    }
-
-    fn fused_headroom(&self) -> u64 {
-        self.config
-            .watchdog_cycles
-            .saturating_sub(self.cycles_since_checkpoint)
-            .saturating_sub(1)
-    }
-
-    fn fused_instr_overhead(&self) -> u64 {
-        0
-    }
-
-    fn after_fused(&mut self, cycles: u64, tape: &ExecutionTape, start: usize, len: usize) -> u64 {
-        self.cycles_since_checkpoint += cycles;
-        // Blocks are store/skim/halt-free, so only loads can appear.
-        for i in start..start + len {
-            if tape.kind(i) == TapeKind::Read {
-                self.read_words.insert(tape.word(i));
-            }
-        }
-        0
-    }
-
-    fn on_outage(&mut self, _pos: usize) {
-        self.stats.lost_cycles += self.cycles_since_checkpoint;
-        self.cycles_since_checkpoint = 0;
-        self.undo_clear();
-    }
-
-    fn resume_pos(&self) -> usize {
-        self.ckpt_pos
-    }
-
-    fn stats(&self) -> SubstrateStats {
-        self.stats
+        self.pos += 1;
+        info
     }
 }
 
-/// [`Nvp`]'s mirror: per-instruction backup charges and the
-/// interrupted tape position standing in for the NV flip-flop state.
-#[derive(Debug, Clone)]
-pub struct NvpMirror {
-    config: NvpConfig,
-    /// Tape position the last outage snapshotted (0 = cold boot).
-    snap_pos: usize,
-    stats: SubstrateStats,
-}
-
-impl NvpMirror {
-    /// Creates the mirror.
-    pub fn new(config: NvpConfig) -> NvpMirror {
-        NvpMirror {
-            config,
-            snap_pos: 0,
-            stats: SubstrateStats::default(),
+impl Execution for TapeCursor<'_> {
+    fn step(&mut self) -> Result<StepInfo, SimError> {
+        match &mut self.live {
+            Some(core) => core.step(),
+            None => Ok(self.tape_step()),
         }
     }
-}
 
-impl SubstrateMirror for NvpMirror {
-    fn on_restore(&mut self) -> u64 {
-        self.stats.overhead_cycles += self.config.wakeup_cycles;
-        self.config.wakeup_cycles
-    }
-
-    #[inline]
-    fn after_step(&mut self, _cost: u64, _kind: TapeKind, _word: u32, _post_pos: usize) -> u64 {
-        self.stats.overhead_cycles += self.config.backup_cycles_per_instr;
-        self.config.backup_cycles_per_instr
-    }
-
-    fn lease_cap(&self) -> u64 {
-        self.config.backup_cycles_per_instr
-    }
-
-    fn fused_headroom(&self) -> u64 {
-        u64::MAX
-    }
-
-    fn fused_instr_overhead(&self) -> u64 {
-        self.config.backup_cycles_per_instr
-    }
-
-    fn after_fused(
+    /// [`Core::run_steps_hooked`] over the tape: the same budget checks
+    /// and the same block admission, with the recorded costs.
+    fn run_lease<S: Substrate, K: EventSink>(
         &mut self,
-        _cycles: u64,
-        _tape: &ExecutionTape,
-        _start: usize,
-        len: usize,
-    ) -> u64 {
-        let overhead = len as u64 * self.config.backup_cycles_per_instr;
-        self.stats.overhead_cycles += overhead;
-        overhead
+        budget: u64,
+        lease: &mut Lease<'_, S, K>,
+    ) -> Result<BulkRun, SimError> {
+        if let Some(core) = &mut self.live {
+            return core.run_lease(budget, lease);
+        }
+        let (mut cycles, mut instructions) = (0u64, 0u64);
+        let stop = loop {
+            if self.halted {
+                break StopReason::Halted;
+            }
+            if cycles >= budget {
+                break StopReason::Budget;
+            }
+            let pos = self.pos;
+            if let Some((len, base, tail_max)) = self.master.fused_summary(self.tape.pc(pos)) {
+                let overhead = lease.block_instr_overhead();
+                let worst = base
+                    .saturating_add(tail_max)
+                    .saturating_add(u64::from(len).saturating_mul(overhead));
+                if worst <= (budget - cycles).min(lease.block_budget()) {
+                    // The tape's costs are *actual* (a taken tail's
+                    // refill folded into the final element), so settling
+                    // them with `tail_extra = 0` issues element for
+                    // element the core's float operations.
+                    let len = len as usize;
+                    let span = self.tape.span_cycles(pos, pos + len);
+                    let costs = self.tape.costs_in(pos, len);
+                    let extra = lease.on_block(costs, span, 0, self.tape.reads_in(pos, len));
+                    cycles += span + extra;
+                    instructions += len as u64;
+                    self.pos += len;
+                    continue;
+                }
+            }
+            let info = self.tape_step();
+            cycles += info.cycles;
+            instructions += 1;
+            match lease.after_step(self, &info) {
+                ControlFlow::Continue(extra) => cycles += extra,
+                ControlFlow::Break(HookBreak::Stop) => break StopReason::Hook,
+                ControlFlow::Break(HookBreak::Boundary) => break StopReason::Boundary,
+            }
+        };
+        Ok(BulkRun {
+            cycles,
+            instructions,
+            stop,
+        })
     }
 
-    fn on_outage(&mut self, pos: usize) {
-        self.snap_pos = pos;
-        self.stats.checkpoints += 1;
+    fn is_halted(&self) -> bool {
+        self.live.as_ref().map_or(self.halted, Core::is_halted)
     }
 
-    fn resume_pos(&self) -> usize {
-        self.snap_pos
+    fn pc(&self) -> u32 {
+        match &self.live {
+            Some(core) => core.cpu.pc,
+            None => self.tape.pc(self.pos),
+        }
     }
 
-    fn stats(&self) -> SubstrateStats {
-        self.stats
+    fn take_skim(&mut self) -> Option<u32> {
+        // On the tape the register is never armed here: a restore that
+        // finds it armed has already handed off.
+        self.live.as_mut()?.take_skim()
+    }
+
+    fn save(&self, saved: &mut Saved) -> Option<u64> {
+        match &self.live {
+            Some(core) => core.save(saved),
+            None => {
+                saved.pos = self.pos;
+                None
+            }
+        }
+    }
+
+    fn restore(&mut self, saved: &mut Saved) -> Result<(), SimError> {
+        if let Some(core) = &mut self.live {
+            return core.restore(saved);
+        }
+        self.pos = saved.pos;
+        self.halted = false;
+        if let Some(skm) = self.skm {
+            // The skim jump follows: rebuild the state the checkpoint
+            // (or NV snapshot) captured — the trajectory at `pos`, since
+            // Clank rolled memory back to it and NVP persisted it — and
+            // make its snapshot the substrate's checkpoint.
+            let mut core = self.tape.reconstruct(self.master, self.pos, self.cache)?;
+            core.cpu.skm = Some(skm);
+            saved.cpu.capture(core.cpu.snapshot());
+            self.live = Some(core);
+        }
+        Ok(())
+    }
+
+    fn power_loss(&mut self) {
+        if let Some(core) = &mut self.live {
+            core.power_loss();
+        }
+    }
+
+    fn undo(&mut self, log: &mut Vec<MemAccess>) {
+        match &mut self.live {
+            Some(core) => core.undo(log),
+            // Restoring a position restores memory with it.
+            None => log.clear(),
+        }
+    }
+
+    fn max_instr_cycles(&self) -> u64 {
+        self.master.max_instr_cycles()
     }
 }
 
-/// How a tape replay ended (errors surface as [`ExecError`] instead).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ReplayEnd {
-    /// The device retired the whole tape (reached `HALT`) on mirrored
-    /// state — no divergence.
-    Completed {
-        /// Cycles executed, re-execution and overhead included.
-        active_cycles: u64,
-    },
-    /// The device is about to take a skim jump, leaving the shared
-    /// trajectory: hand off to the scalar engine.
-    Handoff {
-        /// Tape position the next restore resumes from.
-        pos: usize,
-        /// The armed skim target.
-        skm: u32,
-        /// Cycles executed so far.
-        active_cycles: u64,
-    },
-}
-
-/// Replays one device's run over `tape`, mirroring
-/// [`IntermittentExecutor::run`]'s power loop, lease scheduling and
-/// fused-block dispatch against `supply` and `mirror`. `master` is the
-/// cohort's pristine core — consulted only for its fused-block table
-/// and cycle model, never mutated.
-///
-/// # Errors
-///
-/// Exactly the scalar engine's population errors:
-/// [`ExecError::WallClock`] / [`ExecError::Supply`] at the same supply
-/// state the scalar run would raise them, [`ExecError::InvalidLimit`]
-/// up front.
-pub fn replay_tape<M: SubstrateMirror>(
-    tape: &ExecutionTape,
-    master: &Core,
-    supply: &mut EnergySupply,
-    mirror: &mut M,
-    limit_s: f64,
-) -> Result<ReplayEnd, ExecError> {
-    validate_limit(limit_s)?;
-    let max_instr_cycles = master.config().cycle_model.max_instr_cycles();
-    let mut pos: usize;
-    let mut halted: bool;
-    let mut skm: Option<u32> = None;
-    let mut had_outage = false;
-    let mut active_cycles = 0u64;
-
-    'power_cycles: loop {
-        // Divergence check: the scalar engine's next restore would take
-        // the skim jump here. Peel before touching the supply so the
-        // scalar continuation replays the whole wait/restore/consume/
-        // skim sequence itself.
-        if had_outage {
-            if let Some(skm) = skm {
-                return Ok(ReplayEnd::Handoff {
-                    pos: mirror.resume_pos(),
-                    skm,
-                    active_cycles,
-                });
-            }
-        }
-        if supply.time_s() > limit_s {
-            return Err(ExecError::WallClock { limit_s });
-        }
-        supply.wait_for_power()?;
-
-        let restore_cost = mirror.on_restore();
-        pos = mirror.resume_pos();
-        halted = false;
-        active_cycles += restore_cost;
-        if supply.consume_cycles(restore_cost)? == PowerStatus::Outage {
-            mirror.on_outage(pos);
-            had_outage = true;
-            continue 'power_cycles;
-        }
-
-        // Lease loop, as in the scalar engine.
-        loop {
-            if halted {
-                return Ok(ReplayEnd::Completed { active_cycles });
-            }
-            if supply.time_s() > limit_s {
-                return Err(ExecError::WallClock { limit_s });
-            }
-            let slack = max_instr_cycles + mirror.lease_cap();
-            let grant = supply.grant_cycles(cycles_until_limit(supply, limit_s));
-            if grant > slack {
-                // Bulk path: replica of `run_steps_hooked` with the
-                // `FusedLeaseHook`, budgets and admission intact.
-                let budget = grant - slack;
-                let mut cycles = 0u64;
-                loop {
-                    if halted {
-                        break;
-                    }
-                    if cycles >= budget {
-                        break;
-                    }
-                    if let Some((len, block_cycles, tail_max)) = master.fused_summary(tape.pc(pos))
-                    {
-                        let len = len as usize;
-                        let overhead = mirror.fused_instr_overhead();
-                        let worst = block_cycles
-                            .saturating_add(tail_max)
-                            .saturating_add((len as u64).saturating_mul(overhead));
-                        if worst <= (budget - cycles).min(mirror.fused_headroom()) {
-                            // The tape's costs are *actual* (tail extra
-                            // folded into the final element), so
-                            // settling them with `tail_extra = 0`
-                            // issues element-for-element the same float
-                            // operations as the scalar hook's
-                            // (base costs, actual tail_extra) call.
-                            let span = tape.span_cycles(pos, pos + len);
-                            supply.settle_run(tape.costs_in(pos, len), overhead, 0);
-                            let extra = mirror.after_fused(span, tape, pos, len);
-                            cycles += span + extra;
-                            pos += len;
-                            continue;
-                        }
-                    }
-                    // Single retirement inside the lease: settle, no
-                    // brown-out check (the lease guarantees it).
-                    let cost = tape.cost(pos);
-                    let kind = tape.kind(pos);
-                    if kind == TapeKind::Skim {
-                        skm = Some(tape.skim(pos));
-                    }
-                    let post_pos = if kind == TapeKind::Halt {
-                        halted = true;
-                        pos // HALT keeps its pc; a checkpoint here captures the halt site.
-                    } else {
-                        pos + 1
-                    };
-                    let overhead = mirror.after_step(cost, kind, tape.word(pos), post_pos);
-                    pos = post_pos;
-                    supply.settle(cost + overhead);
-                    cycles += cost + overhead;
-                }
-                active_cycles += cycles;
-                debug_assert!(
-                    supply.voltage() >= supply.config().v_off,
-                    "brown-out inside an energy lease"
-                );
-            } else {
-                // Checked path near the brown-out threshold.
-                let cost = tape.cost(pos);
-                let kind = tape.kind(pos);
-                if kind == TapeKind::Skim {
-                    skm = Some(tape.skim(pos));
-                }
-                let post_pos = if kind == TapeKind::Halt {
-                    halted = true;
-                    pos
-                } else {
-                    pos + 1
-                };
-                let overhead = mirror.after_step(cost, kind, tape.word(pos), post_pos);
-                pos = post_pos;
-                active_cycles += cost + overhead;
-                if supply.consume_cycles(cost + overhead)? == PowerStatus::Outage {
-                    mirror.on_outage(pos);
-                    had_outage = true;
-                    continue 'power_cycles;
-                }
-            }
-        }
-    }
-}
-
-/// A full lockstep device run on the Clank substrate: tape replay plus,
-/// on divergence, walk-and-handoff to the scalar engine. Returns the
-/// run (absolute supply clocks — pass a fresh per-device supply) and,
-/// for handed-off devices, the final core for output decoding;
+/// A full lockstep device run on the Clank substrate over `tape`, whose
+/// master core is `master` (consulted, never mutated). `supply` must be
+/// fresh per device. Returns the run and, for a device that left the
+/// trajectory by a skim jump, its final core for output decoding;
 /// `None` means the device finished on the tape, so its outputs equal
 /// the master trajectory's.
 ///
 /// # Errors
 ///
-/// As [`replay_tape`] / [`IntermittentExecutor::run`].
+/// As [`IntermittentExecutor::run`].
 pub fn replay_run_clank(
     tape: &ExecutionTape,
     master: &Core,
@@ -503,23 +244,14 @@ pub fn replay_run_clank(
     config: ClankConfig,
     limit_s: f64,
 ) -> Result<(IntermittentRun, Option<Core>), ExecError> {
-    let mut mirror = ClankMirror::new(config);
-    replay_run(
-        tape,
-        master,
-        cache,
-        supply,
-        &mut mirror,
-        limit_s,
-        |snap, stats| Clank::resumed(config, snap, stats),
-    )
+    replay_run(tape, master, cache, supply, Clank::new(config), limit_s)
 }
 
 /// As [`replay_run_clank`], on the NVP substrate.
 ///
 /// # Errors
 ///
-/// As [`replay_tape`] / [`IntermittentExecutor::run`].
+/// As [`IntermittentExecutor::run`].
 pub fn replay_run_nvp(
     tape: &ExecutionTape,
     master: &Core,
@@ -528,76 +260,29 @@ pub fn replay_run_nvp(
     config: NvpConfig,
     limit_s: f64,
 ) -> Result<(IntermittentRun, Option<Core>), ExecError> {
-    let mut mirror = NvpMirror::new(config);
-    replay_run(
-        tape,
-        master,
-        cache,
-        supply,
-        &mut mirror,
-        limit_s,
-        |snap, stats| Nvp::resumed(config, snap, stats),
-    )
+    replay_run(tape, master, cache, supply, Nvp::new(config), limit_s)
 }
 
-fn replay_run<M, S, F>(
+fn replay_run<S: Substrate>(
     tape: &ExecutionTape,
     master: &Core,
     cache: &WalkCache,
-    mut supply: EnergySupply,
-    mirror: &mut M,
+    supply: EnergySupply,
+    substrate: S,
     limit_s: f64,
-    resumed_substrate: F,
-) -> Result<(IntermittentRun, Option<Core>), ExecError>
-where
-    M: SubstrateMirror,
-    S: Substrate,
-    F: FnOnce(CpuSnapshot, SubstrateStats) -> S,
-{
-    match replay_tape(tape, master, &mut supply, mirror, limit_s)? {
-        ReplayEnd::Completed { active_cycles } => Ok((
-            IntermittentRun {
-                skimmed: false,
-                total_time_s: supply.time_s(),
-                on_time_s: supply.on_time_s(),
-                active_cycles,
-                outages: supply.outage_count(),
-                substrate: mirror.stats(),
-            },
-            None,
-        )),
-        ReplayEnd::Handoff {
-            pos,
-            skm,
-            active_cycles,
-        } => {
-            // Reconstruct the device's architectural state: the master
-            // trajectory at the resume position is exactly what the
-            // checkpoint / NV snapshot captured (Clank rolled memory
-            // back to it; NVP persisted it). The shared cache lets
-            // divergent devices in one cohort resume the walk from the
-            // nearest grid snapshot instead of step zero.
-            let mut core = tape.reconstruct(master, pos, cache)?;
-            let snapshot = core.cpu.snapshot();
-            core.cpu.power_loss();
-            core.cpu.skm = Some(skm);
-            let substrate = resumed_substrate(snapshot, mirror.stats());
-            let mut exec = IntermittentExecutor::with_supply(core, supply, substrate);
-            let run = exec.run_resumed(limit_s)?;
-            let (core, supply, _substrate) = exec.into_parts();
-            Ok((
-                IntermittentRun {
-                    skimmed: run.skimmed,
-                    total_time_s: supply.time_s(),
-                    on_time_s: supply.on_time_s(),
-                    active_cycles: active_cycles + run.active_cycles,
-                    outages: supply.outage_count(),
-                    substrate: run.substrate,
-                },
-                Some(core),
-            ))
-        }
-    }
+) -> Result<(IntermittentRun, Option<Core>), ExecError> {
+    let cursor = TapeCursor {
+        tape,
+        master,
+        cache,
+        pos: 0,
+        halted: false,
+        skm: None,
+        live: None,
+    };
+    let mut exec = IntermittentExecutor::with_supply(cursor, supply, substrate);
+    let run = exec.run(limit_s)?;
+    Ok((run, exec.into_parts().0.live))
 }
 
 #[cfg(test)]

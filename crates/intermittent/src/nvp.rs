@@ -8,9 +8,9 @@
 //! NVP come purely from skimming away remaining subword refinement.
 
 use wn_sim::cpu::CpuSnapshot;
-use wn_sim::{Core, StepInfo};
+use wn_sim::{SimError, StepInfo};
 
-use crate::checkpoint::DiffCheckpoint;
+use crate::execution::{Execution, Saved};
 use crate::substrate::{Substrate, SubstrateStats};
 
 /// NVP configuration.
@@ -39,7 +39,7 @@ pub struct Nvp {
     config: NvpConfig,
     /// State of the NV flip-flops as of the last completed instruction,
     /// stored differentially across outages.
-    nv_state: DiffCheckpoint,
+    nv_state: Saved,
     stats: SubstrateStats,
 }
 
@@ -54,7 +54,7 @@ impl Nvp {
     pub fn new(config: NvpConfig) -> Nvp {
         Nvp {
             config,
-            nv_state: DiffCheckpoint::new(),
+            nv_state: Saved::default(),
             stats: SubstrateStats::default(),
         }
     }
@@ -63,23 +63,11 @@ impl Nvp {
     pub fn config(&self) -> NvpConfig {
         self.config
     }
-
-    /// Reconstructs an NVP mid-run, in the state it holds immediately
-    /// after an outage: NV flip-flops primed with `snapshot` (the state
-    /// the outage interrupted), counters continuing from `stats`. Used
-    /// by the fleet's lockstep tape replayer to hand a diverged device
-    /// back to the scalar engine.
-    pub fn resumed(config: NvpConfig, snapshot: CpuSnapshot, stats: SubstrateStats) -> Nvp {
-        let mut nvp = Nvp::new(config);
-        nvp.nv_state.capture(snapshot);
-        nvp.stats = stats;
-        nvp
-    }
 }
 
 impl Substrate for Nvp {
     #[inline]
-    fn after_step(&mut self, _core: &mut Core, _info: &StepInfo) -> u64 {
+    fn after_step<E: Execution>(&mut self, _exec: &mut E, _info: &StepInfo) -> u64 {
         // Backup every cycle: architecturally the NV flip-flops always
         // hold the latest state, so the simulation can defer the actual
         // snapshot to the outage — the state captured there is exactly
@@ -103,33 +91,29 @@ impl Substrate for Nvp {
         self.config.backup_cycles_per_instr
     }
 
+    #[inline]
     fn after_fused(&mut self, instructions: u64, _cycles: u64, _reads: &[u32]) -> u64 {
         let overhead = instructions * self.config.backup_cycles_per_instr;
         self.stats.overhead_cycles += overhead;
         overhead
     }
 
-    fn on_outage(&mut self, core: &mut Core) {
+    fn on_outage<E: Execution>(&mut self, exec: &mut E) {
         // Nothing is lost: capture what the NV flip-flops hold, then
-        // clear the (conceptually volatile) pipeline.
-        let words = self.nv_state.capture(core.cpu.snapshot());
-        self.stats.checkpoint_words_saved += words;
-        self.stats.checkpoint_words_full += CpuSnapshot::WORDS as u64;
+        // clear the (conceptually volatile) pipeline. A tape keeps no
+        // register values, so its words go uncounted.
+        if let Some(words) = exec.save(&mut self.nv_state) {
+            self.stats.checkpoint_words_saved += words;
+            self.stats.checkpoint_words_full += CpuSnapshot::WORDS as u64;
+        }
         self.stats.checkpoints += 1;
-        core.cpu.power_loss();
+        exec.power_loss();
     }
 
-    fn on_restore(&mut self, core: &mut Core) -> u64 {
-        match self.nv_state.restore() {
-            Some(snap) => core.cpu.restore(&snap),
-            None => {
-                let entry = core.program().entry;
-                core.cpu.pc = entry;
-                core.cpu.halted = false;
-            }
-        }
+    fn on_restore<E: Execution>(&mut self, exec: &mut E) -> Result<u64, SimError> {
+        exec.restore(&mut self.nv_state)?;
         self.stats.overhead_cycles += self.config.wakeup_cycles;
-        self.config.wakeup_cycles
+        Ok(self.config.wakeup_cycles)
     }
 
     fn stats(&self) -> SubstrateStats {
@@ -145,7 +129,7 @@ impl Substrate for Nvp {
 mod tests {
     use super::*;
     use wn_isa::asm::assemble;
-    use wn_sim::CoreConfig;
+    use wn_sim::{Core, CoreConfig};
 
     #[test]
     fn outage_loses_nothing() {
@@ -165,7 +149,7 @@ mod tests {
             0,
             "volatile pipeline cleared"
         );
-        let cost = nvp.on_restore(&mut core);
+        let cost = nvp.on_restore(&mut core).unwrap();
         assert_eq!(cost, NvpConfig::default().wakeup_cycles);
         assert_eq!(core.cpu.pc, pc_before, "resumes exactly where it stopped");
         assert_eq!(
@@ -188,7 +172,7 @@ mod tests {
         let mut core = Core::new(&p, CoreConfig::default()).unwrap();
         let mut nvp = Nvp::default();
         nvp.on_outage(&mut core);
-        nvp.on_restore(&mut core);
+        nvp.on_restore(&mut core).unwrap();
         assert_eq!(core.cpu.pc, 0);
     }
 
@@ -226,7 +210,7 @@ mod tests {
         let mut nvp = Nvp::default();
         core.step().unwrap();
         nvp.on_outage(&mut core);
-        nvp.on_restore(&mut core);
+        nvp.on_restore(&mut core).unwrap();
         let s1 = nvp.stats();
         assert_eq!(s1.checkpoint_words_saved, CpuSnapshot::WORDS as u64);
         // One more instruction (r1 + pc dirty) → two words logged.

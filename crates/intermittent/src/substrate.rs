@@ -11,9 +11,15 @@
 //! charge a checkpoint *or* a commit, and [`SubstrateStats`] carries
 //! counters for both families (each substrate leaves the other's at
 //! zero).
+//!
+//! Substrates see execution only through [`Execution`], so each cost
+//! model is written once and runs over a live core and a tape cursor
+//! alike.
 
-use wn_sim::{Core, StepInfo};
+use wn_sim::{SimError, StepInfo};
 use wn_telemetry::{CheckpointCause, Event, EventKind, EventSink};
+
+use crate::execution::Execution;
 
 /// Counters shared by every substrate implementation. Checkpoint
 /// substrates populate the `checkpoint*` family; task substrates
@@ -56,7 +62,7 @@ pub struct SubstrateStats {
 /// The [`crate::executor::IntermittentExecutor`] drives the substrate:
 /// after every instruction it calls [`Substrate::after_step`] (which may
 /// take a checkpoint and charge overhead cycles); at a power outage it
-/// calls [`Substrate::on_outage`] (which must put `core` into its
+/// calls [`Substrate::on_outage`] (which must put `exec` into its
 /// post-outage state — e.g. discard volatile state, roll back
 /// uncommitted memory); when power returns it calls
 /// [`Substrate::on_restore`] (which rebuilds processor state and returns
@@ -64,7 +70,7 @@ pub struct SubstrateStats {
 pub trait Substrate {
     /// Called after each retired instruction with what it did. Returns
     /// extra cycles charged to the supply (e.g. a checkpoint).
-    fn after_step(&mut self, core: &mut Core, info: &StepInfo) -> u64;
+    fn after_step<E: Execution>(&mut self, exec: &mut E, info: &StepInfo) -> u64;
 
     /// Upper bound on the cycles [`Substrate::after_step`] can return
     /// from a *single* call. The epoch scheduler reserves this much slack
@@ -116,11 +122,15 @@ pub trait Substrate {
     }
 
     /// Power was lost *after* the last completed instruction.
-    fn on_outage(&mut self, core: &mut Core);
+    fn on_outage<E: Execution>(&mut self, exec: &mut E);
 
     /// Power is back; rebuild processor state. Returns the restore cost
     /// in cycles.
-    fn on_restore(&mut self, core: &mut Core) -> u64;
+    ///
+    /// # Errors
+    ///
+    /// A [`SimError`] from [`Execution::restore`].
+    fn on_restore<E: Execution>(&mut self, exec: &mut E) -> Result<u64, SimError>;
 
     /// Shared counters.
     fn stats(&self) -> SubstrateStats;

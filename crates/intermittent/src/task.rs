@@ -30,9 +30,9 @@
 //! Checkpoint counters in [`SubstrateStats`] stay at zero; this substrate
 //! populates `commits`, `privatized_words` and `reexecuted_cycles`.
 
-use wn_sim::cpu::CpuSnapshot;
-use wn_sim::{Core, StepInfo};
+use wn_sim::{SimError, StepInfo};
 
+use crate::execution::{Execution, Saved};
 use crate::substrate::{Substrate, SubstrateStats};
 
 /// Task substrate configuration.
@@ -80,10 +80,10 @@ pub struct Task {
     regions: Vec<TaskRegion>,
     /// Index of the region the core is currently executing in.
     cur: usize,
-    /// The persisted entry context of the current region. `None` until
+    /// The persisted entry context of the current region. Empty until
     /// the first boundary commit: a fresh program cold-boots from the
     /// entry point, which *is* the first region's entry.
-    context: Option<CpuSnapshot>,
+    context: Saved,
     /// Cycles retired inside the current region since its entry — the
     /// amount an outage right now would force us to re-execute.
     cycles_in_region: u64,
@@ -118,7 +118,7 @@ impl Task {
             config,
             regions,
             cur: 0,
-            context: None,
+            context: Saved::default(),
             cycles_in_region: 0,
             boundary: false,
             stats: SubstrateStats::default(),
@@ -141,8 +141,8 @@ impl Task {
 }
 
 impl Substrate for Task {
-    fn after_step(&mut self, core: &mut Core, info: &StepInfo) -> u64 {
-        let pc = core.cpu.pc;
+    fn after_step<E: Execution>(&mut self, exec: &mut E, info: &StepInfo) -> u64 {
+        let pc = exec.pc();
         let here = &self.regions[self.cur];
         if pc >= here.start_pc && pc < here.end_pc {
             self.cycles_in_region += info.cycles;
@@ -157,7 +157,7 @@ impl Substrate for Task {
         if here.is_commit {
             self.stats.privatized_words += here.privatized_words;
         }
-        self.context = Some(core.cpu.snapshot());
+        exec.save(&mut self.context);
         self.stats.overhead_cycles += self.config.commit_cycles;
         self.cycles_in_region = 0;
         self.cur = self.region_of(pc);
@@ -178,33 +178,24 @@ impl Substrate for Task {
         std::mem::take(&mut self.boundary)
     }
 
-    fn on_outage(&mut self, core: &mut Core) {
+    fn on_outage<E: Execution>(&mut self, exec: &mut E) {
         // Everything since the region entry is discarded work; memory is
         // left exactly as-is (see the module doc for why that is safe).
         self.stats.lost_cycles += self.cycles_in_region;
         self.stats.reexecuted_cycles += self.cycles_in_region;
         self.cycles_in_region = 0;
         self.boundary = false;
-        core.cpu.power_loss();
+        exec.power_loss();
     }
 
-    fn on_restore(&mut self, core: &mut Core) -> u64 {
-        match &self.context {
-            Some(ctx) => {
-                core.cpu.restore(ctx);
-                self.cur = self.region_of(ctx.pc);
-            }
-            None => {
-                // No boundary ever committed: cold-boot from the entry.
-                let entry = core.program().entry;
-                core.cpu.pc = entry;
-                core.cpu.halted = false;
-                self.cur = self.region_of(entry);
-            }
-        }
+    fn on_restore<E: Execution>(&mut self, exec: &mut E) -> Result<u64, SimError> {
+        // Before the first boundary commit this is a cold boot from the
+        // entry, the first region's entry.
+        exec.restore(&mut self.context)?;
+        self.cur = self.region_of(exec.pc());
         self.boundary = false;
         self.stats.overhead_cycles += self.config.restore_cycles;
-        self.config.restore_cycles
+        Ok(self.config.restore_cycles)
     }
 
     fn stats(&self) -> SubstrateStats {
@@ -220,7 +211,7 @@ impl Substrate for Task {
 mod tests {
     use super::*;
     use wn_isa::asm::assemble;
-    use wn_sim::CoreConfig;
+    use wn_sim::{Core, CoreConfig};
 
     fn two_regions() -> Vec<TaskRegion> {
         vec![
@@ -305,7 +296,7 @@ mod tests {
         assert!(s.lost_cycles > lost.lost_cycles, "mid-region work is lost");
         assert_eq!(s.reexecuted_cycles, s.lost_cycles);
 
-        let cost = task.on_restore(&mut core);
+        let cost = task.on_restore(&mut core).unwrap();
         assert_eq!(cost, TaskConfig::default().restore_cycles);
         assert_eq!(core.cpu.pc, 2, "re-enters the interrupted region");
         assert_eq!(core.cpu.reg(wn_isa::Reg::R1), 2, "entry context restored");
@@ -323,7 +314,7 @@ mod tests {
         let mut core = Core::new(&p, CoreConfig::default()).unwrap();
         let mut task = Task::new(TaskConfig::default(), Vec::new());
         task.on_outage(&mut core);
-        task.on_restore(&mut core);
+        task.on_restore(&mut core).unwrap();
         assert_eq!(core.cpu.pc, 0);
         assert!(!core.cpu.halted);
     }

@@ -9,16 +9,22 @@
 //! accumulated float times must match bit-for-bit, because the lease
 //! scheduler's `settle` path reproduces the reference engine's float
 //! arithmetic operation-for-operation.
+//!
+//! Clank and NVP runs are also replayed over the program's recorded
+//! execution tape (`replay_run_clank` / `replay_run_nvp`), which must
+//! reproduce the scalar run bit for bit — word counters aside, which
+//! the tape does not keep.
 
 use proptest::prelude::*;
 
-use wn_energy::{PowerTrace, SupplyConfig, TraceKind};
+use wn_energy::{EnergySupply, PowerTrace, SupplyConfig, TraceKind};
+use wn_intermittent::substrate::SubstrateStats;
 use wn_intermittent::{
-    Clank, ClankConfig, IntermittentExecutor, Nvp, NvpConfig, Substrate, Task, TaskConfig,
-    TaskRegion,
+    replay_run_clank, replay_run_nvp, Clank, ClankConfig, IntermittentExecutor, IntermittentRun,
+    Nvp, NvpConfig, Substrate, Task, TaskConfig, TaskRegion,
 };
 use wn_isa::asm::assemble;
-use wn_sim::{Core, CoreConfig};
+use wn_sim::{Core, CoreConfig, ExecutionTape, WalkCache};
 
 /// Knobs for a randomized terminating program. The template is a
 /// read-modify-write loop — the worst case for Clank (every store is a
@@ -167,7 +173,7 @@ fn label_regions(program: &wn_isa::Program) -> Vec<TaskRegion> {
 /// accounts for at least the commits/checkpoints it reports, the
 /// differential checkpoint never writes more than a full snapshot
 /// would, and each paradigm leaves the other family's counters at zero.
-fn assert_stats_invariants(run: &wn_intermittent::IntermittentRun, choice: &SubstrateChoice) {
+fn assert_stats_invariants(run: &IntermittentRun, choice: &SubstrateChoice) {
     let s = run.substrate;
     assert!(
         s.checkpoint_words_saved <= s.checkpoint_words_full,
@@ -213,13 +219,14 @@ fn assert_stats_invariants(run: &wn_intermittent::IntermittentRun, choice: &Subs
 }
 
 /// Runs both engines on identical inputs and asserts exact agreement.
-/// Returns the (agreed) run so callers can pin stats invariants on it.
+/// Returns the (agreed) run and the epoch engine's final core so
+/// callers can pin stats invariants and tape replay on them.
 fn assert_engines_agree<S: Substrate + Clone>(
     program: &wn_isa::Program,
     trace: &PowerTrace,
     config: SupplyConfig,
     substrate: S,
-) -> wn_intermittent::IntermittentRun {
+) -> (IntermittentRun, Core) {
     let mut epoch = IntermittentExecutor::new(
         Core::new(program, CoreConfig::default()).unwrap(),
         trace,
@@ -265,18 +272,74 @@ fn assert_engines_agree<S: Substrate + Clone>(
             "output word {word}"
         );
     }
-    a
+    (a, epoch.into_parts().0)
 }
 
-/// Dispatches [`assert_engines_agree`] for a generated substrate choice
-/// and then pins the [`SubstrateStats`] invariants on the agreed run.
+/// A run's observable fields with exact float bits and without the word
+/// counters a tape does not keep.
+fn tape_visible(run: &IntermittentRun) -> (bool, u64, u64, u64, u64, SubstrateStats) {
+    let substrate = SubstrateStats {
+        checkpoint_words_saved: 0,
+        checkpoint_words_full: 0,
+        ..run.substrate
+    };
+    (
+        run.skimmed,
+        run.total_time_s.to_bits(),
+        run.on_time_s.to_bits(),
+        run.active_cycles,
+        run.outages,
+        substrate,
+    )
+}
+
+/// Replays a Clank or NVP choice over `program`'s recorded tape and
+/// asserts it reproduces the scalar `run` ending on `core`. A device
+/// handed off at a skim jump must also end on the scalar core's memory,
+/// and on its stats unless Clank rolled work back: the handed-off core
+/// retired only the trajectory up to its checkpoint, the scalar core
+/// the lost work as well.
+fn assert_tape_agrees(
+    program: &wn_isa::Program,
+    trace: &PowerTrace,
+    config: SupplyConfig,
+    choice: &SubstrateChoice,
+    (run, core): (&IntermittentRun, &Core),
+) {
+    let master = Core::new(program, CoreConfig::default()).unwrap();
+    let tape = ExecutionTape::record(&mut master.clone(), 10_000_000)
+        .unwrap()
+        .unwrap();
+    let (cache, supply) = (WalkCache::new(), EnergySupply::new(trace.clone(), config));
+    let (got, handed) = match choice {
+        SubstrateChoice::Clank(c) => replay_run_clank(&tape, &master, &cache, supply, *c, 3600.0),
+        SubstrateChoice::Nvp(c) => replay_run_nvp(&tape, &master, &cache, supply, *c, 3600.0),
+        SubstrateChoice::Task(_) => return,
+    }
+    .unwrap();
+    assert_eq!(tape_visible(&got), tape_visible(run), "tape replay run");
+    match handed {
+        Some(handed) => {
+            assert!(run.skimmed, "only a skim jump leaves the tape");
+            assert_eq!(handed.mem, core.mem, "handed-off memory");
+            if run.substrate.lost_cycles == 0 {
+                assert_eq!(handed.stats, core.stats, "handed-off exec stats");
+            }
+        }
+        None => assert!(!run.skimmed, "a skimmed device must leave the tape"),
+    }
+}
+
+/// Dispatches [`assert_engines_agree`] for a generated substrate choice,
+/// pins the [`SubstrateStats`] invariants on the agreed run, and checks
+/// tape replay against it.
 fn assert_choice_agrees(
     program: &wn_isa::Program,
     trace: &PowerTrace,
     config: SupplyConfig,
     choice: &SubstrateChoice,
 ) {
-    let run = match choice {
+    let (run, core) = match choice {
         SubstrateChoice::Clank(c) => assert_engines_agree(program, trace, config, Clank::new(*c)),
         SubstrateChoice::Nvp(c) => assert_engines_agree(program, trace, config, Nvp::new(*c)),
         SubstrateChoice::Task(c) => assert_engines_agree(
@@ -287,6 +350,7 @@ fn assert_choice_agrees(
         ),
     };
     assert_stats_invariants(&run, choice);
+    assert_tape_agrees(program, trace, config, choice, (&run, &core));
 }
 
 /// Knobs for a branch/`SKM`-dense program — the worst case for block
@@ -396,5 +460,10 @@ fn pinned_case_spans_outages_and_skims() {
     let run = probe.run(3600.0).unwrap();
     assert!(run.outages > 0, "pinned case must cross power cycles");
     assert!(run.skimmed, "pinned case must commit via its skim point");
-    assert_engines_agree(&program, &trace, config, Clank::default());
+    assert_choice_agrees(
+        &program,
+        &trace,
+        config,
+        &SubstrateChoice::Clank(ClankConfig::default()),
+    );
 }

@@ -59,7 +59,7 @@ fn run_with_outages<S: Substrate>(mut substrate: S, n: u32, outage_gaps: &[u16])
             // make progress between outages.
             if since_last >= gap as u32 + 24 {
                 substrate.on_outage(&mut core);
-                substrate.on_restore(&mut core);
+                substrate.on_restore(&mut core).unwrap();
                 since_last = 0;
                 next_gap = gap_iter.next().copied();
             }
@@ -127,7 +127,7 @@ proptest! {
             steps += 1;
             if gap_idx < gaps.len() && steps >= (gap_idx + 1) * (gaps[gap_idx] as usize + 16) {
                 clank.on_outage(&mut core);
-                clank.on_restore(&mut core);
+                clank.on_restore(&mut core).unwrap();
                 gap_idx += 1;
             }
             prop_assert!(steps < 200_000, "must converge");

@@ -60,5 +60,5 @@ pub mod store;
 pub use client::{Client, ClientError};
 pub use protocol::{Event, JobState, LineReader, ProtoError, Request, Response};
 pub use queue::{JobQueue, PushError, QueuedJob};
-pub use server::{start, ServeConfig, ServerHandle};
+pub use server::{journaled_job, start, JobFailure, ServeConfig, ServerHandle};
 pub use store::Store;

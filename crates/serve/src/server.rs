@@ -12,6 +12,7 @@
 //! the same data directory serves byte-identical reports.
 
 use std::collections::HashMap;
+use std::fmt;
 use std::io::Write;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
@@ -22,7 +23,9 @@ use std::thread;
 use std::time::Duration;
 
 use wn_core::prepared::{prepared_cache_stats, set_prepared_cache_capacity};
-use wn_fleet::{run_fleet_with, FleetOptions, FleetScenario, FleetStatus};
+use wn_fleet::{
+    run_fleet_with, FleetError, FleetOptions, FleetScenario, FleetStatus, ScenarioError,
+};
 
 use crate::protocol::{Event, JobState, LineReader, ProtoError, Request, Response, MAX_LINE_BYTES};
 use crate::queue::{JobQueue, PushError, QueuedJob};
@@ -99,6 +102,66 @@ impl ServeConfig {
     }
 }
 
+/// Why a job failed, as `report` serves it.
+#[derive(Debug)]
+pub enum JobFailure {
+    /// The journal entry is not readable as text.
+    Unreadable,
+    /// The journal entry does not parse as a scenario.
+    Journal(ScenarioError),
+    /// The journal entry parses, but to another scenario than the one
+    /// submitted under its fingerprint.
+    Mismatch {
+        /// The fingerprint the entry is journaled under.
+        journaled: u64,
+        /// The fingerprint of the scenario it now spells.
+        parsed: u64,
+    },
+    /// The sweep failed.
+    Fleet(FleetError),
+    /// Publishing the finished report failed.
+    Publish(std::io::Error),
+}
+
+impl fmt::Display for JobFailure {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            JobFailure::Unreadable => write!(f, "journal entry is not readable text"),
+            JobFailure::Journal(e) => write!(f, "{e}"),
+            JobFailure::Mismatch { journaled, parsed } => write!(
+                f,
+                "journal entry spells scenario {parsed:016x}, not {journaled:016x}"
+            ),
+            JobFailure::Fleet(e) => write!(f, "{e}"),
+            JobFailure::Publish(e) => write!(f, "publishing report: {e}"),
+        }
+    }
+}
+
+impl std::error::Error for JobFailure {}
+
+/// The scenario a queued job runs: `text` parsed, and refused unless it
+/// still spells the scenario submitted under `fingerprint`. Submits are
+/// parse-validated, so only journal damage fails here; damage that
+/// still parses must not sweep another scenario and publish its report
+/// under this fingerprint.
+///
+/// # Errors
+///
+/// [`JobFailure::Journal`] when `text` does not parse,
+/// [`JobFailure::Mismatch`] when it parses to another fingerprint.
+pub fn journaled_job(fingerprint: u64, text: &str) -> Result<FleetScenario, JobFailure> {
+    let scenario = FleetScenario::parse(text).map_err(JobFailure::Journal)?;
+    let parsed = scenario.fingerprint();
+    if parsed != fingerprint {
+        return Err(JobFailure::Mismatch {
+            journaled: fingerprint,
+            parsed,
+        });
+    }
+    Ok(scenario)
+}
+
 /// Shared server state.
 struct Inner {
     store: Store,
@@ -109,8 +172,8 @@ struct Inner {
     stop: AtomicBool,
     /// Fingerprint currently executing, if any.
     running: Mutex<Option<u64>>,
-    /// Jobs that failed with a fleet error this process lifetime.
-    failed: Mutex<HashMap<u64, String>>,
+    /// Jobs that failed this process lifetime.
+    failed: Mutex<HashMap<u64, JobFailure>>,
     /// Progress subscribers per fingerprint.
     subscribers: Mutex<HashMap<u64, Vec<mpsc::Sender<Event>>>>,
     jobs: Option<usize>,
@@ -126,6 +189,13 @@ impl Inner {
             self.stop.store(true, Ordering::SeqCst);
         }
         self.stop.load(Ordering::SeqCst)
+    }
+
+    fn fail(&self, fp: u64, failure: JobFailure) {
+        self.failed
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .insert(fp, failure);
     }
 
     fn running_fp(&self) -> Option<u64> {
@@ -231,11 +301,14 @@ pub fn start(config: &ServeConfig) -> std::io::Result<ServerHandle> {
     // Crash recovery: every journaled scenario without a report is an
     // unfinished job; re-enqueue it to resume from its checkpoint.
     for fp in inner.store.unfinished() {
-        if let Some(text) = inner.store.scenario(fp) {
-            let _ = inner.queue.push(QueuedJob {
-                fingerprint: fp,
-                scenario_text: text,
-            });
+        match inner.store.scenario(fp) {
+            Some(text) => {
+                let _ = inner.queue.push(QueuedJob {
+                    fingerprint: fp,
+                    scenario_text: text,
+                });
+            }
+            None => inner.fail(fp, JobFailure::Unreadable),
         }
     }
 
@@ -286,18 +359,9 @@ fn scheduler_loop(inner: &Arc<Inner>) {
 
 fn run_job(inner: &Arc<Inner>, job: &QueuedJob) {
     let fp = job.fingerprint;
-    let scenario = match FleetScenario::parse(&job.scenario_text) {
+    let scenario = match journaled_job(fp, &job.scenario_text) {
         Ok(s) => s,
-        Err(e) => {
-            // Submits are parse-validated, so only journal corruption
-            // lands here; surface it through `report`.
-            inner
-                .failed
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .insert(fp, e.to_string());
-            return;
-        }
+        Err(failure) => return inner.fail(fp, failure),
     };
     *inner.running.lock().unwrap_or_else(PoisonError::into_inner) = Some(fp);
     let options = FleetOptions {
@@ -329,13 +393,7 @@ fn run_job(inner: &Arc<Inner>, job: &QueuedJob) {
                     let _ = std::fs::remove_file(inner.store.checkpoint_path(fp));
                     inner.broadcast(fp, &Event::Done { fingerprint: fp });
                 }
-                Err(e) => {
-                    inner
-                        .failed
-                        .lock()
-                        .unwrap_or_else(PoisonError::into_inner)
-                        .insert(fp, format!("publishing report: {e}"));
-                }
+                Err(e) => inner.fail(fp, JobFailure::Publish(e)),
             }
         }
         Ok(FleetStatus::Paused { .. }) => {
@@ -343,13 +401,7 @@ fn run_job(inner: &Arc<Inner>, job: &QueuedJob) {
             // journal still lists the job, so the next start resumes
             // it. Nothing to record.
         }
-        Err(e) => {
-            inner
-                .failed
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .insert(fp, e.to_string());
-        }
+        Err(e) => inner.fail(fp, JobFailure::Fleet(e)),
     }
 }
 

@@ -10,13 +10,13 @@
 //! that shared sequence once, in struct-of-arrays layout, as exactly
 //! the per-step facts substrate and energy accounting consume: actual
 //! cycle cost, pre-step pc, access/skim/halt classification, touched
-//! memory word, and skim target. Replaying a device is then integer
-//! bookkeeping over these arrays plus its own energy supply — no
-//! interpreter, no memory image.
+//! memory word or skim target, and the loads of every span. Replaying a
+//! device is then integer bookkeeping over these arrays plus its own
+//! energy supply — no interpreter, no memory image.
 
 use crate::core::{Core, HookBreak, HookKind, StepEvent, StepHook, StepInfo};
 use crate::error::SimError;
-use crate::memory::AccessKind;
+use crate::memory::{AccessKind, MemAccess};
 use std::ops::ControlFlow;
 use std::sync::Mutex;
 
@@ -28,9 +28,9 @@ use std::sync::Mutex;
 pub enum TapeKind {
     /// Plain retirement: no access, no event a substrate acts on.
     None = 0,
-    /// A load; [`ExecutionTape::word`] holds the word address.
+    /// A load of one word.
     Read = 1,
-    /// A store; [`ExecutionTape::word`] holds the word address.
+    /// A store to one word.
     Write = 2,
     /// A skim point; [`ExecutionTape::skim`] holds the restore target.
     Skim = 3,
@@ -40,10 +40,11 @@ pub enum TapeKind {
 
 /// The recorded fault-free trajectory, struct-of-arrays.
 ///
-/// Invariants: all arrays are the same length `n` (the retired
-/// instruction count, `HALT` included as the final step); `prefix` has
-/// length `n + 1` with `prefix[i]` the summed cycle cost of steps
-/// `[0, i)`, so `prefix[n]` is the whole run's cost.
+/// Invariants: the per-step arrays are the same length `n` (the
+/// retired instruction count, `HALT` included as the final step);
+/// `prefix` and `read_prefix` have length `n + 1`, with `prefix[i]` the
+/// summed cycle cost and `read_prefix[i]` the load count of steps
+/// `[0, i)`.
 #[derive(Debug, Clone)]
 pub struct ExecutionTape {
     /// Actual cycles each step consumed (dynamic cost: taken-branch
@@ -54,12 +55,16 @@ pub struct ExecutionTape {
     pcs: Vec<u32>,
     /// [`TapeKind`] of each step, as its `u8` discriminant.
     kinds: Vec<u8>,
-    /// Word address (`addr & !3`) for `Read`/`Write` steps, 0 otherwise.
+    /// Word address (`addr & !3`) for `Read`/`Write` steps, the restore
+    /// target for `Skim` steps, 0 otherwise.
     words: Vec<u32>,
-    /// Skim restore target for `Skim` steps, `u32::MAX` otherwise.
-    skims: Vec<u32>,
     /// Cycle-cost prefix sums, length `n + 1`.
     prefix: Vec<u64>,
+    /// Word address of every load, in retirement order.
+    reads: Vec<u32>,
+    /// Load-count prefix sums, length `n + 1`: the loads of steps
+    /// `[a, b)` are `reads[read_prefix[a]..read_prefix[b]]`.
+    read_prefix: Vec<u32>,
 }
 
 impl ExecutionTape {
@@ -78,8 +83,9 @@ impl ExecutionTape {
             pcs: Vec::new(),
             kinds: Vec::new(),
             words: Vec::new(),
-            skims: Vec::new(),
             prefix: vec![0u64],
+            reads: Vec::new(),
+            read_prefix: vec![0u32],
         };
         loop {
             if tape.len() as u64 >= max_steps {
@@ -87,14 +93,17 @@ impl ExecutionTape {
             }
             let pc = core.cpu.pc;
             let info = core.step()?;
-            let (kind, word, skim) = classify(&info);
+            let (kind, word) = classify(&info);
             tape.costs.push(info.cycles);
             tape.pcs.push(pc);
             tape.kinds.push(kind as u8);
             tape.words.push(word);
-            tape.skims.push(skim);
             let total = tape.prefix[tape.len() - 1] + info.cycles;
             tape.prefix.push(total);
+            if kind == TapeKind::Read {
+                tape.reads.push(word);
+            }
+            tape.read_prefix.push(tape.reads.len() as u32);
             if kind == TapeKind::Halt {
                 return Ok(Some(tape));
             }
@@ -136,16 +145,37 @@ impl ExecutionTape {
         }
     }
 
-    /// Word address touched by step `i` (`Read`/`Write` steps only).
-    #[inline]
-    pub fn word(&self, i: usize) -> u32 {
-        self.words[i]
-    }
-
     /// Skim restore target of step `i` (`Skim` steps only).
     #[inline]
     pub fn skim(&self, i: usize) -> u32 {
-        self.skims[i]
+        self.words[i]
+    }
+
+    /// Step `i` as the [`StepInfo`] its retirement reported, as far as
+    /// the tape keeps it: accesses are word-wide with no pre-write
+    /// value, and a taken branch reads as a plain retirement.
+    #[inline]
+    pub fn info(&self, i: usize) -> StepInfo {
+        let word = self.words[i];
+        let (access, event) = match self.kind(i) {
+            TapeKind::None => (None, StepEvent::None),
+            TapeKind::Read => (Some(MemAccess::read(word, 4)), StepEvent::None),
+            TapeKind::Write => (Some(MemAccess::write(word, 4, 0)), StepEvent::None),
+            TapeKind::Skim => (None, StepEvent::SkimSet(word)),
+            TapeKind::Halt => (None, StepEvent::Halted),
+        };
+        StepInfo {
+            cycles: self.costs[i],
+            access,
+            event,
+        }
+    }
+
+    /// Word addresses of the loads among steps `[start, start + len)`,
+    /// in retirement order — a fused block's memory-op summary.
+    #[inline]
+    pub fn reads_in(&self, start: usize, len: usize) -> &[u32] {
+        &self.reads[self.read_prefix[start] as usize..self.read_prefix[start + len] as usize]
     }
 
     /// The actual per-step costs of steps `[start, start + len)` — the
@@ -324,19 +354,20 @@ impl StepHook for FreeWalk {
     }
 }
 
-/// Maps one retirement onto its tape row.
-fn classify(info: &StepInfo) -> (TapeKind, u32, u32) {
+/// Maps one retirement onto its tape row: kind plus touched word or
+/// skim target.
+fn classify(info: &StepInfo) -> (TapeKind, u32) {
     if let Some(a) = info.access {
         let word = a.addr & !3;
         return match a.kind {
-            AccessKind::Read => (TapeKind::Read, word, u32::MAX),
-            AccessKind::Write => (TapeKind::Write, word, u32::MAX),
+            AccessKind::Read => (TapeKind::Read, word),
+            AccessKind::Write => (TapeKind::Write, word),
         };
     }
     match info.event {
-        StepEvent::SkimSet(target) => (TapeKind::Skim, 0, target),
-        StepEvent::Halted => (TapeKind::Halt, 0, u32::MAX),
-        StepEvent::None | StepEvent::BranchTaken => (TapeKind::None, 0, u32::MAX),
+        StepEvent::SkimSet(target) => (TapeKind::Skim, target),
+        StepEvent::Halted => (TapeKind::Halt, 0),
+        StepEvent::None | StepEvent::BranchTaken => (TapeKind::None, 0),
     }
 }
 
