@@ -142,31 +142,14 @@ impl Capacitor {
         }
     }
 
-    /// Register-resident form of [`Capacitor::add_energy`] +
-    /// [`Capacitor::drain`] for block-settle loops: operates on a caller
-    /// local so the energy dependency chain avoids a store-to-load
-    /// forward per instruction. Same operations, same order, same bits.
+    /// The rail energy [`Capacitor::add_energy`] clamps at.
     #[inline]
-    pub(crate) fn add_then_drain_local(&self, energy_j: f64, add_j: f64, drain_j: f64) -> f64 {
-        debug_assert!(add_j >= 0.0 && drain_j >= 0.0);
-        let mut e = energy_j;
-        if add_j != 0.0 {
-            let sum = e + add_j;
-            e = if sum > self.max_energy_j {
-                self.max_energy_j
-            } else {
-                sum
-            };
-        }
-        if drain_j <= e {
-            e - drain_j
-        } else {
-            0.0
-        }
+    pub(crate) fn max_energy(&self) -> f64 {
+        self.max_energy_j
     }
 
-    /// Stores an energy value computed by
-    /// [`Capacitor::add_then_drain_local`] back into the capacitor.
+    /// Stores an energy value the supply's settle kernel computed, with
+    /// both clamps already ruled out, back into the capacitor.
     #[inline]
     pub(crate) fn set_energy_raw(&mut self, energy_j: f64) {
         debug_assert!((0.0..=self.max_energy_j).contains(&energy_j));

@@ -126,7 +126,7 @@ impl EnvModel {
     /// by construction, so they are synthesized **segment-native**: one
     /// run per burst/gap in O(#segments), with no per-sample vector
     /// materialized. The result is bit-identical, sample for sample, to
-    /// [`EnvModel::synthesize_sampled`] — same RNG draw sequence (the
+    /// `EnvModel::synthesize_sampled` — same RNG draw sequence (the
     /// sampled loop only draws segment parameters, never per-sample
     /// values, for these families), same float expressions — which the
     /// differential tests pin. Solar-diurnal has genuinely dense
@@ -173,7 +173,14 @@ impl EnvModel {
                 }
                 PowerTrace::from_segments(runs, TraceKind::Imported, 0)
             }
-            EnvModel::SolarDiurnal { .. } => self.synthesize_sampled(seed, duration_s),
+            EnvModel::SolarDiurnal {
+                peak_power_w,
+                day_s,
+            } => {
+                let mut samples = pool_take(n);
+                solar_samples(&mut rng, &mut samples, n, peak_power_w, day_s);
+                PowerTrace::from_samples(samples)
+            }
             EnvModel::PiezoImpulse {
                 baseline_w,
                 impulse_w,
@@ -217,7 +224,9 @@ impl EnvModel {
     /// dense vector. This is the historical implementation; the
     /// segment-native [`EnvModel::synthesize`] must match it bit for
     /// bit, and the differential tests (plus the cross-representation
-    /// proptests) hold it to that.
+    /// proptests) hold it to that. A test oracle, built only for this
+    /// crate's tests and under the `oracle` feature.
+    #[cfg(any(test, feature = "oracle"))]
     pub fn synthesize_sampled(&self, seed: u64, duration_s: f64) -> PowerTrace {
         assert!(duration_s > 0.0, "trace duration must be positive");
         let n = (duration_s * SAMPLE_HZ).ceil() as usize;
@@ -254,20 +263,7 @@ impl EnvModel {
             EnvModel::SolarDiurnal {
                 peak_power_w,
                 day_s,
-            } => {
-                assert!(peak_power_w >= 0.0, "peak power must be non-negative");
-                assert!(day_s > 0.0, "day length must be positive");
-                // Per-device phase offset: two devices in the same field
-                // see the same sun, but fleet cohorts model dispersed
-                // deployments, so the diurnal phase is seeded too.
-                let phase = rng.gen::<f64>() * day_s;
-                for i in 0..n {
-                    let t = i as f64 / SAMPLE_HZ + phase;
-                    let sun = (2.0 * std::f64::consts::PI * t / day_s).sin().max(0.0);
-                    let flicker = 0.8 + 0.4 * rng.gen::<f64>();
-                    samples.push((peak_power_w * sun * flicker) as f32);
-                }
-            }
+            } => solar_samples(&mut rng, &mut samples, n, peak_power_w, day_s),
             EnvModel::PiezoImpulse {
                 baseline_w,
                 impulse_w,
@@ -301,6 +297,30 @@ impl EnvModel {
             }
         }
         PowerTrace::from_samples(samples)
+    }
+}
+
+/// Pushes `n` solar-diurnal samples: a half-sinusoid day with
+/// per-sample flicker, genuinely dense, so both synthesis paths share
+/// this one sampled loop.
+fn solar_samples(
+    rng: &mut StdRng,
+    samples: &mut Vec<f32>,
+    n: usize,
+    peak_power_w: f64,
+    day_s: f64,
+) {
+    assert!(peak_power_w >= 0.0, "peak power must be non-negative");
+    assert!(day_s > 0.0, "day length must be positive");
+    // Per-device phase offset: two devices in the same field see the
+    // same sun, but fleet cohorts model dispersed deployments, so the
+    // diurnal phase is seeded too.
+    let phase = rng.gen::<f64>() * day_s;
+    for i in 0..n {
+        let t = i as f64 / SAMPLE_HZ + phase;
+        let sun = (2.0 * std::f64::consts::PI * t / day_s).sin().max(0.0);
+        let flicker = 0.8 + 0.4 * rng.gen::<f64>();
+        samples.push((peak_power_w * sun * flicker) as f32);
     }
 }
 

@@ -98,11 +98,13 @@ impl<S: Substrate, K: EventSink> StepHook for Lease<'_, S, K> {
         // operation sequence as the per-instruction engines so its
         // arithmetic stays bit-identical. `settle_run` performs exactly
         // one `settle`'s operations per element, with the bookkeeping
-        // hoisted out of the loop. The fused win is skipping
+        // hoisted out of the loop; the block total lets it pick its
+        // table-driven kernel with one check. The fused win is skipping
         // per-instruction dispatch, budget checks, stats recording and
         // hook indirection — not the energy bookkeeping.
         let overhead = self.substrate.fused_instr_overhead();
-        self.supply.settle_run(costs, overhead, tail_extra);
+        let total = cycles + tail_extra + costs.len() as u64 * overhead;
+        self.supply.settle_run(costs, overhead, tail_extra, total);
         self.substrate
             .after_fused(costs.len() as u64, cycles + tail_extra, reads)
     }
@@ -280,7 +282,7 @@ impl<S: Substrate, E: Execution> IntermittentExecutor<S, E> {
     /// threshold (or the wall-clock limit) it falls back to the exact
     /// per-instruction checked path, so outages land on precisely the
     /// same instruction as the per-cycle reference engine
-    /// ([`IntermittentExecutor::run_reference`]) — `settle` reproduces
+    /// (`IntermittentExecutor::run_reference`) — `settle` reproduces
     /// `consume_cycles`' float arithmetic bit-for-bit.
     ///
     /// The wall-clock guard is folded into the lease math (leases are
@@ -310,7 +312,7 @@ impl<S: Substrate, E: Execution> IntermittentExecutor<S, E> {
     /// taken/skipped, lease grant/settle) are recorded into `sink`,
     /// timestamped with the supply's simulated clock. It is the same
     /// fused loop as the untraced run — tracing only observes, so the
-    /// outcome is bit-identical and [`IntermittentExecutor::run_reference`]
+    /// outcome is bit-identical and `IntermittentExecutor::run_reference`
     /// covers both.
     ///
     /// # Errors
@@ -475,10 +477,12 @@ impl<S: Substrate, E: Execution> IntermittentExecutor<S, E> {
     /// differential test suite — [`IntermittentExecutor::run`] must be
     /// observably equivalent (same results, same outage placement, same
     /// supply arithmetic) while running an order of magnitude faster.
+    /// Built only for this crate's tests and under the `oracle` feature.
     ///
     /// # Errors
     ///
     /// As [`IntermittentExecutor::run`].
+    #[cfg(any(test, feature = "oracle"))]
     pub fn run_reference(&mut self, limit_s: f64) -> Result<IntermittentRun, ExecError> {
         validate_limit(limit_s)?;
         let mut active_cycles = 0u64;

@@ -28,14 +28,39 @@ use wn_sim::{Core, CoreConfig, ExecutionTape, WalkCache};
 
 /// Knobs for a randomized terminating program. The template is a
 /// read-modify-write loop — the worst case for Clank (every store is a
-/// WAR violation) — with optional multiplies, a second WAR word, and an
-/// optional skim point that outage-restores commit early.
+/// WAR violation) — with optional multiplies, a second WAR word, an
+/// optional skim point that outage-restores commit early, either loop
+/// shape, and an optional read of the pc folded into the output.
 #[derive(Debug, Clone, Copy)]
 struct ProgramKnobs {
     iters: u32,
     use_mul: bool,
     second_word: bool,
     use_skm: bool,
+    head_test: bool,
+    read_pc: bool,
+}
+
+/// Opens a loop of `iters` iterations counted in `r2`: with `head_test`,
+/// the compiler's shape — the exit test at the head and `B loop` at the
+/// bottom, the back-edge fused blocks chain through — otherwise a
+/// bottom-tested `BLT loop`.
+fn loop_head(src: &mut String, head_test: bool, iters: u32) {
+    src.push_str("loop:\n");
+    if head_test {
+        src.push_str(&format!("CMP r2, #{iters}\nBGE end\n"));
+    }
+}
+
+/// Closes the loop [`loop_head`] opened.
+fn loop_tail(src: &mut String, head_test: bool, iters: u32) {
+    src.push_str("ADD r2, r2, #1\n");
+    if head_test {
+        src.push_str("B loop\n");
+    } else {
+        src.push_str(&format!("CMP r2, #{iters}\nBLT loop\n"));
+    }
+    src.push_str("end:\nHALT");
 }
 
 fn build_program(k: ProgramKnobs) -> wn_isa::Program {
@@ -43,30 +68,43 @@ fn build_program(k: ProgramKnobs) -> wn_isa::Program {
     if k.use_skm {
         src.push_str("SKM end\n");
     }
-    src.push_str("loop:\nLDR r1, [r0, #0]\n");
+    loop_head(&mut src, k.head_test, k.iters);
+    src.push_str("LDR r1, [r0, #0]\n");
     if k.use_mul {
         src.push_str("MUL r4, r2, r2\n");
     } else {
         src.push_str("ADD r4, r2, r2\n");
     }
+    if k.read_pc {
+        src.push_str("ADD r6, r2, pc\nADD r4, r4, r6\n");
+    }
     src.push_str("ADD r1, r1, r4\nSTR r1, [r0, #0]\n");
     if k.second_word {
         src.push_str("LDR r5, [r0, #4]\nADD r5, r5, #1\nSTR r5, [r0, #4]\n");
     }
-    src.push_str(&format!("ADD r2, r2, #1\nCMP r2, #{}\nBLT loop\n", k.iters));
-    src.push_str("end:\nHALT");
+    loop_tail(&mut src, k.head_test, k.iters);
     assemble(&src).unwrap()
 }
 
 fn knobs() -> impl Strategy<Value = ProgramKnobs> {
-    (200u32..12_000, any::<bool>(), any::<bool>(), any::<bool>()).prop_map(
-        |(iters, use_mul, second_word, use_skm)| ProgramKnobs {
-            iters,
-            use_mul,
-            second_word,
-            use_skm,
-        },
+    (
+        200u32..12_000,
+        any::<bool>(),
+        any::<bool>(),
+        any::<bool>(),
+        any::<bool>(),
+        any::<bool>(),
     )
+        .prop_map(
+            |(iters, use_mul, second_word, use_skm, head_test, read_pc)| ProgramKnobs {
+                iters,
+                use_mul,
+                second_word,
+                use_skm,
+                head_test,
+                read_pc,
+            },
+        )
 }
 
 fn trace_kind() -> impl Strategy<Value = TraceKind> {
@@ -364,11 +402,13 @@ struct DenseKnobs {
     segments: u8,
     skm_every_segment: bool,
     store_every_segment: bool,
+    head_test: bool,
+    read_pc: bool,
 }
 
 fn build_dense_program(k: DenseKnobs) -> wn_isa::Program {
     let mut src = String::from(".data\nout: .space 64\n.text\nMOV r0, =out\nMOV r2, #0\n");
-    src.push_str("loop:\n");
+    loop_head(&mut src, k.head_test, k.iters);
     for seg in 0..k.segments {
         // One real instruction, then an (untaken) guard branch: a
         // 1-instruction block followed by a terminator.
@@ -383,20 +423,36 @@ fn build_dense_program(k: DenseKnobs) -> wn_isa::Program {
             ));
         }
     }
-    src.push_str(&format!("ADD r2, r2, #1\nCMP r2, #{}\nBLT loop\n", k.iters));
-    src.push_str("end:\nHALT");
+    if k.read_pc {
+        // Accumulates the pc into a compared register, one instruction
+        // into a straight-line run.
+        src.push_str("MOV r6, r2\nADD r5, r5, pc\n");
+    }
+    loop_tail(&mut src, k.head_test, k.iters);
     assemble(&src).unwrap()
 }
 
 fn dense_knobs() -> impl Strategy<Value = DenseKnobs> {
-    (200u32..6_000, 1u8..6, any::<bool>(), any::<bool>()).prop_map(
-        |(iters, segments, skm_every_segment, store_every_segment)| DenseKnobs {
-            iters,
-            segments,
-            skm_every_segment,
-            store_every_segment,
-        },
+    (
+        200u32..6_000,
+        1u8..6,
+        any::<bool>(),
+        any::<bool>(),
+        any::<bool>(),
+        any::<bool>(),
     )
+        .prop_map(
+            |(iters, segments, skm_every_segment, store_every_segment, head_test, read_pc)| {
+                DenseKnobs {
+                    iters,
+                    segments,
+                    skm_every_segment,
+                    store_every_segment,
+                    head_test,
+                    read_pc,
+                }
+            },
+        )
 }
 
 proptest! {
@@ -445,6 +501,8 @@ fn pinned_case_spans_outages_and_skims() {
         use_mul: true,
         second_word: true,
         use_skm: true,
+        head_test: false,
+        read_pc: false,
     });
     let trace = PowerTrace::generate(TraceKind::RfBursty, 7, 60.0);
     let config = SupplyConfig {

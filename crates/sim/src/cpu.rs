@@ -70,6 +70,22 @@ impl Cpu {
         }
     }
 
+    /// Reads a register that is not [`Reg::PC`], straight from the
+    /// register file. The fused-block engine's interior instructions
+    /// neither read nor write the PC, so they skip [`Cpu::reg`]'s check.
+    #[inline]
+    pub(crate) fn gpr(&self, r: Reg) -> u32 {
+        debug_assert!(r != Reg::PC, "gpr() read of the pc");
+        self.regs[r.index()]
+    }
+
+    /// Writes a register that is not [`Reg::PC`]; see [`Cpu::gpr`].
+    #[inline]
+    pub(crate) fn set_gpr(&mut self, r: Reg, value: u32) {
+        debug_assert!(r != Reg::PC, "set_gpr() write of the pc");
+        self.regs[r.index()] = value;
+    }
+
     /// Snapshot of the volatile state (registers, flags, PC) for
     /// checkpointing. The SKM register is deliberately *not* included: it
     /// lives in non-volatile storage.

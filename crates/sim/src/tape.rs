@@ -444,6 +444,31 @@ HALT
     }
 
     #[test]
+    fn reconstruct_reads_the_pc_like_stepping_at_every_position() {
+        // The walk behind `reconstruct` retires fused blocks; an
+        // instruction reading the pc must still see its own pc there.
+        // The loop makes the walk long enough for its spans between the
+        // cache's grid positions to fuse the pc readers' block.
+        let src = "MOV r0, #0\nMOV r2, #1\nloop:\nMOV r1, pc\nADD r3, r0, pc\n\
+                   ADD r4, r4, r1\nADD r4, r4, r3\nADD r2, r2, #1\nCMP r2, #40\nBLT loop\nHALT";
+        let master = Core::new(&assemble(src).unwrap(), CoreConfig::default()).unwrap();
+        let tape = ExecutionTape::record(&mut master.clone(), 10_000)
+            .unwrap()
+            .unwrap();
+        let cache = WalkCache::new();
+        let mut stepped = master.clone();
+        for pos in 0..=tape.len() {
+            let got = tape.reconstruct(&master, pos, &cache).unwrap();
+            assert_eq!(got.cpu, stepped.cpu, "cpu at pos {pos}");
+            assert_eq!(got.stats, stepped.stats, "stats at pos {pos}");
+            stepped.step().unwrap();
+        }
+        let r = |reg| stepped.cpu.reg(reg);
+        assert_eq!((r(wn_isa::Reg::R1), r(wn_isa::Reg::R3)), (2, 3));
+        assert_eq!(r(wn_isa::Reg::R4), 39 * 5);
+    }
+
+    #[test]
     fn reconstruct_matches_plain_walk_in_any_query_order() {
         let mut rec = demo_core();
         let tape = ExecutionTape::record(&mut rec, 1_000_000).unwrap().unwrap();
