@@ -16,15 +16,17 @@ use crate::substrate::{Substrate, SubstrateStats};
 /// pure bookkeeping, and — because it needs only memory-op granularity
 /// — lets straight-line blocks retire fused. Block admission is bounded
 /// by the substrate's own headroom (watchdog distance for Clank,
-/// unlimited for NVP, zero for Task) and per-instruction overhead, so
-/// fused dispatch can neither cross a substrate intervention point nor
+/// unlimited for NVP and Task), its fence (the current task region for
+/// Task, everything otherwise) and per-instruction overhead, so fused
+/// dispatch can neither cross a substrate intervention point nor
 /// overshoot the energy lease.
 ///
-/// Checkpoints are attributed to `sink` from the single-stepped
-/// instructions only: a fused block never checkpoints (Clank's
-/// headroom keeps the watchdog out of reach, NVP checkpoints only on
-/// outage, Task never fuses), so the traced event stream is the one a
-/// per-instruction engine would emit.
+/// Checkpoints and commits are attributed to `sink` from the
+/// single-stepped instructions only: a fused block never checkpoints
+/// (Clank's headroom keeps the watchdog out of reach, NVP checkpoints
+/// only on outage) and never commits (Task's fence keeps it inside one
+/// region), so the traced event stream is the one a per-instruction
+/// engine would emit.
 ///
 /// Built only by the power loop; [`Execution::run_lease`] drives it.
 pub struct Lease<'a, S: Substrate, K: EventSink> {
@@ -90,6 +92,11 @@ impl<S: Substrate, K: EventSink> StepHook for Lease<'_, S, K> {
     #[inline]
     fn block_instr_overhead(&self) -> u64 {
         self.substrate.fused_instr_overhead()
+    }
+
+    #[inline]
+    fn block_fence(&self) -> (u32, u32) {
+        self.substrate.fused_fence()
     }
 
     #[inline]
@@ -1013,12 +1020,16 @@ mod tests {
             .collect()
     }
 
-    /// Runs `program` traced into a ring buffer that never wraps and
-    /// returns the FNV-1a digest of its JSON-lines dump plus the event
-    /// count.
-    fn event_digest<S: Substrate>(program: &wn_isa::Program, substrate: S) -> (u64, u64) {
+    /// Runs `program` traced over `rf_trace(seed)` into a ring buffer
+    /// that never wraps and returns the FNV-1a digest of its JSON-lines
+    /// dump plus the event count.
+    fn event_digest<S: Substrate>(
+        program: &wn_isa::Program,
+        seed: u64,
+        substrate: S,
+    ) -> (u64, u64) {
         let core = Core::new(program, CoreConfig::default()).unwrap();
-        let mut exec = IntermittentExecutor::new(core, &rf_trace(3), supply_config(), substrate);
+        let mut exec = IntermittentExecutor::new(core, &rf_trace(seed), supply_config(), substrate);
         let mut sink = wn_telemetry::RingBufferSink::new(1 << 20);
         exec.run_with_sink(3600.0, &mut sink).unwrap();
         assert_eq!(sink.dropped(), 0, "the ring must hold the whole stream");
@@ -1037,16 +1048,18 @@ mod tests {
         let long = long_program(40_000);
         let skim = skim_program(40_000);
         let got = [
-            event_digest(&long, Clank::default()),
-            event_digest(&long, Nvp::default()),
+            event_digest(&long, 3, Clank::default()),
+            event_digest(&long, 3, Nvp::default()),
             event_digest(
                 &long,
+                3,
                 Task::new(TaskConfig::default(), split_loop_regions(&long)),
             ),
-            event_digest(&skim, Clank::default()),
-            event_digest(&skim, Nvp::default()),
+            event_digest(&skim, 3, Clank::default()),
+            event_digest(&skim, 3, Nvp::default()),
             event_digest(
                 &skim,
+                3,
                 Task::new(TaskConfig::default(), split_loop_regions(&skim)),
             ),
         ];
@@ -1059,6 +1072,52 @@ mod tests {
             (0x2e5c_6dd2_5c9e_e74a, 2_260),
         ];
         assert_eq!(got, want, "{got:#x?}");
+    }
+
+    /// `S` with fusion left at the trait defaults: every instruction
+    /// retires through `after_step`.
+    struct SingleStep<S>(S);
+
+    impl<S: Substrate> Substrate for SingleStep<S> {
+        fn after_step<E: Execution>(&mut self, exec: &mut E, info: &StepInfo) -> u64 {
+            self.0.after_step(exec, info)
+        }
+        fn lease_cap(&self) -> u64 {
+            self.0.lease_cap()
+        }
+        fn take_boundary(&mut self) -> bool {
+            self.0.take_boundary()
+        }
+        fn on_outage<E: Execution>(&mut self, exec: &mut E) {
+            self.0.on_outage(exec)
+        }
+        fn on_restore<E: Execution>(&mut self, exec: &mut E) -> Result<u64, SimError> {
+            self.0.on_restore(exec)
+        }
+        fn stats(&self) -> SubstrateStats {
+            self.0.stats()
+        }
+        fn name(&self) -> &'static str {
+            self.0.name()
+        }
+    }
+
+    /// Task's fused blocks change no traced event, lease grants and
+    /// settles included: a boundary raised on the checked path still
+    /// breaks the next lease at its first instruction.
+    #[test]
+    fn fused_task_runs_trace_what_single_stepped_runs_trace() {
+        use crate::task::{Task, TaskConfig};
+
+        let program = long_program(40_000);
+        let task = || Task::new(TaskConfig::default(), split_loop_regions(&program));
+        for seed in 0..4 {
+            assert_eq!(
+                event_digest(&program, seed, task()),
+                event_digest(&program, seed, SingleStep(task())),
+                "trace seed {seed}"
+            );
+        }
     }
 
     /// A sink that wants nothing but counts what it is handed anyway.

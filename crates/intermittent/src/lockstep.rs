@@ -18,8 +18,8 @@
 //! [`EnergySupply`] and substrate, over a `TapeCursor` instead of a
 //! core: steps are the tape's rows, a checkpoint is a tape position, and
 //! bulk execution walks the tape's cost arrays, admitting fused blocks
-//! from the master core's own table ([`wn_sim::Core::fused_summary`])
-//! with the core's arithmetic. The supply therefore sees the identical
+//! by the master core's own rule ([`wn_sim::Core::admit_block`]: budget,
+//! headroom and fence alike). The supply therefore sees the identical
 //! float operation sequence, and the substrate the identical calls, that
 //! a run on a live core would issue.
 //!
@@ -125,25 +125,22 @@ impl Execution for TapeCursor<'_> {
                 break StopReason::Budget;
             }
             let pos = self.pos;
-            if let Some((len, base, tail_max)) = self.master.fused_summary(self.tape.pc(pos)) {
-                let overhead = lease.block_instr_overhead();
-                let worst = base
-                    .saturating_add(tail_max)
-                    .saturating_add(u64::from(len).saturating_mul(overhead));
-                if worst <= (budget - cycles).min(lease.block_budget()) {
-                    // The tape's costs are *actual* (a taken tail's
-                    // refill folded into the final element), so settling
-                    // them with `tail_extra = 0` issues element for
-                    // element the core's float operations.
-                    let len = len as usize;
-                    let span = self.tape.span_cycles(pos, pos + len);
-                    let costs = self.tape.costs_in(pos, len);
-                    let extra = lease.on_block(costs, span, 0, self.tape.reads_in(pos, len));
-                    cycles += span + extra;
-                    instructions += len as u64;
-                    self.pos += len;
-                    continue;
-                }
+            if let Some(len) = self
+                .master
+                .admit_block(self.tape.pc(pos), budget - cycles, lease)
+            {
+                // The tape's costs are *actual* (a taken tail's refill
+                // folded into the final element), so settling them with
+                // `tail_extra = 0` issues element for element the core's
+                // float operations.
+                let len = len as usize;
+                let span = self.tape.span_cycles(pos, pos + len);
+                let costs = self.tape.costs_in(pos, len);
+                let extra = lease.on_block(costs, span, 0, self.tape.reads_in(pos, len));
+                cycles += span + extra;
+                instructions += len as u64;
+                self.pos += len;
+                continue;
             }
             let info = self.tape_step();
             cycles += info.cycles;
@@ -288,6 +285,7 @@ fn replay_run<S: Substrate>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::task::{Task, TaskConfig, TaskRegion};
     use wn_energy::{PowerTrace, SupplyConfig, TraceKind};
     use wn_isa::asm::assemble;
     use wn_sim::CoreConfig;
@@ -485,6 +483,49 @@ mod tests {
             }
         }
         assert!(handoffs > 0, "test must exercise the handoff path");
+    }
+
+    #[test]
+    fn task_replay_admits_the_blocks_a_core_admits() {
+        // Regions [0, 2), [2, 5) and [5, 9): the loop's LDR/ADD block
+        // fits its region, the BLT block leaves it. A cursor admitting
+        // by any other rule would fuse past a boundary and miss a
+        // commit.
+        let program = accumulate_program(120_000);
+        let (master, tape) = record(&program);
+        let regions: Vec<TaskRegion> = [(0, 2), (2, 5), (5, 9)]
+            .map(|(start_pc, end_pc)| TaskRegion {
+                start_pc,
+                end_pc,
+                is_commit: false,
+                privatized_words: 0,
+            })
+            .to_vec();
+        let task = Task::new(TaskConfig::default(), regions);
+        for seed in 0..3 {
+            let mut scalar = IntermittentExecutor::new(
+                fresh_core(&program),
+                &rf_trace(seed),
+                SupplyConfig::default(),
+                task.clone(),
+            );
+            let want = scalar.run(3600.0).unwrap();
+            let supply = EnergySupply::new(rf_trace(seed), SupplyConfig::default());
+            let (got, core) = replay_run(
+                &tape,
+                &master,
+                &WalkCache::new(),
+                supply,
+                task.clone(),
+                3600.0,
+            )
+            .unwrap();
+            assert!(want.outages > 0, "seed {seed}: must span outages");
+            assert!(scalar.core().fused_instructions() > 0, "seed {seed}: fuses");
+            assert!(core.is_none(), "completed on tape");
+            assert_runs_match(&got, &want, &format!("task seed {seed}"));
+            assert_eq!(got.substrate, want.substrate, "task seed {seed}");
+        }
     }
 
     #[test]

@@ -86,9 +86,20 @@ pub trait Substrate {
     /// consults this before every fused dispatch; blocks that don't fit
     /// single-step through [`Substrate::after_step`] instead. The
     /// default of 0 disables fusion for substrates that haven't audited
-    /// their invariants against wholesale retirement.
+    /// their invariants against wholesale retirement; Clank, NVP and
+    /// Task all override it.
     fn fused_headroom(&self) -> u64 {
         0
+    }
+
+    /// The inclusive pc range fused blocks must stay inside
+    /// ([`wn_sim::StepHook::block_fence`]): a block is dispatched only
+    /// when every pc it retires or can leave to lies in the range, so a
+    /// substrate that acts on post-step pcs (Task's region boundaries)
+    /// sees none of them from a fused block. The default, the whole
+    /// address space, is a constant the admission check folds away.
+    fn fused_fence(&self) -> (u32, u32) {
+        (0, u32::MAX)
     }
 
     /// Extra cycles the substrate charges per instruction inside a fused
@@ -98,9 +109,9 @@ pub trait Substrate {
         0
     }
 
-    /// A fused block of `instructions` straight-line instructions (no
-    /// stores, no `SKM`, no control flow) retired for `cycles` base
-    /// cycles. `reads` is the block's memory-op summary: the byte
+    /// A fused block of `instructions` instructions (no stores, no
+    /// `SKM`, control flow only as its branch tail) retired for
+    /// `cycles` cycles, the tail's extra included. `reads` is the block's memory-op summary: the byte
     /// address of every load it retired, in order — substrates that
     /// track read sets (Clank's WAR detection) consume it here instead
     /// of observing loads one [`Substrate::after_step`] at a time.

@@ -170,9 +170,35 @@ impl Substrate for Task {
         self.config.commit_cycles
     }
 
-    // `fused_headroom` stays at the default 0: boundary detection needs
-    // the post-step PC of every instruction, so blocks must not retire
-    // wholesale past a region edge.
+    fn fused_headroom(&self) -> u64 {
+        // A boundary still pending (raised on the checked path) must
+        // break the next lease at its first step, as it does when every
+        // step is single; otherwise nothing bounds fused execution.
+        if self.boundary {
+            0
+        } else {
+            u64::MAX
+        }
+    }
+
+    fn fused_fence(&self) -> (u32, u32) {
+        // Boundary detection needs the post-step pc of every
+        // instruction; a block whose every post-step pc lies in the
+        // current region would only have accumulated cycles, so it may
+        // retire wholesale. After a skim jump the pc can sit outside
+        // the region: the fence then rejects its block, which
+        // single-steps into the commit.
+        // An empty region at pc 0 admits nothing.
+        let here = &self.regions[self.cur];
+        here.end_pc
+            .checked_sub(1)
+            .map_or((1, 0), |last| (here.start_pc, last))
+    }
+
+    fn after_fused(&mut self, _instructions: u64, cycles: u64, _reads: &[u32]) -> u64 {
+        self.cycles_in_region += cycles;
+        0
+    }
 
     fn take_boundary(&mut self) -> bool {
         std::mem::take(&mut self.boundary)
@@ -240,6 +266,7 @@ mod tests {
         let info = core.step().unwrap();
         assert_eq!(task.after_step(&mut core, &info), 0);
         assert!(!task.take_boundary());
+        assert_eq!(task.fused_fence(), (0, 1), "blocks stay in region 0");
 
         // pc 1 -> 2: crossed into region 1.
         let info = core.step().unwrap();
@@ -247,8 +274,11 @@ mod tests {
             task.after_step(&mut core, &info),
             TaskConfig::default().commit_cycles
         );
+        assert_eq!(task.fused_fence(), (2, 3), "the fence follows the pc");
+        assert_eq!(task.fused_headroom(), 0, "no fusion past a pending break");
         assert!(task.take_boundary());
         assert!(!task.take_boundary(), "flag is one-shot");
+        assert_eq!(task.fused_headroom(), u64::MAX);
         let s = task.stats();
         assert_eq!(s.commits, 1);
         assert_eq!(s.checkpoints, 0, "task substrates never checkpoint");

@@ -135,7 +135,8 @@ fn supply() -> impl Strategy<Value = SupplyConfig> {
 enum SubstrateChoice {
     Clank(ClankConfig),
     Nvp(NvpConfig),
-    Task(TaskConfig),
+    /// The configuration and the region size [`label_regions`] carves.
+    Task(TaskConfig, u32),
 }
 
 fn substrate() -> impl Strategy<Value = SubstrateChoice> {
@@ -155,28 +156,35 @@ fn substrate() -> impl Strategy<Value = SubstrateChoice> {
                 backup_cycles_per_instr: backup,
             })
         }),
-        (10u64..80, 10u64..80).prop_map(|(commit, restore)| {
-            SubstrateChoice::Task(TaskConfig {
-                commit_cycles: commit,
-                restore_cycles: restore,
-            })
-        }),
+        (10u64..80, 10u64..80, prop_oneof![Just(6u32), Just(16)]).prop_map(
+            |(commit, restore, region)| {
+                SubstrateChoice::Task(
+                    TaskConfig {
+                        commit_cycles: commit,
+                        restore_cycles: restore,
+                    },
+                    region,
+                )
+            }
+        ),
     ]
 }
 
-/// Carves the hand-assembled test programs into small task regions: cut
-/// at the `loop` / `end` labels, then split anything longer than a few
-/// instructions. The fine tiling matters for liveness, not just
-/// coverage — an outage re-executes the interrupted region from its
-/// entry, so a region that cannot finish within one charge (e.g. a
-/// whole 12k-iteration loop) would livelock the run. Small regions
-/// commit on every backward branch and keep every generated case
-/// terminating. Engine equivalence must hold for any tiling; the
-/// continuous-oracle correctness of compiler-decomposed tasks is tested
-/// separately (`task_oracle` tests in wn-core).
-fn label_regions(program: &wn_isa::Program) -> Vec<TaskRegion> {
-    const MAX_REGION_INSTRS: u32 = 6;
+/// Carves the hand-assembled test programs into task regions of at
+/// most `max_region` instructions: cut at the `loop` / `end` labels,
+/// then split anything longer. A loop that would fit in one region is
+/// cut once, at its middle, instead. The cut inside the loop matters for
+/// liveness, not just coverage — an outage re-executes the interrupted
+/// region from its entry, so a region that holds a whole 12k-iteration
+/// loop might never finish within one charge. Every iteration crosses a
+/// boundary and commits, which keeps every generated case terminating;
+/// regions larger than a few instructions hold whole fused blocks.
+/// Engine equivalence must hold for any tiling; the continuous-oracle
+/// correctness of compiler-decomposed tasks is tested separately
+/// (`task_oracle` tests in wn-core).
+fn label_regions(program: &wn_isa::Program, max_region: u32) -> Vec<TaskRegion> {
     let len = program.instrs.len() as u32;
+    let loop_pc = program.code_symbol("loop");
     let mut starts = vec![0u32];
     starts.extend(
         ["loop", "end"]
@@ -188,11 +196,11 @@ fn label_regions(program: &wn_isa::Program) -> Vec<TaskRegion> {
     let mut chunked = Vec::new();
     for (i, &s) in starts.iter().enumerate() {
         let end = starts.get(i + 1).copied().unwrap_or(len);
-        let mut at = s;
-        while at < end {
-            chunked.push(at);
-            at += MAX_REGION_INSTRS;
-        }
+        let step = match end - s {
+            n if Some(s) == loop_pc && n <= max_region => n.div_ceil(2),
+            _ => max_region,
+        };
+        chunked.extend((s..end).step_by(step as usize));
     }
     chunked
         .iter()
@@ -240,7 +248,7 @@ fn assert_stats_invariants(run: &IntermittentRun, choice: &SubstrateChoice) {
             assert_eq!(s.privatized_words, 0);
             assert_eq!(s.reexecuted_cycles, 0);
         }
-        SubstrateChoice::Task(c) => {
+        SubstrateChoice::Task(c, _) => {
             assert!(
                 s.overhead_cycles >= s.commits * c.commit_cycles + run.outages * c.restore_cycles,
                 "task overhead must cover its commits and restores: {s:?}"
@@ -352,7 +360,7 @@ fn assert_tape_agrees(
     let (got, handed) = match choice {
         SubstrateChoice::Clank(c) => replay_run_clank(&tape, &master, &cache, supply, *c, 3600.0),
         SubstrateChoice::Nvp(c) => replay_run_nvp(&tape, &master, &cache, supply, *c, 3600.0),
-        SubstrateChoice::Task(_) => return,
+        SubstrateChoice::Task(..) => return,
     }
     .unwrap();
     assert_eq!(tape_visible(&got), tape_visible(run), "tape replay run");
@@ -380,11 +388,11 @@ fn assert_choice_agrees(
     let (run, core) = match choice {
         SubstrateChoice::Clank(c) => assert_engines_agree(program, trace, config, Clank::new(*c)),
         SubstrateChoice::Nvp(c) => assert_engines_agree(program, trace, config, Nvp::new(*c)),
-        SubstrateChoice::Task(c) => assert_engines_agree(
+        SubstrateChoice::Task(c, region) => assert_engines_agree(
             program,
             trace,
             config,
-            Task::new(*c, label_regions(program)),
+            Task::new(*c, label_regions(program, *region)),
         ),
     };
     assert_stats_invariants(&run, choice);
@@ -523,5 +531,55 @@ fn pinned_case_spans_outages_and_skims() {
         &trace,
         config,
         &SubstrateChoice::Clank(ClankConfig::default()),
+    );
+}
+
+/// Loop-sized task regions: each outer iteration enters a region that
+/// holds a whole 300-iteration inner loop, whose blocks the lease engine
+/// retires wholesale. Outages land inside it after fused blocks, so the
+/// re-executed work they discard includes fused cycles; the run must
+/// still agree with the per-instruction reference bit for bit.
+#[test]
+fn task_runs_fuse_inside_loop_sized_regions() {
+    let program = assemble(
+        ".data\nout: .space 8\n.text\nMOV r0, =out\nMOV r2, #0\n\
+         outer:\nMOV r3, #0\n\
+         inner:\nADD r4, r4, r3\nEOR r5, r5, r4\nADD r3, r3, #1\nCMP r3, #300\nBLT inner\n\
+         STR r5, [r0, #0]\n\
+         next:\nADD r2, r2, #1\nCMP r2, #60\nBLT outer\n\
+         end:\nHALT",
+    )
+    .unwrap();
+    let starts: Vec<u32> = std::iter::once(0)
+        .chain(
+            ["outer", "inner", "next", "end"]
+                .iter()
+                .map(|l| program.code_symbol(l).unwrap()),
+        )
+        .collect();
+    let len = program.instrs.len() as u32;
+    let regions = starts
+        .iter()
+        .enumerate()
+        .map(|(i, &start_pc)| TaskRegion {
+            start_pc,
+            end_pc: starts.get(i + 1).copied().unwrap_or(len),
+            is_commit: false,
+            privatized_words: 0,
+        })
+        .collect();
+    let trace = PowerTrace::generate(TraceKind::RfBursty, 7, 60.0);
+    let config = SupplyConfig {
+        capacitance_f: 1e-6,
+        ..SupplyConfig::default()
+    };
+    let task = Task::new(TaskConfig::default(), regions);
+    let (run, core) = assert_engines_agree(&program, &trace, config, task);
+    assert!(run.outages > 0, "must span outages");
+    assert!(run.substrate.commits > 0, "must commit");
+    assert!(run.substrate.lost_cycles > 0, "must re-execute");
+    assert!(
+        core.fused_instructions() * 2 > core.stats.instructions,
+        "most work fuses"
     );
 }

@@ -160,6 +160,11 @@ struct FusedBlock {
     /// The block ends in a branch (`B`/`BL`/`BX`/`BCond`) that
     /// [`Core::exec_fused`] executes as its control-flow tail.
     has_tail: bool,
+    /// Inclusive pc extent `lo..=hi`: every pc the block retires and
+    /// every pc it can leave to, so every post-step pc of the block lies
+    /// inside it. Admission checks it against [`StepHook::block_fence`].
+    lo: u32,
+    hi: u32,
     /// Valid prefix of `classes`.
     n_classes: u8,
     /// Sparse per-class stats deltas over the run.
@@ -181,6 +186,8 @@ impl FusedBlock {
         cycles: 0,
         tail_extra_max: 0,
         has_tail: false,
+        lo: 0,
+        hi: 0,
         n_classes: 0,
         classes: [ClassDelta {
             idx: 0,
@@ -216,6 +223,31 @@ impl FusedBlock {
     fn pcs(&self, pc: usize) -> impl Iterator<Item = usize> {
         let (seg, target) = (self.seg_len as usize, self.target as usize);
         (pc..pc + seg).chain(target..target + (self.len as usize - seg))
+    }
+
+    /// The inclusive pc extent of the block starting at `pc` (see
+    /// `lo`/`hi`): both segments, plus every exit of the last retired
+    /// instruction — a `B`/`BL` target, a `BCond`'s target and
+    /// fall-through, the next pc of a block without a tail, and the
+    /// whole address space for an indirect `BX`.
+    fn extent(&self, pc: usize, decoded: &[Decoded]) -> (u32, u32) {
+        let (pc, seg, rest) = (pc as u32, self.seg_len, self.len - self.seg_len);
+        let (mut lo, mut hi, mut last) = (pc, pc + seg - 1, pc + seg - 1);
+        if rest > 0 {
+            last = self.target + rest - 1;
+            (lo, hi) = (lo.min(self.target), hi.max(last));
+        }
+        let exits = match decoded[last as usize].instr {
+            _ if !self.has_tail => [last + 1; 2],
+            Instr::B { target } | Instr::Bl { target } => [target; 2],
+            Instr::BCond { target, .. } => [target, last + 1],
+            Instr::Bx { .. } => return (0, u32::MAX),
+            ref other => unreachable!("non-branch tail {other} in a fused block"),
+        };
+        for e in exits {
+            (lo, hi) = (lo.min(e), hi.max(e));
+        }
+        (lo, hi)
     }
 }
 
@@ -553,7 +585,8 @@ pub enum HookKind {
 /// arrives as `tail_extra`. A block is dispatched only when its
 /// worst-case cost — base cycles plus the tail's maximum extra plus
 /// `len * block_instr_overhead()` — fits inside both the remaining
-/// budget and [`StepHook::block_budget`]; otherwise it falls back to
+/// budget and [`StepHook::block_budget`], and its pc extent lies inside
+/// [`StepHook::block_fence`]; otherwise it falls back to
 /// per-instruction stepping, where [`StepHook::on_step`] sees every
 /// retirement exactly as an [`HookKind::EveryInstruction`] hook would.
 /// Fused or not, the retired instruction sequence and all cycle
@@ -585,6 +618,15 @@ pub trait StepHook {
     /// fused dispatch can never overshoot the caller's budget.
     fn block_instr_overhead(&self) -> u64 {
         0
+    }
+
+    /// The inclusive pc range `(lo, hi)` fused blocks must stay inside.
+    /// A block is dispatched only when every pc it retires or can leave
+    /// to lies in the range, so every post-step pc of a fused block
+    /// does; anything else single-steps. The default, the whole address
+    /// space, admits every block and folds the check away.
+    fn block_fence(&self) -> (u32, u32) {
+        (0, u32::MAX)
     }
 
     /// Called once after a fused block retires; `costs` lists the
@@ -730,41 +772,42 @@ impl Core {
         // as that block stands before chaining (so chains stay one hop,
         // even around a self-loop). All blocks ending at one `B` are
         // suffixes of the longest, found first in pc order, so each `B`
-        // adds one run to the cost arena.
+        // adds one run to the cost arena. The same pass records each
+        // block's pc extent once its shape is final.
         let unchained = fused.clone();
         let mut run: Option<(usize, usize, usize)> = None; // (end, first pc, arena offset)
-        for (pc, b) in unchained.iter().enumerate() {
-            if !b.has_tail {
-                continue;
-            }
+        for (pc, b) in unchained.iter().enumerate().filter(|(_, b)| b.len > 0) {
             let end = pc + b.len as usize;
-            let Instr::B { target } = decoded[end - 1].instr else {
-                continue;
-            };
-            let target = target as usize;
-            let Some(t) = unchained.get(target).filter(|t| t.len > 0) else {
-                continue;
-            };
-            let (first, at) = match run {
-                Some((e, first, at)) if e == end => (first, at),
-                _ => {
-                    let at = block_costs.len();
-                    block_costs.extend_from_within(pc..end);
-                    block_costs.extend_from_within(target..target + t.len as usize);
-                    run = Some((end, pc, at));
-                    (pc, at)
-                }
+            let chain = match decoded[end - 1].instr {
+                Instr::B { target } if b.has_tail => unchained
+                    .get(target as usize)
+                    .filter(|t| t.len > 0)
+                    .map(|t| (target as usize, t)),
+                _ => None,
             };
             let c = &mut fused[pc];
-            c.costs_at = (at + pc - first) as u32;
-            c.target = target as u32;
-            c.len += t.len;
-            c.cycles += t.cycles;
-            c.tail_extra_max = t.tail_extra_max;
-            c.has_tail = t.has_tail;
-            for d in t.class_deltas() {
-                c.add_class(d.idx, d.count, d.cycles);
+            if let Some((target, t)) = chain {
+                let (first, at) = match run {
+                    Some((e, first, at)) if e == end => (first, at),
+                    _ => {
+                        let at = block_costs.len();
+                        block_costs.extend_from_within(pc..end);
+                        block_costs.extend_from_within(target..target + t.len as usize);
+                        run = Some((end, pc, at));
+                        (pc, at)
+                    }
+                };
+                c.costs_at = (at + pc - first) as u32;
+                c.target = target as u32;
+                c.len += t.len;
+                c.cycles += t.cycles;
+                c.tail_extra_max = t.tail_extra_max;
+                c.has_tail = t.has_tail;
+                for d in t.class_deltas() {
+                    c.add_class(d.idx, d.count, d.cycles);
+                }
             }
+            (c.lo, c.hi) = c.extent(pc, &decoded);
         }
         Ok(Core {
             cpu,
@@ -788,15 +831,24 @@ impl Core {
         self.fused_instructions
     }
 
-    /// The fused block starting at `pc` (chained through a `B` where it
-    /// continues), as `(len, cycles, tail_extra_max)` — the three numbers
-    /// [`Core::run_steps_hooked`]'s admission check consumes. `None`
-    /// when `pc` must single-step.
-    /// Lets an external replay engine (e.g. the fleet's lockstep tape
-    /// replayer) reproduce block-dispatch decisions exactly.
-    pub fn fused_summary(&self, pc: u32) -> Option<(u32, u64, u64)> {
-        let b = self.fused.get(pc as usize)?;
-        (b.len > 0).then_some((b.len, b.cycles, b.tail_extra_max))
+    /// The admission rule of [`Core::run_steps_hooked`]: the length of
+    /// the fused block at `pc` (chained through a `B` where it
+    /// continues) if `hook` admits it with `room` budget cycles left —
+    /// its worst case (base cycles, the tail's maximum extra and
+    /// `len * block_instr_overhead()`) fits in both `room` and
+    /// [`StepHook::block_budget`], and its pc extent lies inside
+    /// [`StepHook::block_fence`]. `None` means `pc` single-steps. An
+    /// external replay engine (the fleet's lockstep tape replayer)
+    /// calls it to make the core's block-dispatch decisions exactly.
+    #[inline]
+    pub fn admit_block<H: StepHook>(&self, pc: u32, room: u64, hook: &H) -> Option<u32> {
+        let b = self.fused.get(pc as usize).filter(|b| b.len > 0)?;
+        let worst = b
+            .cycles
+            .saturating_add(b.tail_extra_max)
+            .saturating_add(u64::from(b.len).saturating_mul(hook.block_instr_overhead()));
+        let (lo, hi) = hook.block_fence();
+        (worst <= room.min(hook.block_budget()) && b.lo >= lo && b.hi <= hi).then_some(b.len)
     }
 
     /// The program this core executes.
@@ -1142,10 +1194,11 @@ impl Core {
     /// per-instruction bookkeeping of their own.
     ///
     /// When `H::KIND` is [`HookKind::MemoryOps`], straight-line blocks
-    /// retire through a fused fast path: one admission check covers the
-    /// whole block (base cycles plus `len * block_instr_overhead()`
-    /// against both the remaining budget and
-    /// [`StepHook::block_budget`]), then [`StepHook::on_block`] observes
+    /// retire through a fused fast path: one admission check
+    /// ([`Core::admit_block`]) covers the whole block — its worst-case
+    /// cost against both the remaining budget and
+    /// [`StepHook::block_budget`], its pc extent against
+    /// [`StepHook::block_fence`] — then [`StepHook::on_block`] observes
     /// it wholesale. Everything else — and every instruction for
     /// [`HookKind::EveryInstruction`] hooks — goes through
     /// [`Core::step`] and [`StepHook::on_step`].
@@ -1183,58 +1236,49 @@ impl Core {
                 });
             }
             if matches!(H::KIND, HookKind::MemoryOps) {
-                let pc = self.cpu.pc as usize;
-                if let Some(b) = self.fused.get(pc).filter(|b| b.len > 0) {
-                    let len = b.len as usize;
-                    let overhead = hook.block_instr_overhead();
-                    let worst = b
-                        .cycles
-                        .saturating_add(b.tail_extra_max)
-                        .saturating_add((len as u64).saturating_mul(overhead));
-                    if worst <= (budget - cycles).min(hook.block_budget()) {
-                        let tail_extra = match self.exec_fused(pc) {
-                            Ok(extra) => extra,
-                            Err((retired, e)) => {
-                                // A load faulted at block offset
-                                // `retired`. Mirror per-instruction
-                                // accounting for the retired prefix —
-                                // stats, hook observation, read summary
-                                // — then propagate; the PC already
-                                // sits on the faulting load.
-                                let b = &self.fused[pc];
-                                for p in b.pcs(pc).take(retired) {
-                                    let d = &self.decoded[p];
-                                    self.stats.record_class(d.class_idx as usize, d.base_cost);
-                                }
-                                let prefix = &self.block_costs[b.costs_at as usize..][..retired];
-                                let prefix_cost: u64 = prefix.iter().sum();
-                                hook.on_block(prefix, prefix_cost, 0, &self.fused_reads);
-                                return Err(e);
+                if let Some(len) = self.admit_block(self.cpu.pc, budget - cycles, hook) {
+                    let (pc, len) = (self.cpu.pc as usize, len as usize);
+                    let tail_extra = match self.exec_fused(pc) {
+                        Ok(extra) => extra,
+                        Err((retired, e)) => {
+                            // A load faulted at block offset `retired`.
+                            // Mirror per-instruction accounting for the
+                            // retired prefix — stats, hook observation,
+                            // read summary — then propagate; the PC
+                            // already sits on the faulting load.
+                            let b = &self.fused[pc];
+                            for p in b.pcs(pc).take(retired) {
+                                let d = &self.decoded[p];
+                                self.stats.record_class(d.class_idx as usize, d.base_cost);
                             }
-                        };
-                        // Re-index the entry (the table is immutable
-                        // after load) instead of copying the block
-                        // around the `&mut self` call above.
-                        let b = &self.fused[pc];
-                        self.stats
-                            .record_block(len as u64, b.cycles, b.class_deltas());
-                        if tail_extra > 0 {
-                            // A taken `BCond` tail: charge the refill
-                            // to the branch class, exactly as a
-                            // single-stepped taken branch would.
-                            self.stats.add_cycles(InstrClass::Branch.idx(), tail_extra);
+                            let prefix = &self.block_costs[b.costs_at as usize..][..retired];
+                            let prefix_cost: u64 = prefix.iter().sum();
+                            hook.on_block(prefix, prefix_cost, 0, &self.fused_reads);
+                            return Err(e);
                         }
-                        self.fused_instructions += len as u64;
-                        instructions += len as u64;
-                        let costs = &self.block_costs[b.costs_at as usize..][..len];
-                        let extra = hook.on_block(costs, b.cycles, tail_extra, &self.fused_reads);
-                        debug_assert!(
-                            extra <= (len as u64) * overhead,
-                            "on_block charged more than block_instr_overhead admitted"
-                        );
-                        cycles += b.cycles + tail_extra + extra;
-                        continue;
+                    };
+                    // Re-index the entry (the table is immutable after
+                    // load) instead of copying the block around the
+                    // `&mut self` call above.
+                    let b = &self.fused[pc];
+                    self.stats
+                        .record_block(len as u64, b.cycles, b.class_deltas());
+                    if tail_extra > 0 {
+                        // A taken `BCond` tail: charge the refill to the
+                        // branch class, exactly as a single-stepped
+                        // taken branch would.
+                        self.stats.add_cycles(InstrClass::Branch.idx(), tail_extra);
                     }
+                    self.fused_instructions += len as u64;
+                    instructions += len as u64;
+                    let costs = &self.block_costs[b.costs_at as usize..][..len];
+                    let extra = hook.on_block(costs, b.cycles, tail_extra, &self.fused_reads);
+                    debug_assert!(
+                        extra <= (len as u64) * hook.block_instr_overhead(),
+                        "on_block charged more than block_instr_overhead admitted"
+                    );
+                    cycles += b.cycles + tail_extra + extra;
+                    continue;
                 }
             }
             let info = self.step()?;
@@ -1798,9 +1842,10 @@ mod tests {
         assert_eq!((body.len, body.seg_len, body.target), (5, 3, 2));
         let m = CoreConfig::default().cycle_model;
         assert_eq!(
-            core.fused_summary(4),
-            Some((5, 4 + m.branch_taken, m.branch_taken - m.branch_not_taken))
+            (body.cycles, body.tail_extra_max),
+            (4 + m.branch_taken, m.branch_taken - m.branch_not_taken)
         );
+        assert_eq!(core.admit_block(4, u64::MAX, &FreeRun), Some(5));
         let branches = body
             .class_deltas()
             .iter()
@@ -1810,6 +1855,111 @@ mod tests {
         // The arena holds the chained costs in retirement order.
         let costs = &core.block_costs[body.costs_at as usize..][..5];
         assert_eq!(costs, &[1, 1, m.branch_taken, 1, m.branch_not_taken]);
+    }
+
+    #[test]
+    fn block_extents_cover_retired_pcs_and_exits() {
+        let extent = |src: &str, pc: usize| {
+            let core = Core::new(&assemble(src).unwrap(), CoreConfig::default()).unwrap();
+            let b = core.fused[pc];
+            assert!(b.len > 0, "pc {pc} starts a block");
+            (b.lo, b.hi)
+        };
+        // Chained `B`: the body (pcs 4..=6) continues into the head
+        // (2..=3), whose `BGE` leaves to `done` (7) or falls through (4).
+        let chained = "MOV r0, #0\nMOV r1, #0\nloop:\nCMP r1, #50\nBGE done\n\
+                       ADD r0, r0, r1\nADD r1, r1, #1\nB loop\ndone:\nHALT";
+        assert_eq!(extent(chained, 4), (2, 7));
+        // `BCond` tail: a backward target (1) and the fall-through (4).
+        let bcond = "MOV r0, #0\nloop:\nADD r0, r0, #1\nCMP r0, #5\nBLT loop\nHALT";
+        assert_eq!(extent(bcond, 1), (1, 4));
+        assert_eq!(extent(bcond, 0), (0, 4));
+        // `BL` tail: its target only — the return is a later block's.
+        let bl = "MOV r0, #1\nBL f\nHALT\nf:\nADD r0, r0, #1\nBX lr";
+        assert_eq!(extent(bl, 0), (0, 3));
+        // Indirect `BX`: it can leave anywhere.
+        assert_eq!(extent(bl, 3), (0, u32::MAX));
+        // No tail: the block ends before a store, which it can leave to.
+        let store = ".data\nx: .space 4\n.text\nMOV r0, =x\nMOV r1, #1\nSTR r1, [r0, #0]\nHALT";
+        assert_eq!(extent(store, 0), (0, 2));
+        // A forward chain skips a pc that still lies inside the hull.
+        let forward = "MOV r0, #1\nB next\nMOV r5, #9\nnext:\nADD r1, r1, #1\nHALT";
+        assert_eq!(extent(forward, 0), (0, 4));
+    }
+
+    /// A [`FreeRun`] that admits only blocks inside `fence` and counts
+    /// its fused dispatches.
+    struct Fenced {
+        fence: (u32, u32),
+        blocks: u64,
+    }
+
+    impl StepHook for Fenced {
+        const KIND: HookKind = HookKind::MemoryOps;
+        fn on_step(&mut self, _c: &mut Core, _i: &StepInfo) -> ControlFlow<HookBreak, u64> {
+            ControlFlow::Continue(0)
+        }
+        fn block_budget(&self) -> u64 {
+            u64::MAX
+        }
+        fn block_fence(&self) -> (u32, u32) {
+            self.fence
+        }
+        fn on_block(&mut self, _costs: &[u64], _cycles: u64, _tail: u64, _reads: &[u32]) -> u64 {
+            self.blocks += 1;
+            0
+        }
+    }
+
+    #[test]
+    fn fenced_runs_retire_exactly_what_unfenced_runs_do() {
+        // A head-tested loop (pcs 2..=7, leaving to 8) between
+        // straight-line code, a call and a store.
+        let src = ".data\nx: .space 4\n.text\nMOV r0, #0\nMOV r1, #0\nloop:\nCMP r1, #40\n\
+                   BGE done\nADD r0, r0, r1\nADD r1, r1, #1\nEOR r2, r0, r1\nB loop\n\
+                   done:\nBL f\nMOV r3, =x\nSTR r0, [r3, #0]\nHALT\nf:\nADD r0, r0, #1\nBX lr";
+        let p = assemble(src).unwrap();
+        let mut free = Core::new(&p, CoreConfig::default()).unwrap();
+        let free_out = free.run(1_000_000).unwrap();
+        for fence in [(2, 8), (2, 7), (4, 9), (0, 13), (1, 0)] {
+            let mut core = Core::new(&p, CoreConfig::default()).unwrap();
+            let mut hook = Fenced { fence, blocks: 0 };
+            // Admission: exactly the blocks whose extent the fence holds.
+            for pc in 0..p.instrs.len() as u32 {
+                let b = core.fused[pc as usize];
+                let inside = b.len > 0 && b.lo >= fence.0 && b.hi <= fence.1;
+                let admitted = core.admit_block(pc, u64::MAX, &hook);
+                assert_eq!(admitted.is_some(), inside, "fence {fence:?}, pc {pc}");
+            }
+            let out = core.run_steps_hooked(1_000_000, &mut hook).unwrap();
+            assert_eq!(out.stop, StopReason::Halted);
+            assert_eq!(
+                (out.cycles, out.instructions),
+                (free_out.cycles, free_out.instructions),
+                "fence {fence:?}"
+            );
+            assert_eq!(core.stats, free.stats, "fence {fence:?}");
+            assert_eq!(core.cpu, free.cpu, "fence {fence:?}");
+            assert_eq!(core.mem, free.mem, "fence {fence:?}");
+            assert!(core.fused_instructions() <= free.fused_instructions());
+            if fence == (2, 8) {
+                // The loop's blocks fit; everything else single-steps.
+                assert!(core.fused_instructions() > 0);
+                assert!(core.fused_instructions() < free.fused_instructions());
+            }
+            if fence == (1, 0) {
+                assert_eq!(hook.blocks, 0, "an empty fence admits nothing");
+            }
+        }
+        // The indirect `BX` tail (the block at `f`) needs the whole
+        // address space.
+        let core = Core::new(&p, CoreConfig::default()).unwrap();
+        let narrow = Fenced {
+            fence: (0, u32::MAX - 1),
+            blocks: 0,
+        };
+        assert_eq!(core.admit_block(12, u64::MAX, &narrow), None);
+        assert_eq!(core.admit_block(12, u64::MAX, &FreeRun), Some(2));
     }
 
     #[test]
