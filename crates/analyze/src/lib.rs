@@ -14,7 +14,7 @@
 //!   continuous-power intermittent run give the compute cycle count,
 //!   task-region entry lengths, skim arm point, and the substrate's
 //!   fault-free counters. Nothing here is estimated.
-//! * **Closed-form solving** ([`predict`]): per-period energy budgets,
+//! * **Closed-form solving** ([`predict()`]): per-period energy budgets,
 //!   the substrate's expected per-outage dead cycles
 //!   ([`wn_intermittent::ProgressModel`]), energy-conservation
 //!   completion time, and the harvester family's spread

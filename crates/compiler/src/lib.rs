@@ -52,7 +52,6 @@
 //! # Ok::<(), wn_compiler::CompileError>(())
 //! ```
 
-pub mod blockgraph;
 pub mod codegen;
 pub mod compile;
 pub mod error;
@@ -62,7 +61,6 @@ pub mod layout;
 pub mod passes;
 pub mod technique;
 
-pub use blockgraph::{Block, BlockGraph};
 pub use compile::{compile, compile_with, CompileOptions, CompiledKernel, TaskSpan};
 pub use error::CompileError;
 pub use layout::{ArrayLayout, ElemType};

@@ -3,7 +3,7 @@
 //! Splits a kernel body into *tasks* at loop-iteration granularity: each
 //! top-level `For` (with any preceding straight-line statements) becomes
 //! a run of tasks — the loop is **strip-mined** into up to
-//! [`TARGET_STRIPS`] sub-ranges, each strip one task — and trailing
+//! `TARGET_STRIPS` sub-ranges, each strip one task — and trailing
 //! statements form a tail task. Strip-mining is what makes the
 //! decomposition *live* on harvested power: a task re-executes from its
 //! entry after every outage, so a task longer than one full charge never

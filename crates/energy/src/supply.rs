@@ -541,33 +541,10 @@ impl EnergySupply {
         if cycles == 0 {
             return Ok(PowerStatus::On);
         }
-        // Same fast path as `settle`: while the interval provably stays
-        // inside the cached trace segment, harvest is `power * dt` with
-        // the exact factors `energy_between`'s single-sample path would
-        // use — bit-identical, minus the index math. The brown-out test
-        // compares stored energy against the memoized exact threshold
-        // (`voltage() < v_off` ⇔ `energy() < e_outage_j`, see
-        // `Capacitor::voltage_threshold_energy`), keeping the `sqrt`
-        // off this path too. Both engines run this same code, so
-        // cross-engine byte-equivalence is untouched.
-        let dt = if cycles < SETTLE_TABLE as u64 {
-            self.dt_table[cycles as usize]
-        } else {
-            cycles as f64 / self.config.clock_hz
-        };
-        if cycles <= self.seg_budget_cycles {
-            self.seg_budget_cycles -= cycles;
-            let harvest_j = self.seg_power_w * dt;
-            if harvest_j != 0.0 {
-                self.cap.add_energy(harvest_j);
-            }
-        } else {
-            self.settle_segment_miss(dt);
-        }
-        let drained = self.drain_per_cycle_j * cycles as f64;
-        self.cap.drain(drained);
-        self.t_s += dt;
-        self.on_time_s += dt;
+        self.settle_exact(cycles);
+        // `voltage() < v_off` ⇔ `energy() < e_outage_j` (see
+        // `Capacitor::voltage_threshold_energy`), which keeps the `sqrt`
+        // off this path.
         if self.cap.energy() < self.e_outage_j {
             self.on = false;
             self.outages += 1;
@@ -676,7 +653,7 @@ impl EnergySupply {
                 return;
             }
         }
-        self.settle_exact(cycles);
+        self.settle_fallback(cycles);
     }
 
     /// One element of the settle kernel (see [`EnergySupply::settle_run`]):
@@ -708,15 +685,25 @@ impl EnergySupply {
         (s > max) | (*e < 0.0)
     }
 
-    /// The exact settle: [`EnergySupply::consume_cycles`]' operations,
-    /// clamps and segment-cache upkeep, minus the brown-out check. The
-    /// kernel's fallback, and the meaning every fast form must
-    /// reproduce.
+    /// [`EnergySupply::settle_exact`] out of line: the kernel's fallback,
+    /// kept out of [`EnergySupply::settle`]'s footprint in the bulk loop.
+    #[inline(never)]
+    fn settle_fallback(&mut self, cycles: u64) {
+        self.settle_exact(cycles);
+    }
+
+    /// The exact settle: advances time, credits harvest and drains
+    /// execution energy for `cycles`, with both clamps and the
+    /// segment-cache upkeep. [`EnergySupply::consume_cycles`] is this
+    /// plus the brown-out check; it is also the kernel's fallback, and
+    /// the meaning every fast form must reproduce. Inlined, because
+    /// `consume_cycles` runs once per instruction on the executor's
+    /// checked path near brown-out.
     ///
     /// Within the cached trace segment, harvest is `power * dt` with the
     /// same `power` that `PowerTrace::energy_between`'s single-sample
     /// fast path would read, skipping the index math and modulo.
-    #[inline(never)]
+    #[inline(always)]
     fn settle_exact(&mut self, cycles: u64) {
         if cycles == 0 {
             return;

@@ -24,7 +24,7 @@
 //! the step cap, and the whole Task substrate — whose re-execution from
 //! task entries *does* replay instructions, violating the shared
 //! trajectory premise) fall back to the scalar executor wholesale.
-//! [`build_plans`] is the only place that choice is made, from the
+//! `build_plans` is the only place that choice is made, from the
 //! cohort alone; fleet reports are byte-identical to an all-scalar
 //! sweep by construction.
 

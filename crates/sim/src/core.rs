@@ -377,183 +377,218 @@ fn fused_tail_extra(instr: &Instr, m: &CycleModel) -> Option<u64> {
     }
 }
 
-/// The read half of a block-interior load: the value `instr` reads at
-/// `addr`, with the instruction's width and extension. Must match the
-/// width dispatch of [`Core::step`]'s load path exactly.
-#[inline]
-fn fused_load_value(mem: &Memory, instr: &Instr, addr: u32) -> Result<u32, SimError> {
-    match instr {
-        Instr::Ldr { .. } | Instr::LdrReg { .. } => mem.load_u32(addr),
-        Instr::Ldrh { .. } | Instr::LdrhReg { .. } => Ok(mem.load_u16(addr)? as u32),
-        Instr::LdrshReg { .. } => Ok(mem.load_u16(addr)? as i16 as i32 as u32),
-        Instr::Ldrb { .. } | Instr::LdrbReg { .. } => Ok(mem.load_u8(addr)? as u32),
-        other => unreachable!("fused_load_value() called for non-load {other}"),
+/// How [`exec_data`] reaches the register file.
+trait RegAccess {
+    fn get(cpu: &Cpu, r: Reg) -> u32;
+    fn set(cpu: &mut Cpu, r: Reg, value: u32);
+}
+
+/// [`Core::step`]'s register access: [`Cpu::reg`]/[`Cpu::set_reg`],
+/// which read the current PC and turn a PC write into a jump.
+struct Stepped;
+
+impl RegAccess for Stepped {
+    #[inline(always)]
+    fn get(cpu: &Cpu, r: Reg) -> u32 {
+        cpu.reg(r)
+    }
+
+    #[inline(always)]
+    fn set(cpu: &mut Cpu, r: Reg, value: u32) {
+        cpu.set_reg(r, value)
     }
 }
 
-/// Retires the block-interior instructions `instrs`, the first at
-/// `pc`: register operations and loads, none of which reads or writes
-/// the PC ([`ends_block`]), so operands come straight from the register
-/// file and the PC is left stale until the block's end. Load addresses
-/// are appended to `reads`. A faulting load sets the PC to it and
-/// returns its offset in `instrs` with the error.
+/// Block interiors' register access: [`Cpu::gpr`]/[`Cpu::set_gpr`],
+/// straight to the register file. [`ends_block`] keeps every
+/// instruction that reads or writes the PC out of a block, so the PC
+/// check is the only thing an interior skips.
+struct Interior;
+
+impl RegAccess for Interior {
+    #[inline(always)]
+    fn get(cpu: &Cpu, r: Reg) -> u32 {
+        cpu.gpr(r)
+    }
+
+    #[inline(always)]
+    fn set(cpu: &mut Cpu, r: Reg, value: u32) {
+        cpu.set_gpr(r, value)
+    }
+}
+
+/// Executes a data-path instruction — a register operation, compare,
+/// load or `NOP` — reading and writing registers through `R`: the one
+/// implementation of these instructions, shared by [`Core::step`] and
+/// fused block interiors. Returns the cycles it took (its base cost,
+/// or `memo_hit` when the memo unit short-circuits a multiply) and the
+/// load it performed, if any. A faulting load changes nothing.
+///
+/// `d` is taken by reference so that each arm loads only its own
+/// operands from the decoded table, rather than every dispatch
+/// unpacking the whole instruction first.
+#[inline(always)]
+fn exec_data<R: RegAccess>(
+    cpu: &mut Cpu,
+    mem: &Memory,
+    memo: &mut Option<MemoUnit>,
+    memo_hit: u64,
+    d: &Decoded,
+) -> Result<(u64, Option<MemAccess>), SimError> {
+    let (cost, instr) = (d.base_cost, &d.instr);
+    let (mut cycles, mut access) = (cost, None);
+    let (rd, value) = match *instr {
+        Instr::MovImm { rd, imm } => (rd, imm as u32),
+        Instr::Mov { rd, rm } => (rd, R::get(cpu, rm)),
+        Instr::Mvn { rd, rm } => (rd, !R::get(cpu, rm)),
+        Instr::Add { rd, rn, rm } => (rd, R::get(cpu, rn).wrapping_add(R::get(cpu, rm))),
+        Instr::AddImm { rd, rn, imm } => (rd, R::get(cpu, rn).wrapping_add(imm as u32)),
+        Instr::Sub { rd, rn, rm } => (rd, R::get(cpu, rn).wrapping_sub(R::get(cpu, rm))),
+        Instr::SubImm { rd, rn, imm } => (rd, R::get(cpu, rn).wrapping_sub(imm as u32)),
+        Instr::Rsb { rd, rn } => (rd, 0u32.wrapping_sub(R::get(cpu, rn))),
+        Instr::Mul { rd, rn, rm } => {
+            let product;
+            (product, cycles) = multiply(memo, R::get(cpu, rn), R::get(cpu, rm), cost, memo_hit);
+            (rd, product)
+        }
+        Instr::MulAsp {
+            rd,
+            rn,
+            rm,
+            bits,
+            shift,
+        } => {
+            let b = alu::asp_operand(R::get(cpu, rm), bits, shift);
+            let product;
+            (product, cycles) = multiply(memo, R::get(cpu, rn), b, cost, memo_hit);
+            (rd, product)
+        }
+        Instr::AddAsv { rd, rn, rm, lanes } => {
+            (rd, alu::lane_add(R::get(cpu, rn), R::get(cpu, rm), lanes))
+        }
+        Instr::SubAsv { rd, rn, rm, lanes } => {
+            (rd, alu::lane_sub(R::get(cpu, rn), R::get(cpu, rm), lanes))
+        }
+        Instr::And { rd, rn, rm } => (rd, R::get(cpu, rn) & R::get(cpu, rm)),
+        Instr::Orr { rd, rn, rm } => (rd, R::get(cpu, rn) | R::get(cpu, rm)),
+        Instr::Eor { rd, rn, rm } => (rd, R::get(cpu, rn) ^ R::get(cpu, rm)),
+        Instr::Bic { rd, rn, rm } => (rd, R::get(cpu, rn) & !R::get(cpu, rm)),
+        Instr::AndImm { rd, rn, imm } => (rd, R::get(cpu, rn) & imm as u32),
+        Instr::LslImm { rd, rn, sh } => (rd, R::get(cpu, rn) << sh),
+        Instr::LsrImm { rd, rn, sh } => (rd, R::get(cpu, rn) >> sh),
+        Instr::AsrImm { rd, rn, sh } => (rd, ((R::get(cpu, rn) as i32) >> sh) as u32),
+        Instr::LslReg { rd, rn, rm } => (rd, R::get(cpu, rn) << (R::get(cpu, rm) & 31)),
+        Instr::LsrReg { rd, rn, rm } => (rd, R::get(cpu, rn) >> (R::get(cpu, rm) & 31)),
+        Instr::AsrReg { rd, rn, rm } => (
+            rd,
+            ((R::get(cpu, rn) as i32) >> (R::get(cpu, rm) & 31)) as u32,
+        ),
+        Instr::Cmp { rn, rm } => {
+            let (a, b) = (R::get(cpu, rn), R::get(cpu, rm));
+            set_cmp_flags(cpu, a, b);
+            return Ok((cycles, None));
+        }
+        Instr::CmpImm { rn, imm } => {
+            let a = R::get(cpu, rn);
+            set_cmp_flags(cpu, a, imm as u32);
+            return Ok((cycles, None));
+        }
+        Instr::Tst { rn, rm } => {
+            let v = R::get(cpu, rn) & R::get(cpu, rm);
+            cpu.flags.set_nz(v);
+            return Ok((cycles, None));
+        }
+        Instr::Nop => return Ok((cycles, None)),
+        Instr::Ldr { rt, rn, off } | Instr::Ldrh { rt, rn, off } | Instr::Ldrb { rt, rn, off } => {
+            let addr = R::get(cpu, rn).wrapping_add(off as u32);
+            let (value, size) = load(mem, instr, addr)?;
+            access = Some(MemAccess::read(addr, size));
+            (rt, value)
+        }
+        Instr::LdrReg { rt, rn, rm }
+        | Instr::LdrhReg { rt, rn, rm }
+        | Instr::LdrshReg { rt, rn, rm }
+        | Instr::LdrbReg { rt, rn, rm } => {
+            let addr = R::get(cpu, rn).wrapping_add(R::get(cpu, rm));
+            let (value, size) = load(mem, instr, addr)?;
+            access = Some(MemAccess::read(addr, size));
+            (rt, value)
+        }
+        other => unreachable!("{other} is not a data-path instruction"),
+    };
+    R::set(cpu, rd, value);
+    Ok((cycles, access))
+}
+
+/// ARM-style flag computation for `a - b`.
+#[inline(always)]
+fn set_cmp_flags(cpu: &mut Cpu, a: u32, b: u32) {
+    let result = a.wrapping_sub(b);
+    cpu.flags.set_nz(result);
+    cpu.flags.c = a >= b; // no borrow
+    cpu.flags.v = (((a ^ b) & (a ^ result)) >> 31) != 0;
+}
+
+/// The read half of a load: the value `instr` reads at `addr`, with the
+/// instruction's width and extension, and the access size in bytes.
+#[inline(always)]
+fn load(mem: &Memory, instr: &Instr, addr: u32) -> Result<(u32, u32), SimError> {
+    Ok(match instr {
+        Instr::Ldr { .. } | Instr::LdrReg { .. } => (mem.load_u32(addr)?, 4),
+        Instr::Ldrh { .. } | Instr::LdrhReg { .. } => (mem.load_u16(addr)? as u32, 2),
+        Instr::LdrshReg { .. } => (mem.load_u16(addr)? as i16 as i32 as u32, 2),
+        Instr::Ldrb { .. } | Instr::LdrbReg { .. } => (mem.load_u8(addr)? as u32, 1),
+        other => unreachable!("load() called for non-load {other}"),
+    })
+}
+
+/// A multiply's product and cycles: `cost`, the iterative multiplier's
+/// count, unless a fitted memo unit short-circuits it.
+#[inline(always)]
+fn multiply(memo: &mut Option<MemoUnit>, a: u32, b: u32, cost: u64, memo_hit: u64) -> (u32, u64) {
+    match memo {
+        None => (a.wrapping_mul(b), cost),
+        Some(memo) => memoized_multiply(memo, a, b, cost, memo_hit),
+    }
+}
+
+/// [`multiply`] through a fitted memo unit (§V-E): a hit or zero skip
+/// takes `memo_hit` cycles; a miss runs the full multiply and records
+/// it. Kept out of line so the lookup never weighs on the loops that
+/// inline [`exec_data`].
+#[inline(never)]
+fn memoized_multiply(memo: &mut MemoUnit, a: u32, b: u32, cost: u64, memo_hit: u64) -> (u32, u64) {
+    if let Some(product) = memo.lookup(a, b) {
+        return (product, memo_hit);
+    }
+    let product = a.wrapping_mul(b);
+    memo.insert(a, b, product);
+    (product, cost)
+}
+
+/// Retires the block-interior instructions `instrs`, the first at `pc`,
+/// through [`exec_data`] with [`Interior`] register access, and appends
+/// their load addresses to `reads`. The PC is left stale until the
+/// block's end. A faulting load sets the PC to it and returns its
+/// offset in `instrs` with the error.
 #[inline]
 fn exec_interior(
     cpu: &mut Cpu,
     mem: &Memory,
+    memo: &mut Option<MemoUnit>,
+    memo_hit: u64,
     reads: &mut Vec<u32>,
     instrs: &[Decoded],
     pc: usize,
 ) -> Result<(), (usize, SimError)> {
     for (i, d) in instrs.iter().enumerate() {
-        match d.instr {
-            Instr::MovImm { rd, imm } => cpu.set_gpr(rd, imm as u32),
-            Instr::Mov { rd, rm } => {
-                let v = cpu.gpr(rm);
-                cpu.set_gpr(rd, v);
+        match exec_data::<Interior>(cpu, mem, memo, memo_hit, d) {
+            Ok((_, Some(load))) => reads.push(load.addr),
+            Ok((_, None)) => {}
+            Err(e) => {
+                cpu.pc = (pc + i) as u32;
+                return Err((i, e));
             }
-            Instr::Mvn { rd, rm } => {
-                let v = !cpu.gpr(rm);
-                cpu.set_gpr(rd, v);
-            }
-            Instr::Add { rd, rn, rm } => {
-                let v = cpu.gpr(rn).wrapping_add(cpu.gpr(rm));
-                cpu.set_gpr(rd, v);
-            }
-            Instr::AddImm { rd, rn, imm } => {
-                let v = cpu.gpr(rn).wrapping_add(imm as u32);
-                cpu.set_gpr(rd, v);
-            }
-            Instr::Sub { rd, rn, rm } => {
-                let v = cpu.gpr(rn).wrapping_sub(cpu.gpr(rm));
-                cpu.set_gpr(rd, v);
-            }
-            Instr::SubImm { rd, rn, imm } => {
-                let v = cpu.gpr(rn).wrapping_sub(imm as u32);
-                cpu.set_gpr(rd, v);
-            }
-            Instr::Rsb { rd, rn } => {
-                let v = 0u32.wrapping_sub(cpu.gpr(rn));
-                cpu.set_gpr(rd, v);
-            }
-            // Multiplies are only interior to a block when the memo
-            // unit is off, so the plain product and static cost apply.
-            Instr::Mul { rd, rn, rm } => {
-                let v = cpu.gpr(rn).wrapping_mul(cpu.gpr(rm));
-                cpu.set_gpr(rd, v);
-            }
-            Instr::MulAsp {
-                rd,
-                rn,
-                rm,
-                bits,
-                shift,
-            } => {
-                let b = alu::asp_operand(cpu.gpr(rm), bits, shift);
-                let v = cpu.gpr(rn).wrapping_mul(b);
-                cpu.set_gpr(rd, v);
-            }
-            Instr::AddAsv { rd, rn, rm, lanes } => {
-                let v = alu::lane_add(cpu.gpr(rn), cpu.gpr(rm), lanes);
-                cpu.set_gpr(rd, v);
-            }
-            Instr::SubAsv { rd, rn, rm, lanes } => {
-                let v = alu::lane_sub(cpu.gpr(rn), cpu.gpr(rm), lanes);
-                cpu.set_gpr(rd, v);
-            }
-            Instr::And { rd, rn, rm } => {
-                let v = cpu.gpr(rn) & cpu.gpr(rm);
-                cpu.set_gpr(rd, v);
-            }
-            Instr::Orr { rd, rn, rm } => {
-                let v = cpu.gpr(rn) | cpu.gpr(rm);
-                cpu.set_gpr(rd, v);
-            }
-            Instr::Eor { rd, rn, rm } => {
-                let v = cpu.gpr(rn) ^ cpu.gpr(rm);
-                cpu.set_gpr(rd, v);
-            }
-            Instr::Bic { rd, rn, rm } => {
-                let v = cpu.gpr(rn) & !cpu.gpr(rm);
-                cpu.set_gpr(rd, v);
-            }
-            Instr::AndImm { rd, rn, imm } => {
-                let v = cpu.gpr(rn) & imm as u32;
-                cpu.set_gpr(rd, v);
-            }
-            Instr::LslImm { rd, rn, sh } => {
-                let v = cpu.gpr(rn) << sh;
-                cpu.set_gpr(rd, v);
-            }
-            Instr::LsrImm { rd, rn, sh } => {
-                let v = cpu.gpr(rn) >> sh;
-                cpu.set_gpr(rd, v);
-            }
-            Instr::AsrImm { rd, rn, sh } => {
-                let v = ((cpu.gpr(rn) as i32) >> sh) as u32;
-                cpu.set_gpr(rd, v);
-            }
-            Instr::LslReg { rd, rn, rm } => {
-                let sh = cpu.gpr(rm) & 31;
-                let v = cpu.gpr(rn) << sh;
-                cpu.set_gpr(rd, v);
-            }
-            Instr::LsrReg { rd, rn, rm } => {
-                let sh = cpu.gpr(rm) & 31;
-                let v = cpu.gpr(rn) >> sh;
-                cpu.set_gpr(rd, v);
-            }
-            Instr::AsrReg { rd, rn, rm } => {
-                let sh = cpu.gpr(rm) & 31;
-                let v = ((cpu.gpr(rn) as i32) >> sh) as u32;
-                cpu.set_gpr(rd, v);
-            }
-            Instr::Cmp { rn, rm } => {
-                let a = cpu.gpr(rn);
-                let b = cpu.gpr(rm);
-                Core::set_cmp_flags(cpu, a, b);
-            }
-            Instr::CmpImm { rn, imm } => {
-                let a = cpu.gpr(rn);
-                Core::set_cmp_flags(cpu, a, imm as u32);
-            }
-            Instr::Tst { rn, rm } => {
-                let v = cpu.gpr(rn) & cpu.gpr(rm);
-                cpu.flags.set_nz(v);
-            }
-            Instr::Ldr { rt, rn, off }
-            | Instr::Ldrh { rt, rn, off }
-            | Instr::Ldrb { rt, rn, off } => {
-                let addr = cpu.gpr(rn).wrapping_add(off as u32);
-                match fused_load_value(mem, &d.instr, addr) {
-                    Ok(v) => {
-                        cpu.set_gpr(rt, v);
-                        reads.push(addr);
-                    }
-                    Err(e) => {
-                        cpu.pc = (pc + i) as u32;
-                        return Err((i, e));
-                    }
-                }
-            }
-            Instr::LdrReg { rt, rn, rm }
-            | Instr::LdrhReg { rt, rn, rm }
-            | Instr::LdrshReg { rt, rn, rm }
-            | Instr::LdrbReg { rt, rn, rm } => {
-                let addr = cpu.gpr(rn).wrapping_add(cpu.gpr(rm));
-                match fused_load_value(mem, &d.instr, addr) {
-                    Ok(v) => {
-                        cpu.set_gpr(rt, v);
-                        reads.push(addr);
-                    }
-                    Err(e) => {
-                        cpu.pc = (pc + i) as u32;
-                        return Err((i, e));
-                    }
-                }
-            }
-            Instr::Nop => {}
-            ref other => unreachable!("terminator {other} inside a fused block"),
         }
     }
     Ok(())
@@ -664,7 +699,7 @@ where
 
 /// Hook for free-running execution ([`Core::run`]): observes nothing,
 /// charges nothing, and lets every block fuse.
-struct FreeRun;
+pub(crate) struct FreeRun;
 
 impl StepHook for FreeRun {
     const KIND: HookKind = HookKind::MemoryOps;
@@ -913,184 +948,55 @@ impl Core {
         let mut access = None;
         let mut event = StepEvent::None;
 
-        {
-            let cpu = &mut self.cpu;
-            match instr {
-                Instr::MovImm { rd, imm } => cpu.set_reg(rd, imm as u32),
-                Instr::Mov { rd, rm } => {
-                    let v = cpu.reg(rm);
-                    cpu.set_reg(rd, v);
-                }
-                Instr::Mvn { rd, rm } => {
-                    let v = !cpu.reg(rm);
-                    cpu.set_reg(rd, v);
-                }
-                Instr::Add { rd, rn, rm } => {
-                    let v = cpu.reg(rn).wrapping_add(cpu.reg(rm));
-                    cpu.set_reg(rd, v);
-                }
-                Instr::AddImm { rd, rn, imm } => {
-                    let v = cpu.reg(rn).wrapping_add(imm as u32);
-                    cpu.set_reg(rd, v);
-                }
-                Instr::Sub { rd, rn, rm } => {
-                    let v = cpu.reg(rn).wrapping_sub(cpu.reg(rm));
-                    cpu.set_reg(rd, v);
-                }
-                Instr::SubImm { rd, rn, imm } => {
-                    let v = cpu.reg(rn).wrapping_sub(imm as u32);
-                    cpu.set_reg(rd, v);
-                }
-                Instr::Rsb { rd, rn } => {
-                    let v = 0u32.wrapping_sub(cpu.reg(rn));
-                    cpu.set_reg(rd, v);
-                }
-                Instr::Mul { rd, rn, rm } => {
-                    let a = cpu.reg(rn);
-                    let b = cpu.reg(rm);
-                    let (product, cost) = self.multiply(a, b);
-                    cycles = cost;
-                    self.cpu.set_reg(rd, product);
-                }
-                Instr::MulAsp {
-                    rd,
-                    rn,
-                    rm,
-                    bits,
-                    shift,
-                } => {
-                    let a = cpu.reg(rn);
-                    let b = alu::asp_operand(cpu.reg(rm), bits, shift);
-                    let (product, cost) = self.multiply_asp(a, b, bits);
-                    cycles = cost;
-                    self.cpu.set_reg(rd, product);
-                }
-                Instr::AddAsv { rd, rn, rm, lanes } => {
-                    let v = alu::lane_add(cpu.reg(rn), cpu.reg(rm), lanes);
-                    cpu.set_reg(rd, v);
-                }
-                Instr::SubAsv { rd, rn, rm, lanes } => {
-                    let v = alu::lane_sub(cpu.reg(rn), cpu.reg(rm), lanes);
-                    cpu.set_reg(rd, v);
-                }
-                Instr::And { rd, rn, rm } => {
-                    let v = cpu.reg(rn) & cpu.reg(rm);
-                    cpu.set_reg(rd, v);
-                }
-                Instr::Orr { rd, rn, rm } => {
-                    let v = cpu.reg(rn) | cpu.reg(rm);
-                    cpu.set_reg(rd, v);
-                }
-                Instr::Eor { rd, rn, rm } => {
-                    let v = cpu.reg(rn) ^ cpu.reg(rm);
-                    cpu.set_reg(rd, v);
-                }
-                Instr::Bic { rd, rn, rm } => {
-                    let v = cpu.reg(rn) & !cpu.reg(rm);
-                    cpu.set_reg(rd, v);
-                }
-                Instr::AndImm { rd, rn, imm } => {
-                    let v = cpu.reg(rn) & imm as u32;
-                    cpu.set_reg(rd, v);
-                }
-                Instr::LslImm { rd, rn, sh } => {
-                    let v = cpu.reg(rn) << sh;
-                    cpu.set_reg(rd, v);
-                }
-                Instr::LsrImm { rd, rn, sh } => {
-                    let v = cpu.reg(rn) >> sh;
-                    cpu.set_reg(rd, v);
-                }
-                Instr::AsrImm { rd, rn, sh } => {
-                    let v = ((cpu.reg(rn) as i32) >> sh) as u32;
-                    cpu.set_reg(rd, v);
-                }
-                Instr::LslReg { rd, rn, rm } => {
-                    let sh = cpu.reg(rm) & 31;
-                    let v = cpu.reg(rn) << sh;
-                    cpu.set_reg(rd, v);
-                }
-                Instr::LsrReg { rd, rn, rm } => {
-                    let sh = cpu.reg(rm) & 31;
-                    let v = cpu.reg(rn) >> sh;
-                    cpu.set_reg(rd, v);
-                }
-                Instr::AsrReg { rd, rn, rm } => {
-                    let sh = cpu.reg(rm) & 31;
-                    let v = ((cpu.reg(rn) as i32) >> sh) as u32;
-                    cpu.set_reg(rd, v);
-                }
-                Instr::Cmp { rn, rm } => {
-                    let a = cpu.reg(rn);
-                    let b = cpu.reg(rm);
-                    Self::set_cmp_flags(cpu, a, b);
-                }
-                Instr::CmpImm { rn, imm } => {
-                    let a = cpu.reg(rn);
-                    Self::set_cmp_flags(cpu, a, imm as u32);
-                }
-                Instr::Tst { rn, rm } => {
-                    let v = cpu.reg(rn) & cpu.reg(rm);
-                    cpu.flags.set_nz(v);
-                }
-                Instr::Ldr { rt, rn, off }
-                | Instr::Ldrh { rt, rn, off }
-                | Instr::Ldrb { rt, rn, off } => {
-                    let addr = cpu.reg(rn).wrapping_add(off as u32);
-                    access = Some(self.load(rt, addr, &instr)?);
-                }
-                Instr::LdrReg { rt, rn, rm }
-                | Instr::LdrhReg { rt, rn, rm }
-                | Instr::LdrshReg { rt, rn, rm }
-                | Instr::LdrbReg { rt, rn, rm } => {
-                    let addr = cpu.reg(rn).wrapping_add(cpu.reg(rm));
-                    access = Some(self.load(rt, addr, &instr)?);
-                }
-                Instr::Str { rt, rn, off }
-                | Instr::Strh { rt, rn, off }
-                | Instr::Strb { rt, rn, off } => {
-                    let addr = cpu.reg(rn).wrapping_add(off as u32);
-                    access = Some(self.store(rt, addr, &instr)?);
-                }
-                Instr::StrReg { rt, rn, rm }
-                | Instr::StrhReg { rt, rn, rm }
-                | Instr::StrbReg { rt, rn, rm } => {
-                    let addr = cpu.reg(rn).wrapping_add(cpu.reg(rm));
-                    access = Some(self.store(rt, addr, &instr)?);
-                }
-                Instr::B { target } => {
+        let cpu = &mut self.cpu;
+        match instr {
+            Instr::Str { rt, rn, off }
+            | Instr::Strh { rt, rn, off }
+            | Instr::Strb { rt, rn, off } => {
+                let addr = cpu.reg(rn).wrapping_add(off as u32);
+                access = Some(self.store(rt, addr, &instr)?);
+            }
+            Instr::StrReg { rt, rn, rm }
+            | Instr::StrhReg { rt, rn, rm }
+            | Instr::StrbReg { rt, rn, rm } => {
+                let addr = cpu.reg(rn).wrapping_add(cpu.reg(rm));
+                access = Some(self.store(rt, addr, &instr)?);
+            }
+            Instr::B { target } => {
+                next_pc = target;
+                event = StepEvent::BranchTaken;
+            }
+            Instr::BCond { cond, target } => {
+                if cond.holds(cpu.flags) {
                     next_pc = target;
+                    cycles = m.branch_taken;
                     event = StepEvent::BranchTaken;
                 }
-                Instr::BCond { cond, target } => {
-                    if cond.holds(cpu.flags) {
-                        next_pc = target;
-                        cycles = m.branch_taken;
-                        event = StepEvent::BranchTaken;
-                    }
-                }
-                Instr::Bl { target } => {
-                    cpu.set_reg(Reg::LR, pc + 1);
-                    next_pc = target;
-                    event = StepEvent::BranchTaken;
-                }
-                Instr::Bx { rm } => {
-                    next_pc = cpu.reg(rm);
-                    event = StepEvent::BranchTaken;
-                }
-                Instr::Skm { target } => {
-                    cpu.skm = Some(target);
-                    event = StepEvent::SkimSet(target);
-                }
-                Instr::Nop => {}
-                Instr::Halt => {
-                    cpu.halted = true;
-                    // PC stays on the HALT: a checkpointing substrate that
-                    // restores to this point re-executes the halt rather
-                    // than running off the end of the program.
-                    next_pc = pc;
-                    event = StepEvent::Halted;
-                }
+            }
+            Instr::Bl { target } => {
+                cpu.set_reg(Reg::LR, pc + 1);
+                next_pc = target;
+                event = StepEvent::BranchTaken;
+            }
+            Instr::Bx { rm } => {
+                next_pc = cpu.reg(rm);
+                event = StepEvent::BranchTaken;
+            }
+            Instr::Skm { target } => {
+                cpu.skm = Some(target);
+                event = StepEvent::SkimSet(target);
+            }
+            Instr::Halt => {
+                cpu.halted = true;
+                // PC stays on the HALT: a checkpointing substrate that
+                // restores to this point re-executes the halt rather
+                // than running off the end of the program.
+                next_pc = pc;
+                event = StepEvent::Halted;
+            }
+            _ => {
+                let (mem, memo, d) = (&self.mem, &mut self.memo, &self.decoded[pc as usize]);
+                (cycles, access) = exec_data::<Stepped>(cpu, mem, memo, m.memo_hit, d)?;
             }
         }
 
@@ -1114,8 +1020,9 @@ impl Core {
     /// Retires the fused block at `pc` — straight-line instructions
     /// (registers and loads), optionally closed by a branch tail, and
     /// for a chained block the second segment after its `B` — already
-    /// admitted against the budget. The cpu/memory effects must match
-    /// [`Core::step`] exactly; stats recording is the caller's
+    /// admitted against the budget. Interior instructions go through
+    /// [`exec_data`], the data path [`Core::step`] uses, and the tail
+    /// must match `step`'s branch arms; stats recording is the caller's
     /// (aggregated) job. Load addresses are appended to `fused_reads` in
     /// retirement order as the block's memory-op summary. Returns the
     /// cycles the tail added over its base cost (a taken `BCond`'s
@@ -1133,6 +1040,7 @@ impl Core {
         let Core {
             cpu,
             mem,
+            memo,
             decoded,
             fused,
             fused_reads: reads,
@@ -1148,11 +1056,13 @@ impl Core {
         if seg_len < len {
             // A chained block: the first segment up to its `B`, whose
             // only effect — the jump — is the second segment itself.
-            exec_interior(cpu, mem, reads, &decoded[pc..pc + seg_len - 1], pc)?;
+            let first = &decoded[pc..pc + seg_len - 1];
+            exec_interior(cpu, mem, memo, m.memo_hit, reads, first, pc)?;
             (at, done) = (b.target as usize, seg_len);
         }
         let interior = len - done - b.has_tail as usize;
-        exec_interior(cpu, mem, reads, &decoded[at..at + interior], at)
+        let rest = &decoded[at..][..interior];
+        exec_interior(cpu, mem, memo, m.memo_hit, reads, rest, at)
             .map_err(|(i, e)| (done + i, e))?;
         let t = at + interior;
         if b.has_tail {
@@ -1339,28 +1249,6 @@ impl Core {
         }
     }
 
-    /// ARM-style flag computation for `a - b`.
-    fn set_cmp_flags(cpu: &mut Cpu, a: u32, b: u32) {
-        let result = a.wrapping_sub(b);
-        cpu.flags.set_nz(result);
-        cpu.flags.c = a >= b; // no borrow
-        cpu.flags.v = (((a ^ b) & (a ^ result)) >> 31) != 0;
-    }
-
-    /// Performs the load half of a memory instruction: reads at `addr`
-    /// with the instruction's width/extension and writes `rt`.
-    fn load(&mut self, rt: Reg, addr: u32, instr: &Instr) -> Result<MemAccess, SimError> {
-        let (value, size) = match instr {
-            Instr::Ldr { .. } | Instr::LdrReg { .. } => (self.mem.load_u32(addr)?, 4),
-            Instr::Ldrh { .. } | Instr::LdrhReg { .. } => (self.mem.load_u16(addr)? as u32, 2),
-            Instr::LdrshReg { .. } => (self.mem.load_u16(addr)? as i16 as i32 as u32, 2),
-            Instr::Ldrb { .. } | Instr::LdrbReg { .. } => (self.mem.load_u8(addr)? as u32, 1),
-            other => unreachable!("load() called for non-load {other}"),
-        };
-        self.cpu.set_reg(rt, value);
-        Ok(MemAccess::read(addr, size))
-    }
-
     /// Performs the store half of a memory instruction, capturing the
     /// overwritten value for checkpointing substrates.
     fn store(&mut self, rt: Reg, addr: u32, instr: &Instr) -> Result<MemAccess, SimError> {
@@ -1384,30 +1272,6 @@ impl Core {
             other => unreachable!("store() called for non-store {other}"),
         };
         Ok(MemAccess::write(addr, size, prev))
-    }
-
-    fn multiply(&mut self, a: u32, b: u32) -> (u32, u64) {
-        let product = a.wrapping_mul(b);
-        let m = self.config.cycle_model;
-        if let Some(memo) = self.memo.as_mut() {
-            if let Some(p) = memo.lookup(a, b) {
-                return (p, m.memo_hit);
-            }
-            memo.insert(a, b, product);
-        }
-        (product, m.mul)
-    }
-
-    fn multiply_asp(&mut self, a: u32, effective_b: u32, bits: u8) -> (u32, u64) {
-        let product = a.wrapping_mul(effective_b);
-        let m = self.config.cycle_model;
-        if let Some(memo) = self.memo.as_mut() {
-            if let Some(p) = memo.lookup(a, effective_b) {
-                return (p, m.memo_hit);
-            }
-            memo.insert(a, effective_b, product);
-        }
-        (product, m.mul_asp_cycles(bits))
     }
 }
 
@@ -2086,5 +1950,116 @@ mod tests {
         assert_eq!(out.stop, StopReason::Halted);
         assert_eq!(core.fused_instructions(), 0);
         assert_eq!(out.cycles, 4);
+    }
+
+    /// Runs `src` with `config` once per instruction (an `EveryStep`
+    /// closure hook) and once free-running ([`FreeRun`], which fuses),
+    /// asserts the whole `Cpu`, the `ExecStats` and the memo counters
+    /// agree, and returns the fused core.
+    fn stepped_equals_fused(src: &str, config: CoreConfig) -> Core {
+        let p = assemble(src).unwrap();
+        let mut stepped = Core::new(&p, config).unwrap();
+        let mut fused = Core::new(&p, config).unwrap();
+        let out_s = stepped
+            .run_steps(1_000, |_, _| ControlFlow::Continue(0))
+            .unwrap();
+        let out_f = fused.run_steps_hooked(1_000, &mut FreeRun).unwrap();
+        assert_eq!(out_s, out_f, "{src}");
+        assert_eq!(stepped.cpu, fused.cpu, "{src}");
+        assert_eq!(stepped.stats, fused.stats, "{src}");
+        let memo_stats = |c: &Core| c.memo.as_ref().map(|m| m.stats);
+        assert_eq!(memo_stats(&stepped), memo_stats(&fused), "{src}");
+        assert!(fused.fused_instructions() > 0, "{src}: nothing fused");
+        fused
+    }
+
+    #[test]
+    fn every_data_path_instruction_retires_the_same_stepped_and_fused() {
+        // Each case runs at pc 8, after the setup, inside one
+        // straight-line block that ends at the HALT.
+        const SETUP: &str = ".data\nbuf: .word 0x87654321\n.half -5\n.byte 200\n.text\n\
+                             MOV r0, =buf\nMOV r1, #0x80000007\nMOV r2, #59\n\
+                             MOV r3, #0x00FF00F0\nMOV r4, #4\nMOV r5, #6\n\
+                             MOV r6, #0x12345678\nMOV r7, #0\n";
+        const FLAGS: usize = wn_isa::NUM_REGS + 1; // NZCV, packed N<<3|Z<<2|C<<1|V
+        let r6 = Reg::R6.index();
+        let cases: [(&str, usize, u32); 35] = [
+            ("MOV r6, #-3", r6, 0xFFFF_FFFD),
+            ("MOV r6, r1", r6, 0x8000_0007),
+            ("MVN r6, r3", r6, 0xFF00_FF0F),
+            ("ADD r6, r1, r3", r6, 0x80FF_00F7),
+            ("ADD r6, r1, #-8", r6, 0x7FFF_FFFF),
+            ("SUB r6, r7, r2", r6, 0xFFFF_FFC5),
+            ("SUB r6, r2, #64", r6, 0xFFFF_FFFB),
+            ("RSB r6, r2", r6, 0xFFFF_FFC5),
+            ("MUL r6, r1, r5", r6, 0x0000_002A),
+            ("MUL_ASP8 r6, r2, r3, #8", r6, 59 * 0xF000),
+            ("ADD_ASV8 r6, r3, r3", r6, 0x00FE_00E0),
+            ("SUB_ASV16 r6, r7, r3", r6, 0xFF01_FF10),
+            ("AND r6, r6, r3", r6, 0x0034_0070),
+            ("ORR r6, r1, r3", r6, 0x80FF_00F7),
+            ("EOR r6, r6, r3", r6, 0x12CB_5688),
+            ("BIC r6, r6, r3", r6, 0x1200_5608),
+            ("AND r6, r6, #0xFF", r6, 0x78),
+            ("LSL r6, r1, #4", r6, 0x0000_0070),
+            ("LSR r6, r1, #4", r6, 0x0800_0000),
+            ("ASR r6, r1, #4", r6, 0xF800_0000),
+            // Register shifts use the low five bits: 59 shifts by 27.
+            ("LSL r6, r6, r2", r6, 0xC000_0000),
+            ("LSR r6, r1, r2", r6, 0x10),
+            ("ASR r6, r1, r2", r6, 0xFFFF_FFF0),
+            ("CMP r7, r2", FLAGS, 0b1000),
+            ("CMP r1, r6", FLAGS, 0b0011),
+            ("CMP r2, #59", FLAGS, 0b0110),
+            ("TST r1, r3", FLAGS, 0b0100),
+            ("NOP", r6, 0x1234_5678),
+            ("LDR r6, [r0, #0]", r6, 0x8765_4321),
+            ("LDR r6, [r0, r7]", r6, 0x8765_4321),
+            ("LDRH r6, [r0, #4]", r6, 0xFFFB),
+            ("LDRH r6, [r0, r4]", r6, 0xFFFB),
+            ("LDRSH r6, [r0, r4]", r6, 0xFFFF_FFFB),
+            ("LDRB r6, [r0, #6]", r6, 200),
+            ("LDRB r6, [r0, r5]", r6, 200),
+        ];
+        let mut variants = std::collections::HashSet::new();
+        for (case, word, want) in cases {
+            let src = format!("{SETUP}{case}\nHALT");
+            let core = stepped_equals_fused(&src, CoreConfig::default());
+            let instr = core.program().instrs[8];
+            assert!(!ends_block(&instr, false), "{case} is not block-interior");
+            variants.insert(std::mem::discriminant(&instr));
+            assert_eq!(core.fused[0].len, 9, "{case}: one block up to the HALT");
+            assert_eq!(core.fused_instructions(), 9, "{case}");
+            assert_eq!(core.cpu.snapshot().word(word), want, "{case}");
+        }
+        // Every `Instr` but the six stores, four branches, `SKM` and
+        // `HALT`.
+        assert_eq!(variants.len(), 34, "every data-path variant is covered");
+    }
+
+    #[test]
+    fn memoized_multiplies_single_step_at_their_memo_cost() {
+        // The MUL misses (full cost) and fills the table; the second MUL
+        // and the MUL_ASP (same operands: 6 × (7 & 0xFF)) hit it.
+        let src = "MOV r1, #6\nMOV r2, #7\nMUL r6, r1, r2\nMUL r7, r1, r2\n\
+                   MUL_ASP8 r8, r1, r2, #0\nHALT";
+        let config = CoreConfig {
+            memo: Some(MemoConfig::default()),
+            ..CoreConfig::default()
+        };
+        let core = stepped_equals_fused(src, config);
+        let m = config.cycle_model;
+        assert_eq!(core.fused[0].len, 2, "the block ends at the first MUL");
+        assert!(
+            (2..5).all(|pc| core.fused[pc].len == 0),
+            "multiplies single-step"
+        );
+        assert_eq!(core.fused_instructions(), 2);
+        assert_eq!(core.stats.cycles_of(InstrClass::Mul), m.mul + m.memo_hit);
+        assert_eq!(core.stats.cycles_of(InstrClass::MulAsp), m.memo_hit);
+        assert_eq!((core.cpu.reg(Reg::R6), core.cpu.reg(Reg::R7)), (42, 42));
+        assert_eq!(core.cpu.reg(Reg::R8), 42);
+        let memo = core.memo.as_ref().unwrap().stats;
+        assert_eq!((memo.hits, memo.misses), (2, 1));
     }
 }

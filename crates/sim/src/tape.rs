@@ -14,10 +14,9 @@
 //! device is then integer bookkeeping over these arrays plus its own
 //! energy supply — no interpreter, no memory image.
 
-use crate::core::{Core, HookBreak, HookKind, StepEvent, StepHook, StepInfo};
+use crate::core::{Core, FreeRun, StepEvent, StepInfo};
 use crate::error::SimError;
 use crate::memory::{AccessKind, MemAccess};
-use std::ops::ControlFlow;
 use std::sync::Mutex;
 
 /// What one tape step did, as far as replay bookkeeping cares. At most
@@ -219,7 +218,7 @@ impl ExecutionTape {
     /// split into spans reaches bit-identical architectural state to a
     /// single whole walk.
     fn walk_span(&self, core: &mut Core, from: usize, to: usize) -> Result<(), SimError> {
-        let bulk = core.run_steps_hooked(self.prefix[to] - self.prefix[from], &mut FreeWalk)?;
+        let bulk = core.run_steps_hooked(self.prefix[to] - self.prefix[from], &mut FreeRun)?;
         let mut retired = from + bulk.instructions as usize;
         while retired < to {
             core.step()?;
@@ -333,24 +332,6 @@ impl WalkCache {
 impl Default for WalkCache {
     fn default() -> WalkCache {
         WalkCache::new()
-    }
-}
-
-/// The walk hook: observes nothing, charges nothing, lets every block
-/// fuse — identical dispatch decisions to the free-running engine.
-struct FreeWalk;
-
-impl StepHook for FreeWalk {
-    const KIND: HookKind = HookKind::MemoryOps;
-
-    #[inline]
-    fn on_step(&mut self, _core: &mut Core, _info: &StepInfo) -> ControlFlow<HookBreak, u64> {
-        ControlFlow::Continue(0)
-    }
-
-    #[inline]
-    fn block_budget(&self) -> u64 {
-        u64::MAX
     }
 }
 

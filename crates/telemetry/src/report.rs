@@ -296,7 +296,7 @@ impl RunReport {
     }
 
     /// Fill in the checkpoint-free substrate counters from the
-    /// executor's [`SubstrateStats`]-shaped result (all zero on
+    /// executor's `SubstrateStats`-shaped result (all zero on
     /// checkpoint substrates).
     pub fn set_substrate(&mut self, commits: u64, privatized_words: u64, reexecuted_cycles: u64) {
         self.commits = commits;
