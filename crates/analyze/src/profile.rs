@@ -153,7 +153,14 @@ impl StepHook for Profiler<'_> {
         }
     }
 
-    fn on_block(&mut self, _costs: &[u64], cycles: u64, tail_extra: u64, _reads: &[u32]) -> u64 {
+    fn on_block(
+        &mut self,
+        _block: u32,
+        _costs: &[u64],
+        cycles: u64,
+        tail_extra: u64,
+        _reads: &[u32],
+    ) -> u64 {
         self.acc += cycles + tail_extra;
         0
     }

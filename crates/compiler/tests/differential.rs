@@ -224,7 +224,7 @@ proptest! {
         core.run(50_000_000).unwrap();
         let layout = compiled.layout("X");
         let bytes = core.mem.slice(compiled.addr("X"), layout.byte_size()).unwrap();
-        prop_assert_eq!(&layout.decode(bytes), &expected[0].1);
+        prop_assert_eq!(&layout.decode(&bytes), &expected[0].1);
     }
 
     /// Provisioned SWV maps are exact at completion on random 32-bit data
@@ -271,7 +271,7 @@ proptest! {
         core.run(50_000_000).unwrap();
         let layout = compiled.layout("X");
         let bytes = core.mem.slice(compiled.addr("X"), layout.byte_size()).unwrap();
-        let got: Vec<u32> = layout.decode(bytes).iter().map(|&v| v as u32).collect();
+        let got: Vec<u32> = layout.decode(&bytes).iter().map(|&v| v as u32).collect();
         prop_assert_eq!(got, expected);
     }
 
@@ -299,7 +299,7 @@ proptest! {
         core.run(50_000_000).unwrap();
         let layout = compiled.layout("X");
         let bytes = core.mem.slice(compiled.addr("X"), layout.byte_size()).unwrap();
-        let got = layout.decode(bytes);
+        let got = layout.decode(&bytes);
 
         prop_assert_eq!(&got, &expected[0].1, "shape: {:?}", shape);
     }

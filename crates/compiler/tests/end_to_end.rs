@@ -25,7 +25,7 @@ fn run(compiled: &CompiledKernel, inputs: &[(&str, Vec<i64>)]) -> (Vec<(String, 
                 .mem
                 .slice(compiled.addr(name), layout.byte_size())
                 .expect("output");
-            (name.clone(), layout.decode(bytes))
+            (name.clone(), layout.decode(&bytes))
         })
         .collect();
     (outputs, core.stats.cycles)
@@ -282,7 +282,7 @@ fn swv_reduce_msb_first_approximation_improves() {
         if let wn_sim::StepEvent::SkimSet(_) = info.event {
             skims += 1;
             let bytes = core.mem.slice(out_addr, out_layout.byte_size()).unwrap();
-            let decoded = out_layout.decode(bytes);
+            let decoded = out_layout.decode(&bytes);
             let err: f64 = decoded
                 .iter()
                 .zip(&expect)

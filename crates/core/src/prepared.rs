@@ -312,7 +312,7 @@ impl PreparedRun {
         let bytes = core
             .mem
             .slice(self.compiled.addr(array), layout.byte_size())?;
-        Ok(layout.decode(bytes))
+        Ok(layout.decode(&bytes))
     }
 
     /// NRMSE (%) of the instance's scored outputs against golden, as the

@@ -29,12 +29,14 @@
 
 pub mod capacitor;
 pub mod environment;
+pub mod lattice;
 pub mod stats;
 pub mod supply;
 pub mod trace;
 
 pub use capacitor::Capacitor;
 pub use environment::{EnvModel, HarvestStats};
+pub use lattice::BlockLattice;
 pub use stats::TraceStats;
 pub use supply::memo_stats::{self, SupplyMemoStats};
 pub use supply::{EnergySupply, PowerStatus, SupplyConfig, SupplyError};

@@ -3,6 +3,7 @@
 use std::fmt;
 
 use crate::capacitor::Capacitor;
+use crate::lattice::{BlockLattice, SettlePoint};
 use crate::trace::{PowerTrace, SAMPLE_HZ};
 
 /// Process-wide effectiveness counters for the supply's fast-forward
@@ -124,7 +125,7 @@ fn wait_chain_value(k: u64) -> f64 {
 
 /// Cycle counts below this read `dt` and drain from the supply's
 /// tables; settles are 1–300 cycles, so the hot path never divides.
-const SETTLE_TABLE: usize = 256;
+pub(crate) const SETTLE_TABLE: usize = 256;
 
 /// Electrical configuration of the supply.
 ///
@@ -742,7 +743,15 @@ impl EnergySupply {
     /// block's taken-branch refill) — the fused-block form of calling
     /// [`EnergySupply::settle`] once per element, with bit-identical
     /// results. `total` is the run's cycle sum, `Σ(cost + overhead) +
-    /// tail_extra`, which the caller already holds.
+    /// tail_extra`, which the caller already holds. `block` is the run's
+    /// identity in `lattice` — the pc its fused dispatch was admitted
+    /// at — and must name the same `costs` for the lattice's life.
+    ///
+    /// **The lattice.** When the run is cached in `lattice` for the
+    /// current segment power and binades and passes its admission
+    /// bounds, it settles with four integer adds on the bit patterns
+    /// (see [`BlockLattice`]). A run's first sighting in a generation,
+    /// and any run the bounds reject, falls through to the kernel.
     ///
     /// **The settle kernel.** When `total < 256` and the whole run stays
     /// inside the cached trace segment, every element takes the same
@@ -757,7 +766,15 @@ impl EnergySupply {
     /// chain instead of selecting on it; a flagged run is redone from
     /// the untouched supply state by the per-element path.
     #[inline]
-    pub fn settle_run(&mut self, costs: &[u64], overhead: u64, tail_extra: u64, total: u64) {
+    pub fn settle_run(
+        &mut self,
+        lattice: &mut BlockLattice,
+        block: u32,
+        costs: &[u64],
+        overhead: u64,
+        tail_extra: u64,
+        total: u64,
+    ) {
         debug_assert!(self.on, "settle_run called while powered off");
         let Some((&tail_base, rest)) = costs.split_last() else {
             return;
@@ -767,22 +784,32 @@ impl EnergySupply {
             costs.iter().map(|c| c + overhead).sum::<u64>() + tail_extra,
             "settle_run total disagrees with its costs"
         );
+        let last = tail_base + tail_extra + overhead;
         if total < SETTLE_TABLE as u64 && total <= self.seg_budget_cycles {
             // Every element is at most `total`, so each is in the tables.
             let (p, max) = (self.seg_power_w, self.cap.max_energy());
             let (mut e, mut t, mut on) = (self.cap.energy(), self.t_s, self.on_time_s);
+            let at = SettlePoint {
+                p,
+                e,
+                t,
+                on,
+                max,
+                dt: &self.dt_table,
+                drain: &self.drain_table,
+            };
+            if let Some((e, t, on)) = lattice.settle(&at, block, rest, last, overhead) {
+                self.seg_budget_cycles -= total;
+                self.cap.set_energy_raw(e);
+                self.t_s = t;
+                self.on_time_s = on;
+                return;
+            }
             let mut clamped = false;
             for &base in rest {
                 clamped |= self.kernel_step(p, max, base + overhead, &mut e, &mut t, &mut on);
             }
-            clamped |= self.kernel_step(
-                p,
-                max,
-                tail_base + tail_extra + overhead,
-                &mut e,
-                &mut t,
-                &mut on,
-            );
+            clamped |= self.kernel_step(p, max, last, &mut e, &mut t, &mut on);
             if !clamped {
                 self.seg_budget_cycles -= total;
                 self.cap.set_energy_raw(e);
@@ -794,7 +821,7 @@ impl EnergySupply {
         for &base in rest {
             self.settle(base + overhead);
         }
-        self.settle(tail_base + tail_extra + overhead);
+        self.settle(last);
     }
 
     /// Segment-cache miss: fall back to the reference harvest integral
@@ -1223,6 +1250,26 @@ mod tests {
         }
     }
 
+    /// Settles `costs` as block `id` on `a` through `settle_run` and
+    /// element by element on `b` through the exact settle.
+    fn settle_pair(
+        a: &mut EnergySupply,
+        lattice: &mut BlockLattice,
+        id: u32,
+        b: &mut EnergySupply,
+        costs: &[u64],
+        overhead: u64,
+        tail_extra: u64,
+    ) {
+        let total = costs.iter().map(|c| c + overhead).sum::<u64>() + tail_extra;
+        a.settle_run(lattice, id, costs, overhead, tail_extra, total);
+        let (last, rest) = costs.split_last().unwrap();
+        for &c in rest {
+            b.settle_exact(c + overhead);
+        }
+        b.settle_exact(last + tail_extra + overhead);
+    }
+
     #[test]
     fn settle_run_matches_per_element_settles_bitwise() {
         // The fused-block path batches a block's per-instruction costs
@@ -1230,18 +1277,17 @@ mod tests {
         // to calling `settle` once per element, across segment-cache
         // misses included. `tail_extra` models a taken-`BCond` tail: it
         // lands on the final element only.
-        let settle_both = |a: &mut EnergySupply,
-                           b: &mut EnergySupply,
-                           costs: &[u64],
-                           overhead: u64,
-                           tail_extra: u64| {
-            let total = costs.iter().map(|c| c + overhead).sum::<u64>() + tail_extra;
-            a.settle_run(costs, overhead, tail_extra, total);
-            let (last, rest) = costs.split_last().unwrap();
-            for &c in rest {
-                b.settle_exact(c + overhead);
-            }
-            b.settle_exact(last + tail_extra + overhead);
+        // Every block gets an identity of its own, so the lattice never
+        // holds its sums: this pins the float kernel and the exact path.
+        let mut lattice = BlockLattice::new();
+        let mut id = 0u32;
+        let mut settle_both = |a: &mut EnergySupply,
+                               b: &mut EnergySupply,
+                               costs: &[u64],
+                               overhead: u64,
+                               tail_extra: u64| {
+            id += 1;
+            settle_pair(a, &mut lattice, id, b, costs, overhead, tail_extra);
         };
         for seed in [0u64, 3, 9] {
             for overhead in [0u64, 1, 2] {
@@ -1291,6 +1337,313 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// A powered supply on segment power `p` with a long segment budget,
+    /// its energy, clock and on-time set to the given bit patterns.
+    fn placed(cfg: SupplyConfig, p: f64, e: u64, t: u64, on: u64) -> EnergySupply {
+        let trace = PowerTrace::generate(TraceKind::Constant, 0, 1.0);
+        let mut s = EnergySupply::new(trace, cfg);
+        s.wait_for_power().unwrap();
+        s.seg_power_w = p;
+        s.seg_budget_cycles = 1 << 40;
+        s.cap.set_energy_raw(f64::from_bits(e));
+        s.t_s = f64::from_bits(t);
+        s.on_time_s = f64::from_bits(on);
+        s
+    }
+
+    /// Bit pattern of `2^k` (unbiased `k`) plus `ulps`.
+    fn binade(k: i32, ulps: u64) -> u64 {
+        ((k + 1023) as u64) << 52 | ulps
+    }
+
+    /// Settles block `costs` from `s` on the lattice (after a first
+    /// sighting and a build, both from the same start on throwaway
+    /// clones) and per element on the exact path; asserts the two agree
+    /// bit for bit and returns whether the lattice settled it.
+    fn lattice_vs_exact(s: &EnergySupply, costs: &[u64], tail_extra: u64, ctx: &str) -> bool {
+        let mut lattice = BlockLattice::new();
+        let total = costs.iter().sum::<u64>() + tail_extra;
+        for _ in 0..2 {
+            s.clone()
+                .settle_run(&mut lattice, 7, costs, 0, tail_extra, total);
+        }
+        let before = lattice.lattice_settles;
+        let (mut a, mut b) = (s.clone(), s.clone());
+        settle_pair(&mut a, &mut lattice, 7, &mut b, costs, 0, tail_extra);
+        assert_same_state(&a, &b, ctx);
+        lattice.lattice_settles > before
+    }
+
+    /// Net ulps a block moves energy, `t_s` and `on_time_s` from
+    /// `s`, read off the exact settle (from a start well inside all
+    /// three binades, so it equals the lattice sums).
+    fn moved(s: &EnergySupply, costs: &[u64], tail_extra: u64) -> (i64, u64, u64) {
+        let mut b = s.clone();
+        let (last, rest) = costs.split_last().unwrap();
+        for &c in rest {
+            b.settle_exact(c);
+        }
+        b.settle_exact(last + tail_extra);
+        (
+            b.cap.energy().to_bits() as i64 - s.cap.energy().to_bits() as i64,
+            b.t_s.to_bits() - s.t_s.to_bits(),
+            b.on_time_s.to_bits() - s.on_time_s.to_bits(),
+        )
+    }
+
+    #[test]
+    fn lattice_settles_match_exact_settles_at_binade_edges() {
+        let costs = [3u64, 17, 1, 9, 2];
+        let tail = 2;
+        let (mid_e, mid_t, mid_on) = (binade(-16, 1 << 51), binade(3, 1 << 51), binade(1, 1 << 51));
+        // Drain only (no harvest): the energy falls by Σdown.
+        let drain_cfg = SupplyConfig::default();
+        let mid = placed(drain_cfg, 0.0, mid_e, mid_t, mid_on);
+        assert!(lattice_vs_exact(&mid, &costs, tail, "mid-binade"));
+        let (de, dt, don) = moved(&mid, &costs, tail);
+        let down = (-de) as u64;
+        let floor_e = binade(-16, 0);
+        for d in 0..=3u64 {
+            // The start 0–3 ulps above the floor: the block leaves the
+            // binade downward.
+            let s = placed(drain_cfg, 0.0, floor_e + d, mid_t, mid_on);
+            assert!(!lattice_vs_exact(&s, &costs, tail, &format!("e floor+{d}")));
+        }
+        for d in -2i64..=3 {
+            // The result `d` ulps above the floor: one ulp is the least
+            // the lattice admits.
+            let s = placed(
+                drain_cfg,
+                0.0,
+                (floor_e + down).wrapping_add_signed(d),
+                mid_t,
+                mid_on,
+            );
+            let took = lattice_vs_exact(&s, &costs, tail, &format!("e result floor{d:+}"));
+            assert_eq!(took, d >= 1, "e result floor{d:+}");
+        }
+        let top = |k: i32| binade(k, (1 << 52) - 1);
+        for d in -2i64..=3 {
+            // `t_s` and `on_time_s` ending `d` ulps below their tops.
+            let t = (top(3) - dt).wrapping_add_signed(-d);
+            let s = placed(drain_cfg, 0.0, mid_e, t, mid_on);
+            let took = lattice_vs_exact(&s, &costs, tail, &format!("t top{d:+}"));
+            assert_eq!(took, d >= 0, "t top{d:+}");
+            let on = (top(1) - don).wrapping_add_signed(-d);
+            let s = placed(drain_cfg, 0.0, mid_e, mid_t, on);
+            let took = lattice_vs_exact(&s, &costs, tail, &format!("on top{d:+}"));
+            assert_eq!(took, d >= 0, "on top{d:+}");
+        }
+        for d in 0..=3u64 {
+            // Clocks 0–3 ulps above their floors and at their tops.
+            for (t, on) in [
+                (binade(3, d), mid_on),
+                (mid_t, binade(1, d)),
+                (top(3) - d, mid_on),
+                (mid_t, top(1) - d),
+            ] {
+                let s = placed(drain_cfg, 0.0, mid_e, t, on);
+                let took = lattice_vs_exact(&s, &costs, tail, &format!("clock edge {d}"));
+                assert_eq!(took, t < top(3) - dt && on < top(1) - don, "clock edge {d}");
+            }
+        }
+        // Harvest only (free execution): the energy rises by Σup, to the
+        // top of its binade or to `max_energy`, whichever is lower.
+        let free = SupplyConfig {
+            pj_per_cycle: 0.0,
+            ..SupplyConfig::default()
+        };
+        let p = 3e-3;
+        let mid = placed(free, p, mid_e, mid_t, mid_on);
+        let up = moved(&mid, &costs, tail).0 as u64;
+        assert!(lattice_vs_exact(&mid, &costs, tail, "harvest mid-binade"));
+        let max = mid.cap.max_energy().to_bits();
+        let k_max = (max >> 52) as i32 - 1023;
+        let up_max = {
+            let s = placed(free, p, binade(k_max, 1 << 50), mid_t, mid_on);
+            moved(&s, &costs, tail).0 as u64
+        };
+        for d in -2i64..=3 {
+            let s = placed(
+                free,
+                p,
+                (top(-16) - up).wrapping_add_signed(-d),
+                mid_t,
+                mid_on,
+            );
+            let took = lattice_vs_exact(&s, &costs, tail, &format!("e top{d:+}"));
+            assert_eq!(took, d >= 0, "e top{d:+}");
+            // At the rail: past it the add clamp fires.
+            let s = placed(
+                free,
+                p,
+                (max - up_max).wrapping_add_signed(-d),
+                mid_t,
+                mid_on,
+            );
+            let took = lattice_vs_exact(&s, &costs, tail, &format!("max{d:+}"));
+            assert_eq!(took, d >= 0, "max{d:+}");
+        }
+        for d in 0..=3u64 {
+            let s = placed(free, p, top(-16) - d, mid_t, mid_on);
+            assert!(!lattice_vs_exact(&s, &costs, tail, &format!("e top-{d}")));
+        }
+    }
+
+    #[test]
+    fn lattice_rejects_ties_and_handles_zero_power_and_clamps() {
+        let cfg = SupplyConfig::default();
+        let probe = placed(cfg, 0.0, binade(-16, 1 << 51), binade(3, 1), binade(1, 1));
+        // A binade whose ulp is twice the lowest set bit of `x`: `x` is
+        // an odd number of half-ulps there, a tie.
+        let tie_binade = |x: f64| {
+            let bits = x.to_bits();
+            let mantissa = bits & ((1 << 52) - 1) | 1 << 52;
+            (bits >> 52) + u64::from(mantissa.trailing_zeros()) + 1
+        };
+        for c in [1u64, 6, 25] {
+            let k = tie_binade(probe.dt_table[c as usize]);
+            let tied = k << 52 | 1 << 51;
+            // `dt[c]` ties on the `t_s` lattice, then on `on_time_s`'s,
+            // alone and inside a block.
+            for costs in [&[c][..], &[c, 1], &[1, c]] {
+                let s = placed(cfg, 0.0, binade(-16, 1 << 51), tied, binade(1, 1));
+                assert!(!lattice_vs_exact(&s, costs, 0, &format!("t tie c={c}")));
+                let s = placed(cfg, 0.0, binade(-16, 1 << 51), binade(3, 1), tied);
+                assert!(!lattice_vs_exact(&s, costs, 0, &format!("on tie c={c}")));
+            }
+            // The drain ties on the energy lattice.
+            let k = tie_binade(probe.drain_table[c as usize]);
+            let s = placed(cfg, 0.0, k << 52 | 3 << 50, binade(3, 1), binade(1, 1));
+            assert!(!lattice_vs_exact(&s, &[c], 0, &format!("drain tie c={c}")));
+            // A power of two times `dt[c]` ties the harvest.
+            let free = SupplyConfig {
+                pj_per_cycle: 0.0,
+                ..cfg
+            };
+            let p = 2f64.powi(-10);
+            let k = tie_binade(p * probe.dt_table[c as usize]);
+            let s = placed(free, p, k << 52 | 1 << 50, binade(3, 1), binade(1, 1));
+            assert!(!lattice_vs_exact(
+                &s,
+                &[c],
+                0,
+                &format!("harvest tie c={c}")
+            ));
+        }
+        // Zero segment power: the exact path skips the harvest, the
+        // lattice adds nothing.
+        let s = placed(cfg, 0.0, binade(-16, 3 << 50), binade(3, 99), binade(1, 7));
+        assert!(lattice_vs_exact(&s, &[4, 4, 4, 11], 1, "zero power"));
+        // Both clamps: the lattice must refuse, the fallback must match.
+        let mut lattice = BlockLattice::new();
+        for (name, mut a, mut b) in clamp_cases() {
+            for k in 0..6 {
+                let before = lattice.lattice_settles;
+                settle_pair(&mut a, &mut lattice, 3, &mut b, &[5, 2, 7], 1, 0);
+                assert_same_state(&a, &b, &format!("{name} k={k}"));
+                if name != "segments" {
+                    assert_eq!(lattice.lattice_settles, before, "{name} k={k}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn lattice_never_reuses_stale_sums() {
+        let cfg = SupplyConfig::default();
+        let start = placed(cfg, 2e-3, binade(-16, 1 << 51), binade(3, 1), binade(1, 1));
+        let (mut a, mut b) = (start.clone(), start);
+        let mut lattice = BlockLattice::new();
+        let mut settle =
+            |a: &mut EnergySupply, b: &mut EnergySupply, id: u32, costs: &[u64], ctx: &str| {
+                let before = lattice.lattice_settles;
+                settle_pair(a, &mut lattice, id, b, costs, 0, 0);
+                assert_same_state(a, b, ctx);
+                lattice.lattice_settles > before
+            };
+        // A block identity reused after its generation changed: a new
+        // segment power, then a new energy binade. The first sighting
+        // in each generation never reads the old sums.
+        let costs = [4u64, 9, 2];
+        let hits: Vec<bool> = (0..3)
+            .map(|k| settle(&mut a, &mut b, 1, &costs, &format!("gen0 {k}")))
+            .collect();
+        assert_eq!(hits, [false, true, true]);
+        for s in [&mut a, &mut b] {
+            s.seg_power_w = 5e-3;
+        }
+        let hits: Vec<bool> = (0..3)
+            .map(|k| settle(&mut a, &mut b, 1, &costs, &format!("gen1 {k}")))
+            .collect();
+        assert_eq!(hits, [false, true, true]);
+        let e = binade(-15, 1 << 50);
+        for s in [&mut a, &mut b] {
+            s.cap.set_energy_raw(f64::from_bits(e));
+        }
+        let hits: Vec<bool> = (0..3)
+            .map(|k| settle(&mut a, &mut b, 1, &costs, &format!("gen2 {k}")))
+            .collect();
+        assert_eq!(hits, [false, true, true]);
+        // One cost buffer reused with new contents: each contents has
+        // its own identity, so no identity ever sees another's sums.
+        let mut buf = vec![0u64; 4];
+        for round in 0..4u32 {
+            for (id, fill) in [(10u32, 3u64), (11, 8), (12, 1)] {
+                for (i, c) in buf.iter_mut().enumerate() {
+                    *c = fill + i as u64 * u64::from(round % 2 + 1);
+                }
+                settle(
+                    &mut a,
+                    &mut b,
+                    id + 10 * (round % 2),
+                    &buf,
+                    &format!("buffer {round} {id}"),
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn a_mid_run_10uf_supply_settles_blocks_on_the_lattice() {
+        // A paper-configured supply (10 µF) on an RF trace, settling a
+        // loop of eight blocks lease by lease against the exact path:
+        // nearly every block past its generation's first two sightings
+        // takes the lattice.
+        let trace = PowerTrace::generate(TraceKind::RfBursty, 5, 10.0);
+        let (mut a, mut b) = powered_pair(trace, SupplyConfig::default());
+        let blocks: Vec<Vec<u64>> = (0..8u64)
+            .map(|k| (0..k % 5 + 2).map(|i| (k * 7 + i * 3) % 11 + 1).collect())
+            .collect();
+        let mut lattice = BlockLattice::new();
+        let mut settled = 0u64;
+        for round in 0..200_000u64 {
+            let k = (round % 8) as usize;
+            let tail = (round / 8) % 2 * 2;
+            let worst = blocks[k].iter().map(|c| c + 1).sum::<u64>() + tail;
+            if a.grant_cycles(worst) < worst {
+                break;
+            }
+            settle_pair(
+                &mut a,
+                &mut lattice,
+                k as u32 * 4,
+                &mut b,
+                &blocks[k],
+                1,
+                tail,
+            );
+            assert_same_state(&a, &b, &format!("round {round}"));
+            settled += 1;
+        }
+        assert!(settled > 2_000, "only {settled} blocks");
+        assert!(
+            lattice.lattice_settles * 10 > settled * 8,
+            "{} of {settled} blocks on the lattice",
+            lattice.lattice_settles
+        );
     }
 
     #[test]

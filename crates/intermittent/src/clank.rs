@@ -64,6 +64,10 @@ impl Default for ClankConfig {
 /// an epoch-stamped direct-mapped array: `clear()` is O(1) (bump the
 /// epoch) and probes are one index — this sits on the per-instruction
 /// hot path of every intermittent run.
+///
+/// `len` counts the words added by [`WordSet::insert`]; a set whose size
+/// nobody reads adds with [`WordSet::mark`], a plain stamp with no
+/// membership test.
 #[derive(Debug, Clone, Default)]
 struct WordSet {
     epochs: Vec<u32>,
@@ -78,20 +82,36 @@ impl WordSet {
         self.epochs.get(i).copied() == Some(self.epoch)
     }
 
-    /// Inserts; returns true when the word was new.
+    /// Inserts and counts the word if it is new.
     #[inline]
-    fn insert(&mut self, word: u32) -> bool {
-        let i = (word >> 2) as usize;
-        if i >= self.epochs.len() {
-            self.epochs.resize(i + 1, self.epoch.wrapping_sub(1));
-        }
-        if self.epochs[i] == self.epoch {
-            false
-        } else {
+    fn insert(&mut self, word: u32) {
+        let i = self.slot(word);
+        if self.epochs[i] != self.epoch {
             self.epochs[i] = self.epoch;
             self.len += 1;
-            true
         }
+    }
+
+    /// Adds the word without counting it.
+    #[inline]
+    fn mark(&mut self, word: u32) {
+        let i = self.slot(word);
+        self.epochs[i] = self.epoch;
+    }
+
+    /// The stamp index of `word`, grown into the array.
+    #[inline]
+    fn slot(&mut self, word: u32) -> usize {
+        let i = (word >> 2) as usize;
+        if i >= self.epochs.len() {
+            self.grow(i);
+        }
+        i
+    }
+
+    #[cold]
+    fn grow(&mut self, i: usize) {
+        self.epochs.resize(i + 1, self.epoch.wrapping_sub(1));
     }
 
     fn len(&self) -> usize {
@@ -206,9 +226,7 @@ impl Clank {
         if let Some(access) = info.access {
             let word = access.addr & !3;
             match access.kind {
-                AccessKind::Read => {
-                    self.read_words.insert(word);
-                }
+                AccessKind::Read => self.read_words.mark(word),
                 AccessKind::Write => {
                     let war = self.read_words.contains(word) && !self.buffered_words.contains(word);
                     self.undo_log.push(access);
@@ -246,7 +264,7 @@ impl Substrate for Clank {
                 // (A load's event is never `SkimSet`, so the order against
                 // the slow path's skim checkpoint is preserved.)
                 Some(access) if access.kind == AccessKind::Read => {
-                    self.read_words.insert(access.addr & !3);
+                    self.read_words.mark(access.addr & !3);
                     return 0;
                 }
                 Some(_) => {}
@@ -282,12 +300,12 @@ impl Substrate for Clank {
     #[inline]
     fn after_fused(&mut self, _instructions: u64, cycles: u64, reads: &[u32]) -> u64 {
         self.cycles_since_checkpoint += cycles;
-        // The block's loads, wholesale. Set insertion commutes and no
+        // The block's loads, wholesale. Marking commutes and no
         // checkpoint can fire between a block's loads (admission keeps
         // the watchdog out of reach), so marking them here leaves the
         // read set exactly as per-instruction stepping would.
         for &addr in reads {
-            self.read_words.insert(addr & !3);
+            self.read_words.mark(addr & !3);
         }
         0
     }

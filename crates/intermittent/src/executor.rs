@@ -5,7 +5,7 @@ use std::fmt;
 
 use std::ops::ControlFlow;
 
-use wn_energy::{EnergySupply, PowerStatus, PowerTrace, SupplyConfig, SupplyError};
+use wn_energy::{BlockLattice, EnergySupply, PowerStatus, PowerTrace, SupplyConfig, SupplyError};
 use wn_sim::{Core, HookBreak, HookKind, SimError, StepHook, StepInfo};
 use wn_telemetry::{Event, EventKind, EventSink, NullSink};
 
@@ -31,6 +31,9 @@ use crate::substrate::{Substrate, SubstrateStats};
 /// Built only by the power loop; [`Execution::run_lease`] drives it.
 pub struct Lease<'a, S: Substrate, K: EventSink> {
     supply: &'a mut EnergySupply,
+    /// The executor's cache of exact block settles, keyed by the
+    /// program's block identities.
+    lattice: &'a mut BlockLattice,
     substrate: &'a mut S,
     sink: &'a mut K,
     cap: u64,
@@ -100,18 +103,24 @@ impl<S: Substrate, K: EventSink> StepHook for Lease<'_, S, K> {
     }
 
     #[inline]
-    fn on_block(&mut self, costs: &[u64], cycles: u64, tail_extra: u64, reads: &[u32]) -> u64 {
-        // Settle per instruction: the supply must see the same float
-        // operation sequence as the per-instruction engines so its
-        // arithmetic stays bit-identical. `settle_run` performs exactly
-        // one `settle`'s operations per element, with the bookkeeping
-        // hoisted out of the loop; the block total lets it pick its
-        // table-driven kernel with one check. The fused win is skipping
-        // per-instruction dispatch, budget checks, stats recording and
-        // hook indirection — not the energy bookkeeping.
+    fn on_block(
+        &mut self,
+        block: u32,
+        costs: &[u64],
+        cycles: u64,
+        tail_extra: u64,
+        reads: &[u32],
+    ) -> u64 {
+        // The supply must end where the per-instruction engines' float
+        // operation sequence ends, bit for bit. `settle_run` either
+        // replays that sequence element by element (the table-driven
+        // kernel, picked with one check on the block total) or, for a
+        // block the lattice has cached under `block`, lands on the same
+        // bits with integer adds.
         let overhead = self.substrate.fused_instr_overhead();
         let total = cycles + tail_extra + costs.len() as u64 * overhead;
-        self.supply.settle_run(costs, overhead, tail_extra, total);
+        self.supply
+            .settle_run(self.lattice, block, costs, overhead, tail_extra, total);
         self.substrate
             .after_fused(costs.len() as u64, cycles + tail_extra, reads)
     }
@@ -206,6 +215,10 @@ impl From<SimError> for ExecError {
 pub struct IntermittentExecutor<S: Substrate, E: Execution = Core> {
     core: E,
     supply: EnergySupply,
+    /// Exact block settles for `core`'s program. Owned here, not by the
+    /// supply: block identities name one program's blocks, and a supply
+    /// can move on to another program ([`IntermittentExecutor::into_supply`]).
+    lattice: BlockLattice,
     substrate: S,
     skim_enabled: bool,
 }
@@ -230,6 +243,7 @@ impl<S: Substrate, E: Execution> IntermittentExecutor<S, E> {
         IntermittentExecutor {
             core,
             supply,
+            lattice: BlockLattice::new(),
             substrate,
             skim_enabled: true,
         }
@@ -415,6 +429,7 @@ impl<S: Substrate, E: Execution> IntermittentExecutor<S, E> {
                     self.emit(sink, EventKind::LeaseGrant { cycles: grant });
                     let mut lease = Lease {
                         supply: &mut self.supply,
+                        lattice: &mut self.lattice,
                         substrate: &mut self.substrate,
                         sink: &mut *sink,
                         cap,

@@ -124,19 +124,22 @@ impl Execution for TapeCursor<'_> {
             if cycles >= budget {
                 break StopReason::Budget;
             }
-            let pos = self.pos;
-            if let Some(len) = self
-                .master
-                .admit_block(self.tape.pc(pos), budget - cycles, lease)
-            {
+            let (pos, pc) = (self.pos, self.tape.pc(self.pos));
+            if let Some(len) = self.master.admit_block(pc, budget - cycles, lease) {
                 // The tape's costs are *actual* (a taken tail's refill
                 // folded into the final element), so settling them with
                 // `tail_extra = 0` issues element for element the core's
-                // float operations.
+                // float operations. Every other element is the block's
+                // static cost, so the block keeps the core's identity.
                 let len = len as usize;
                 let span = self.tape.span_cycles(pos, pos + len);
                 let costs = self.tape.costs_in(pos, len);
-                let extra = lease.on_block(costs, span, 0, self.tape.reads_in(pos, len));
+                debug_assert_eq!(
+                    costs[..len - 1],
+                    self.master.block_costs(pc)[..len - 1],
+                    "tape costs of the block at pc {pc} are not its static costs"
+                );
+                let extra = lease.on_block(pc, costs, span, 0, self.tape.reads_in(pos, len));
                 cycles += span + extra;
                 instructions += len as u64;
                 self.pos += len;

@@ -664,7 +664,12 @@ pub trait StepHook {
         (0, u32::MAX)
     }
 
-    /// Called once after a fused block retires; `costs` lists the
+    /// Called once after a fused block retires. `block` is the block's
+    /// identity: the pc [`Core::admit_block`] admitted it at. Together
+    /// with `costs.len()` it names the same `costs` for the life of the
+    /// core's program (a block cut short by a faulting load reports its
+    /// retired prefix, a shorter run under the same identity), so a hook
+    /// may cache per-block work under it. `costs` lists the
     /// per-instruction base cycle costs, `cycles` is their sum,
     /// `tail_extra` is what the block's branch tail cost beyond its
     /// base (a taken `BCond`'s refill — it belongs to the final
@@ -672,8 +677,15 @@ pub trait StepHook {
     /// summary — the byte address of every load in the block, in
     /// retirement order. Returns the total extra cycles charged, which
     /// must not exceed `costs.len() * block_instr_overhead()`.
-    fn on_block(&mut self, costs: &[u64], cycles: u64, tail_extra: u64, reads: &[u32]) -> u64 {
-        let _ = (costs, cycles, tail_extra, reads);
+    fn on_block(
+        &mut self,
+        block: u32,
+        costs: &[u64],
+        cycles: u64,
+        tail_extra: u64,
+        reads: &[u32],
+    ) -> u64 {
+        let _ = (block, costs, cycles, tail_extra, reads);
         0
     }
 }
@@ -884,6 +896,16 @@ impl Core {
             .saturating_add(u64::from(b.len).saturating_mul(hook.block_instr_overhead()));
         let (lo, hi) = hook.block_fence();
         (worst <= room.min(hook.block_budget()) && b.lo >= lo && b.hi <= hi).then_some(b.len)
+    }
+
+    /// The per-instruction base costs of the fused block at `pc` — what
+    /// [`StepHook::on_block`] receives for it — or an empty slice where
+    /// `pc` has no block.
+    pub fn block_costs(&self, pc: u32) -> &[u64] {
+        match self.fused.get(pc as usize) {
+            Some(b) if b.len > 0 => &self.block_costs[b.costs_at as usize..][..b.len as usize],
+            _ => &[],
+        }
     }
 
     /// The program this core executes.
@@ -1163,7 +1185,7 @@ impl Core {
                             }
                             let prefix = &self.block_costs[b.costs_at as usize..][..retired];
                             let prefix_cost: u64 = prefix.iter().sum();
-                            hook.on_block(prefix, prefix_cost, 0, &self.fused_reads);
+                            hook.on_block(pc as u32, prefix, prefix_cost, 0, &self.fused_reads);
                             return Err(e);
                         }
                     };
@@ -1182,7 +1204,8 @@ impl Core {
                     self.fused_instructions += len as u64;
                     instructions += len as u64;
                     let costs = &self.block_costs[b.costs_at as usize..][..len];
-                    let extra = hook.on_block(costs, b.cycles, tail_extra, &self.fused_reads);
+                    let extra =
+                        hook.on_block(pc as u32, costs, b.cycles, tail_extra, &self.fused_reads);
                     debug_assert!(
                         extra <= (len as u64) * hook.block_instr_overhead(),
                         "on_block charged more than block_instr_overhead admitted"
@@ -1769,7 +1792,14 @@ mod tests {
         fn block_fence(&self) -> (u32, u32) {
             self.fence
         }
-        fn on_block(&mut self, _costs: &[u64], _cycles: u64, _tail: u64, _reads: &[u32]) -> u64 {
+        fn on_block(
+            &mut self,
+            _pc: u32,
+            _costs: &[u64],
+            _cycles: u64,
+            _tail: u64,
+            _reads: &[u32],
+        ) -> u64 {
             self.blocks += 1;
             0
         }
@@ -1854,7 +1884,14 @@ mod tests {
             fn block_budget(&self) -> u64 {
                 u64::MAX
             }
-            fn on_block(&mut self, costs: &[u64], cycles: u64, _t: u64, _r: &[u32]) -> u64 {
+            fn on_block(
+                &mut self,
+                _pc: u32,
+                costs: &[u64],
+                cycles: u64,
+                _t: u64,
+                _r: &[u32],
+            ) -> u64 {
                 assert_eq!(costs.iter().sum::<u64>(), cycles);
                 self.0.extend_from_slice(costs);
                 0
@@ -1906,7 +1943,14 @@ mod tests {
             fn block_instr_overhead(&self) -> u64 {
                 2
             }
-            fn on_block(&mut self, costs: &[u64], _cycles: u64, _tail: u64, _reads: &[u32]) -> u64 {
+            fn on_block(
+                &mut self,
+                _pc: u32,
+                costs: &[u64],
+                _cycles: u64,
+                _tail: u64,
+                _reads: &[u32],
+            ) -> u64 {
                 self.fused_calls += 1;
                 costs.len() as u64 * 2
             }

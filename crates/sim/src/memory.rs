@@ -7,6 +7,8 @@
 //! and writes bytes and reports each access so the intermittency layer can
 //! track idempotency violations and buffer writes.
 
+use std::borrow::Cow;
+
 use crate::error::SimError;
 
 /// Kind of data-memory access.
@@ -56,16 +58,42 @@ impl MemAccess {
 }
 
 /// Flat little-endian data memory with aligned accesses.
-#[derive(Debug, Clone, PartialEq, Eq)]
+///
+/// The logical memory is `size` bytes; only a prefix of it is backed.
+/// The backing vector runs to the highest imaged or written byte (in
+/// whole words), and everything above it reads as zero, so cloning a
+/// core copies its data, not its whole address space. Faults are
+/// checked against `size` alone, and equality compares logical
+/// contents.
+#[derive(Debug, Clone)]
 pub struct Memory {
+    /// The backed prefix; its length is a multiple of four, so an
+    /// aligned access lies wholly inside it or wholly above it.
     bytes: Vec<u8>,
+    size: usize,
 }
+
+impl PartialEq for Memory {
+    fn eq(&self, other: &Memory) -> bool {
+        let (short, long) = if self.bytes.len() <= other.bytes.len() {
+            (&self.bytes, &other.bytes)
+        } else {
+            (&other.bytes, &self.bytes)
+        };
+        self.size == other.size
+            && long[..short.len()] == short[..]
+            && long[short.len()..].iter().all(|&b| b == 0)
+    }
+}
+
+impl Eq for Memory {}
 
 impl Memory {
     /// Creates a zeroed memory of `size` bytes.
     pub fn new(size: usize) -> Memory {
         Memory {
-            bytes: vec![0; size],
+            bytes: Vec::new(),
+            size,
         }
     }
 
@@ -82,14 +110,14 @@ impl Memory {
                 mem_size: size,
             });
         }
-        let mut mem = Memory::new(size);
-        mem.bytes[..image.len()].copy_from_slice(image);
-        Ok(mem)
+        let mut bytes = image.to_vec();
+        bytes.resize(image.len().next_multiple_of(4), 0);
+        Ok(Memory { bytes, size })
     }
 
     /// Memory size in bytes.
     pub fn size(&self) -> usize {
-        self.bytes.len()
+        self.size
     }
 
     #[inline]
@@ -101,14 +129,38 @@ impl Memory {
             });
         }
         let end = addr as u64 + size as u64;
-        if end > self.bytes.len() as u64 {
+        if end > self.size as u64 {
             return Err(SimError::MemOutOfRange {
                 addr,
                 size,
-                mem_size: self.bytes.len() as u32,
+                mem_size: self.size as u32,
             });
         }
         Ok(addr as usize)
+    }
+
+    /// Reads `N` bytes at a checked, aligned address: zeros above the
+    /// backed prefix.
+    #[inline]
+    fn read<const N: usize>(&self, i: usize) -> [u8; N] {
+        match self.bytes.get(i..i + N) {
+            Some(b) => b.try_into().expect("N-byte range"),
+            None => [0; N],
+        }
+    }
+
+    /// The backed bytes `i..end`, growing the backing to cover them.
+    #[inline]
+    fn backed_mut(&mut self, i: usize, end: usize) -> &mut [u8] {
+        if end > self.bytes.len() {
+            self.grow(end);
+        }
+        &mut self.bytes[i..end]
+    }
+
+    #[cold]
+    fn grow(&mut self, end: usize) {
+        self.bytes.resize(end.next_multiple_of(4), 0);
     }
 
     /// Loads a byte.
@@ -119,7 +171,7 @@ impl Memory {
     #[inline]
     pub fn load_u8(&self, addr: u32) -> Result<u8, SimError> {
         let i = self.check(addr, 1)?;
-        Ok(self.bytes[i])
+        Ok(self.bytes.get(i).copied().unwrap_or(0))
     }
 
     /// Loads an aligned little-endian halfword.
@@ -130,7 +182,7 @@ impl Memory {
     #[inline]
     pub fn load_u16(&self, addr: u32) -> Result<u16, SimError> {
         let i = self.check(addr, 2)?;
-        Ok(u16::from_le_bytes([self.bytes[i], self.bytes[i + 1]]))
+        Ok(u16::from_le_bytes(self.read(i)))
     }
 
     /// Loads an aligned little-endian word.
@@ -141,12 +193,7 @@ impl Memory {
     #[inline]
     pub fn load_u32(&self, addr: u32) -> Result<u32, SimError> {
         let i = self.check(addr, 4)?;
-        Ok(u32::from_le_bytes([
-            self.bytes[i],
-            self.bytes[i + 1],
-            self.bytes[i + 2],
-            self.bytes[i + 3],
-        ]))
+        Ok(u32::from_le_bytes(self.read(i)))
     }
 
     /// Stores a byte.
@@ -157,7 +204,7 @@ impl Memory {
     #[inline]
     pub fn store_u8(&mut self, addr: u32, value: u8) -> Result<(), SimError> {
         let i = self.check(addr, 1)?;
-        self.bytes[i] = value;
+        self.backed_mut(i, i + 1)[0] = value;
         Ok(())
     }
 
@@ -169,7 +216,8 @@ impl Memory {
     #[inline]
     pub fn store_u16(&mut self, addr: u32, value: u16) -> Result<(), SimError> {
         let i = self.check(addr, 2)?;
-        self.bytes[i..i + 2].copy_from_slice(&value.to_le_bytes());
+        self.backed_mut(i, i + 2)
+            .copy_from_slice(&value.to_le_bytes());
         Ok(())
     }
 
@@ -181,25 +229,37 @@ impl Memory {
     #[inline]
     pub fn store_u32(&mut self, addr: u32, value: u32) -> Result<(), SimError> {
         let i = self.check(addr, 4)?;
-        self.bytes[i..i + 4].copy_from_slice(&value.to_le_bytes());
+        self.backed_mut(i, i + 4)
+            .copy_from_slice(&value.to_le_bytes());
         Ok(())
     }
 
-    /// Borrows a byte range (for quality sampling of output regions).
+    /// Reads a byte range (for quality sampling of output regions):
+    /// borrowed where it is backed, zero-filled above.
     ///
     /// # Errors
     ///
     /// Returns [`SimError::MemOutOfRange`] if the range does not fit.
-    pub fn slice(&self, addr: u32, len: u32) -> Result<&[u8], SimError> {
+    pub fn slice(&self, addr: u32, len: u32) -> Result<Cow<'_, [u8]>, SimError> {
         let end = addr as u64 + len as u64;
-        if end > self.bytes.len() as u64 {
+        if end > self.size as u64 {
             return Err(SimError::MemOutOfRange {
                 addr,
                 size: len,
-                mem_size: self.bytes.len() as u32,
+                mem_size: self.size as u32,
             });
         }
-        Ok(&self.bytes[addr as usize..(addr + len) as usize])
+        let (start, end) = (addr as usize, end as usize);
+        Ok(match self.bytes.get(start..end) {
+            Some(b) => Cow::Borrowed(b),
+            None => {
+                let mut out = vec![0; end - start];
+                if let Some(backed) = self.bytes.get(start..) {
+                    out[..backed.len()].copy_from_slice(backed);
+                }
+                Cow::Owned(out)
+            }
+        })
     }
 
     /// Copies `data` into memory starting at `addr` (host-side input
@@ -210,14 +270,16 @@ impl Memory {
     /// Returns [`SimError::MemOutOfRange`] if the range does not fit.
     pub fn write_slice(&mut self, addr: u32, data: &[u8]) -> Result<(), SimError> {
         let end = addr as u64 + data.len() as u64;
-        if end > self.bytes.len() as u64 {
+        if end > self.size as u64 {
             return Err(SimError::MemOutOfRange {
                 addr,
                 size: data.len() as u32,
-                mem_size: self.bytes.len() as u32,
+                mem_size: self.size as u32,
             });
         }
-        self.bytes[addr as usize..addr as usize + data.len()].copy_from_slice(data);
+        let start = addr as usize;
+        self.backed_mut(start, start + data.len())
+            .copy_from_slice(data);
         Ok(())
     }
 }
@@ -292,10 +354,41 @@ mod tests {
     }
 
     #[test]
+    fn unbacked_memory_reads_zero_and_grows_on_store() {
+        let mut m = Memory::with_image(64, &[1, 2, 3]).unwrap();
+        assert_eq!(m.bytes.len(), 4, "backed to the image, in whole words");
+        assert_eq!(m.load_u32(60).unwrap(), 0);
+        assert_eq!(m.load_u16(62).unwrap(), 0);
+        assert_eq!(m.load_u8(63).unwrap(), 0);
+        assert_eq!(m.slice(2, 8).unwrap().as_ref(), &[3, 0, 0, 0, 0, 0, 0, 0]);
+        assert_eq!(m.slice(40, 4).unwrap().as_ref(), &[0; 4]);
+        // Faults are checked against the logical size, backed or not.
+        assert!(m.load_u32(64).is_err());
+        assert!(m.store_u8(64, 1).is_err());
+        assert_eq!(
+            m.load_u32(58),
+            Err(SimError::Unaligned {
+                addr: 58,
+                required: 4
+            })
+        );
+        // Equal contents are equal memories, however much is backed.
+        let image = Memory::with_image(64, &[1, 2, 3]).unwrap();
+        m.store_u8(41, 0).unwrap();
+        assert_eq!(m.bytes.len(), 44);
+        assert_eq!(m, image);
+        m.store_u16(42, 0xBEEF).unwrap();
+        assert_ne!(m, image);
+        assert_eq!(m.load_u16(42).unwrap(), 0xBEEF);
+        assert_eq!(m.load_u32(40).unwrap(), 0xBEEF_0000);
+        assert_ne!(Memory::new(64), Memory::new(68), "sizes differ");
+    }
+
+    #[test]
     fn write_slice_and_slice() {
         let mut m = Memory::new(16);
         m.write_slice(4, &[9, 8, 7]).unwrap();
-        assert_eq!(m.slice(4, 3).unwrap(), &[9, 8, 7]);
+        assert_eq!(m.slice(4, 3).unwrap().as_ref(), &[9, 8, 7]);
         assert!(m.write_slice(15, &[1, 2]).is_err());
     }
 
