@@ -23,7 +23,6 @@
 //! wall-clock, artifact list).
 
 use std::env;
-use std::path::PathBuf;
 use std::process::ExitCode;
 use std::time::Instant;
 
@@ -37,7 +36,7 @@ use wn_core::jobs;
 use wn_telemetry::json::{self, Value};
 use wn_telemetry::RunReport;
 
-const USAGE: &str = "usage: experiments <all|table1|fig01|fig02|fig03|fig09|fig10|fig11|fig12|fig13|fig14|fig15|fig17|task|area_power|report|bench|bench-fleet> [--paper] [--jobs N] [--telemetry] [--epoch N]\n       experiments fleet <scenario.toml|.json> [--check] [--jobs N] [--resume] [--shard-jsonl] [--stop-after-shards N] [--epoch N]\n       experiments predict <scenario.toml|.json> [--validate] [--jobs N] [--epoch N]\n       experiments serve [--addr HOST:PORT] [--data-dir DIR] [--jobs N] [--queue N] [--cache-cap N] [--stop-after-shards N]";
+const USAGE: &str = "usage: experiments <all|table1|fig01|fig02|fig03|fig09|fig10|fig11|fig12|fig13|fig14|fig15|fig17|task|area_power|report|bench|bench-fleet> [--paper] [--jobs N] [--telemetry] [--epoch N]\n       experiments fleet <scenario.toml|.json> [--check] [--jobs N] [--resume] [--shard-jsonl] [--stop-after-shards N] [--epoch N]\n       experiments predict <scenario.toml|.json> [--validate] [--jobs N] [--epoch N]";
 
 fn main() -> ExitCode {
     let args: Vec<String> = env::args().skip(1).collect();
@@ -51,20 +50,17 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     }
-    match parse_flag_value(&args, "--epoch") {
-        Ok(Some(v)) => match v.parse::<f64>() {
-            Ok(epoch) if epoch.is_finite() => manifest::set_epoch_override(epoch),
-            _ => {
-                eprintln!("--epoch needs a finite number of seconds, got `{v}`\n{USAGE}");
-                return ExitCode::FAILURE;
-            }
-        },
-        Ok(None) => {}
+    // Flag wins over environment; resolved once and passed down.
+    let env_epoch = env::var("WN_EPOCH").ok();
+    let epoch = match parse_flag_value(&args, "--epoch")
+        .and_then(|flag| manifest::resolve_epoch(flag.as_deref(), env_epoch.as_deref()))
+    {
+        Ok(epoch) => epoch,
         Err(e) => {
             eprintln!("{e}\n{USAGE}");
             return ExitCode::FAILURE;
         }
-    }
+    };
     let mut which: Vec<&str> = Vec::new();
     let mut skip_value = false;
     for a in &args {
@@ -74,17 +70,8 @@ fn main() -> ExitCode {
         }
         if let Some(flag) = a.strip_prefix("--") {
             // Space-form value flags consume the next argument.
-            skip_value = !flag.contains('=')
-                && matches!(
-                    flag,
-                    "jobs"
-                        | "epoch"
-                        | "stop-after-shards"
-                        | "addr"
-                        | "data-dir"
-                        | "queue"
-                        | "cache-cap"
-                );
+            skip_value =
+                !flag.contains('=') && matches!(flag, "jobs" | "epoch" | "stop-after-shards");
             continue;
         }
         which.push(a.as_str());
@@ -96,19 +83,16 @@ fn main() -> ExitCode {
         return report();
     }
     if which == ["bench"] {
-        return bench();
+        return bench(&args, epoch);
     }
     if which == ["bench-fleet"] {
-        return bench_fleet();
+        return bench_fleet(&args, epoch);
     }
     if which.first() == Some(&"fleet") {
-        return fleet(&args, &which[1..]);
+        return fleet(&args, &which[1..], epoch);
     }
     if which.first() == Some(&"predict") {
-        return predict(&args, &which[1..]);
-    }
-    if which == ["serve"] {
-        return serve(&args);
+        return predict(&args, &which[1..], epoch);
     }
 
     let config = if paper {
@@ -176,7 +160,7 @@ fn main() -> ExitCode {
     let wall_s = total.elapsed().as_secs_f64();
     let manifest = RunManifest {
         command: args.join(" "),
-        unix_time_s: manifest::unix_time_s(),
+        unix_time_s: manifest::unix_time_s(epoch),
         scale: format!("{:?}", config.scale).to_lowercase(),
         traces: config.traces as u64,
         invocations: config.invocations as u64,
@@ -433,11 +417,9 @@ fn report() -> ExitCode {
 }
 
 /// `experiments bench`: min-of-30 wall-clock of the fixed executor
-/// workload (matmul + Clank + RF-bursty, as `benches/executor.rs` and
-/// `examples/wl_time.rs`), untraced vs traced, written to
-/// `BENCH_executor.json` in the results directory and appended to the
-/// `bench_history.jsonl` trajectory there.
-fn bench() -> ExitCode {
+/// workload (matmul + Clank + RF-bursty), untraced vs traced, written to
+/// `BENCH_executor.json` in the results directory.
+fn bench(args: &[String], epoch: Option<f64>) -> ExitCode {
     use wn_core::intermittent::quick_supply;
     use wn_core::prepared::PreparedRun;
     use wn_energy::{PowerTrace, TraceKind};
@@ -499,7 +481,8 @@ fn bench() -> ExitCode {
         "block dispatch {block_dispatch_percent:.1}% of instructions, \
          checkpoint bytes saved {ckpt_bytes_saved:.0} ({ckpt_words_saved} of {ckpt_words_full} words written)",
     );
-    let mut record = BenchRecord::new("executor");
+    // Each run is one serial executor: the timed work uses one thread.
+    let mut record = BenchRecord::new("executor", &command_line(args), 1, epoch);
     record.push("untraced_min_ms", untraced_s * 1e3, "ms");
     record.push(
         "untraced_minstr_per_s",
@@ -512,43 +495,24 @@ fn bench() -> ExitCode {
     record.push("checkpoint_words_saved", ckpt_words_saved as f64, "words");
     record.push("checkpoint_words_full", ckpt_words_full as f64, "words");
     record.push("checkpoint_bytes_saved", ckpt_bytes_saved, "bytes");
-    match record.write() {
-        Ok(path) => println!("wrote {}", path.display()),
-        Err(e) => {
-            eprintln!("BENCH record write failed: {e}");
-            return ExitCode::FAILURE;
-        }
-    }
-    match record.append_history() {
-        Ok(path) => {
-            println!("appended {}", path.display());
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("bench history append failed: {e}");
-            ExitCode::FAILURE
-        }
-    }
+    write_record(&record)
 }
 
-/// `experiments bench-fleet`: fleet-runner throughput trajectory.
+/// `experiments bench-fleet`: fleet-runner throughput at `--jobs 1`.
 /// Times two 128-device populations on the scalar executor (each device
 /// through `wn_fleet::simulate_device`, no aggregate fold) and through
 /// `run_fleet`, whose planner puts both on the lockstep (batched)
-/// engine — the criterion-bench anytime
-/// population (every completing device skims, so nearly all diverge
-/// onto the scalar path) and a precise population (no skim points, so
-/// every device finishes on the shared tape) — plus a checkpoint-free
-/// Task population (re-execution breaks the shared-trajectory premise,
-/// so it always runs the scalar path) — and records devices/s for each
-/// regime into `BENCH_fleet.json` and the `bench_history.jsonl`
-/// trajectory.
-fn bench_fleet() -> ExitCode {
+/// engine — an anytime population (every completing device skims, so
+/// nearly all diverge onto the scalar path) and a precise population
+/// (no skim points, so every device finishes on the shared tape) —
+/// plus a checkpoint-free Task population (re-execution breaks the
+/// shared-trajectory premise, so it always runs the scalar path) — and
+/// records devices/s for each regime into `BENCH_fleet.json`.
+fn bench_fleet(args: &[String], epoch: Option<f64>) -> ExitCode {
     use wn_fleet::{run_fleet, simulate_device, FleetOptions, FleetScenario};
 
     let population = |technique: &str| {
-        // Mirrors the criterion bench population (crates/bench/benches/
-        // fleet.rs): both substrates, two environment families.
+        // Both checkpointing substrates, two environment families.
         FleetScenario::parse(&format!(
             r#"
 [fleet]
@@ -605,7 +569,7 @@ day_s = 10.0
             }
         })
     };
-    let mut record = BenchRecord::new("fleet");
+    let mut record = BenchRecord::new("fleet", &command_line(args), 1, epoch);
     wn_energy::memo_stats::reset();
     for (prefix, technique) in [("", "anytime8"), ("precise_", "precise")] {
         let scenario = population(technique);
@@ -692,90 +656,7 @@ day_s = 10.0
             "events",
         );
     }
-    match record.write() {
-        Ok(path) => println!("wrote {}", path.display()),
-        Err(e) => {
-            eprintln!("BENCH record write failed: {e}");
-            return ExitCode::FAILURE;
-        }
-    }
-    match record.append_history() {
-        Ok(path) => {
-            println!("appended {}", path.display());
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("bench history append failed: {e}");
-            ExitCode::FAILURE
-        }
-    }
-}
-
-/// `experiments serve`: the fleet-as-a-service daemon, as a thin
-/// wrapper over [`wn_serve::server::start`]. Scenario submissions
-/// arrive over the socket (see the `wn-serve` binary for the client
-/// side); reports land in `<data-dir>/store/`, byte-identical to what
-/// `experiments fleet` writes for the same scenario. Runs until
-/// SIGTERM/SIGINT or a client `shutdown`, pausing in-flight sweeps at
-/// a durable shard boundary; restarting over the same data directory
-/// resumes them byte-exactly.
-fn serve(args: &[String]) -> ExitCode {
-    use wn_serve::server::{start, ServeConfig};
-
-    let data_dir = match parse_flag_value(args, "--data-dir") {
-        Ok(Some(dir)) => PathBuf::from(dir),
-        Ok(None) => results_dir().join("serve"),
-        Err(e) => {
-            eprintln!("{e}\n{USAGE}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let mut config = ServeConfig::new(data_dir);
-    config.install_signal_handlers = true;
-    let flag_usize = |flag: &str| -> Result<Option<usize>, String> {
-        match parse_flag_value(args, flag)? {
-            None => Ok(None),
-            Some(v) => v
-                .parse::<usize>()
-                .map(Some)
-                .map_err(|_| format!("{flag} needs a non-negative integer, got `{v}`")),
-        }
-    };
-    let parsed = (|| -> Result<(), String> {
-        if let Some(addr) = parse_flag_value(args, "--addr")? {
-            config.addr = addr;
-        }
-        if let Some(n) = flag_usize("--queue")? {
-            config.queue_capacity = n;
-        }
-        if let Some(n) = flag_usize("--cache-cap")? {
-            config.prepared_cache_capacity = Some(n);
-        }
-        if let Some(n) = flag_usize("--stop-after-shards")? {
-            config.stop_after_shards = Some(n);
-        }
-        Ok(())
-    })();
-    if let Err(e) = parsed {
-        eprintln!("{e}\n{USAGE}");
-        return ExitCode::FAILURE;
-    }
-    match start(&config) {
-        Ok(handle) => {
-            println!(
-                "serving fleets on {} (data dir {})",
-                handle.local_addr(),
-                config.data_dir.display()
-            );
-            handle.join();
-            println!("server stopped");
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("cannot start server: {e}");
-            ExitCode::FAILURE
-        }
-    }
+    write_record(&record)
 }
 
 /// `experiments fleet <scenario>`: sharded multi-device population
@@ -784,7 +665,7 @@ fn serve(args: &[String]) -> ExitCode {
 /// writes `fleet_<name>.json` / `fleet_<name>.csv` artifacts plus the
 /// usual manifest. `--resume` picks up from the checkpoint; the report
 /// bytes are identical to an uninterrupted run at any `--jobs` width.
-fn fleet(args: &[String], operands: &[&str]) -> ExitCode {
+fn fleet(args: &[String], operands: &[&str], epoch: Option<f64>) -> ExitCode {
     use wn_fleet::{run_fleet, FleetOptions, FleetStatus};
 
     let [path] = operands else {
@@ -924,7 +805,7 @@ fn fleet(args: &[String], operands: &[&str]) -> ExitCode {
     let wall_s = total.elapsed().as_secs_f64();
     let manifest = RunManifest {
         command: args.join(" "),
-        unix_time_s: manifest::unix_time_s(),
+        unix_time_s: manifest::unix_time_s(epoch),
         scale: format!("{:?}", scenario.scale).to_lowercase(),
         traces: scenario.total_devices(), // one synthesized trace per device
         invocations: 1,
@@ -944,6 +825,25 @@ fn fleet(args: &[String], operands: &[&str]) -> ExitCode {
     } else {
         ExitCode::SUCCESS
     }
+}
+
+/// Writes a `BENCH_*.json` record into the results directory.
+fn write_record(record: &BenchRecord) -> ExitCode {
+    match record.write() {
+        Ok(path) => {
+            println!("wrote {}", path.display());
+            ExitCode::SUCCESS
+        }
+        Err(e) => {
+            eprintln!("BENCH record write failed: {e}");
+            ExitCode::FAILURE
+        }
+    }
+}
+
+/// The command line a bench record's provenance names.
+fn command_line(args: &[String]) -> String {
+    format!("experiments {}", args.join(" "))
 }
 
 fn save(name: &str, contents: &str, artifacts: &mut Vec<String>) -> std::io::Result<()> {
@@ -983,7 +883,7 @@ fn scenario_stem(name: &str) -> String {
 /// runner and the two reports are cross-checked under the tolerance
 /// bands documented in DESIGN.md §13; any band violation fails the
 /// invocation.
-fn predict(args: &[String], operands: &[&str]) -> ExitCode {
+fn predict(args: &[String], operands: &[&str], epoch: Option<f64>) -> ExitCode {
     use wn_fleet::{predict_fleet, run_fleet, validate, CohortForecast, FleetOptions, FleetStatus};
 
     let [path] = operands else {
@@ -1062,7 +962,12 @@ fn predict(args: &[String], operands: &[&str]) -> ExitCode {
         }
     }
 
-    let mut record = BenchRecord::new("analyze");
+    let mut record = BenchRecord::new(
+        "analyze",
+        &command_line(args),
+        jobs::global_jobs() as u64,
+        epoch,
+    );
     record.push("predict_ms", predict_ms, "ms");
     record.push("cohorts", scenario.cohorts.len() as f64, "cohorts");
     record.push("devices", scenario.total_devices() as f64, "devices");
@@ -1101,22 +1006,14 @@ fn predict(args: &[String], operands: &[&str]) -> ExitCode {
         }
     }
 
-    match record.write() {
-        Ok(p) => println!("wrote {}", p.display()),
-        Err(e) => {
-            eprintln!("BENCH record write failed: {e}");
-            failed = true;
-        }
-    }
-    if let Err(e) = record.append_history() {
-        eprintln!("bench history append failed: {e}");
+    if write_record(&record) == ExitCode::FAILURE {
         failed = true;
     }
 
     let wall_s = total.elapsed().as_secs_f64();
     let manifest = RunManifest {
         command: args.join(" "),
-        unix_time_s: manifest::unix_time_s(),
+        unix_time_s: manifest::unix_time_s(epoch),
         scale: format!("{:?}", scenario.scale).to_lowercase(),
         // Pure prediction synthesizes no traces; --validate sweeps one
         // per device, exactly like `experiments fleet`.

@@ -1,20 +1,16 @@
 //! # wn-bench — the experiment harness
 //!
-//! Two entry points:
-//!
-//! * the **`experiments` binary** (`cargo run --release -p wn-bench --bin
-//!   experiments -- all`) regenerates every table and figure of the
-//!   paper's evaluation, printing the same rows/series the paper reports
-//!   and writing CSVs under `results/`;
-//! * the **Criterion benches** (`cargo bench`) time each experiment
-//!   regeneration (`benches/figures.rs`), sweep the design space the
-//!   paper calls out (`benches/ablations.rs`), measure raw substrate
-//!   throughput (`benches/simulator.rs`), and guard the disabled-sink
-//!   telemetry overhead (`benches/telemetry.rs`).
+//! The **`experiments` binary** (`cargo run --release -p wn-bench --bin
+//! experiments -- all`) regenerates every table and figure of the
+//! paper's evaluation, printing the same rows/series the paper reports
+//! and writing CSVs under `results/`. It is also the in-tree benchmark
+//! harness: `bench` times the executor, `bench-fleet` the fleet runner
+//! and `predict` the analytic predictor, each into a `BENCH_*.json`
+//! record that CI compares with the checked-in baselines.
 //!
 //! The [`manifest`] module carries run provenance: the
 //! `results/manifest.json` written after every `experiments` invocation
-//! and the `BENCH_*.json` perf-trajectory records.
+//! and the `BENCH_*.json` records.
 
 use std::env;
 use std::ffi::OsString;

@@ -4,7 +4,7 @@
 //! Both are JSON documents built with [`wn_telemetry::json`]'s builder
 //! and read back with its one total reader, [`json::parse`].
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::process::Command;
 use std::time::{SystemTime, UNIX_EPOCH};
 
 use wn_telemetry::json::{self, Obj};
@@ -14,11 +14,6 @@ pub const MANIFEST_SCHEMA: &str = "wn-run-manifest-v1";
 
 /// Schema tag stamped into every `BENCH_*.json` record.
 pub const BENCH_SCHEMA: &str = "wn-bench-record-v1";
-
-/// File name the append-only bench history lives under (in the results
-/// directory). One JSON line per `experiments bench` run, never
-/// truncated, so the perf trajectory survives `BENCH_*.json` overwrites.
-pub const HISTORY_FILE: &str = "bench_history.jsonl";
 
 /// File name the manifest is written under (in the results directory).
 pub const MANIFEST_FILE: &str = "manifest.json";
@@ -32,7 +27,7 @@ pub struct RunManifest {
     /// The command line as invoked (program name elided).
     pub command: String,
     /// When the run finished ([`unix_time_s`]: seconds since the Unix
-    /// epoch, or the pinned `--epoch`).
+    /// epoch, or the pinned epoch from [`resolve_epoch`]).
     pub unix_time_s: f64,
     /// Benchmark scale (`quick` / `paper`).
     pub scale: String,
@@ -109,24 +104,34 @@ impl RunManifest {
 }
 
 /// One `BENCH_*.json` record: a named set of scalar metrics from a
-/// timing run, written to the results directory next to
-/// `bench_history.jsonl`. The `BENCH_*.json` files at the workspace
-/// root are checked-in baselines that no command rewrites; CI compares
-/// a fresh record against them.
+/// timing run, written to the results directory with the provenance
+/// needed to compare it. The `BENCH_*.json` files at the workspace root
+/// are checked-in baselines that no command rewrites; CI compares a
+/// fresh record against them.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BenchRecord {
     /// Record name; the file is written as `BENCH_<name>.json`.
     pub name: String,
     /// `(metric, value, unit)` rows.
     pub metrics: Vec<(String, f64, String)>,
+    /// The command line as invoked.
+    pub command: String,
+    /// Worker threads the timed work ran on.
+    pub jobs: u64,
+    /// The pinned timestamp from [`resolve_epoch`]; `None` stamps the
+    /// time the record is serialized.
+    pub epoch: Option<f64>,
 }
 
 impl BenchRecord {
-    /// A new, empty record.
-    pub fn new(name: &str) -> BenchRecord {
+    /// A new record with no metrics.
+    pub fn new(name: &str, command: &str, jobs: u64, epoch: Option<f64>) -> BenchRecord {
         BenchRecord {
             name: name.to_string(),
             metrics: Vec::new(),
+            command: command.to_string(),
+            jobs,
+            epoch,
         }
     }
 
@@ -137,20 +142,36 @@ impl BenchRecord {
     }
 
     /// Serializes the record: metric values at the top level (so naive
-    /// extraction by metric name works), units in a parallel object.
+    /// extraction by metric name works), then a `provenance` object (git
+    /// revision of the checkout, core count, `jobs`, build profile and
+    /// command), then units in a parallel object.
     pub fn to_json(&self) -> String {
         let mut obj = Obj::new()
             .str("schema", BENCH_SCHEMA)
             .str("name", &self.name)
-            .f64("unix_time_s", unix_time_s());
+            .f64("unix_time_s", unix_time_s(self.epoch));
         for (metric, value, _) in &self.metrics {
             obj = obj.f64(metric, *value);
         }
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        let profile = if cfg!(debug_assertions) {
+            "debug"
+        } else {
+            "release"
+        };
+        let provenance = Obj::new()
+            .str("git_revision", &git_revision())
+            .u64("cores", cores as u64)
+            .u64("jobs", self.jobs)
+            .str("profile", profile)
+            .str("command", &self.command);
         let mut units = Obj::new();
         for (metric, _, unit) in &self.metrics {
             units = units.str(metric, unit);
         }
-        obj.raw("units", units.finish()).finish()
+        obj.raw("provenance", provenance.finish())
+            .raw("units", units.finish())
+            .finish()
     }
 
     /// Writes the record as `BENCH_<name>.json` in the results
@@ -164,70 +185,55 @@ impl BenchRecord {
     pub fn write(&self) -> std::io::Result<std::path::PathBuf> {
         crate::write_artifact(&format!("BENCH_{}.json", self.name), &self.to_json())
     }
-
-    /// Appends the record as one line to `bench_history.jsonl` in the
-    /// given directory (created on demand) and returns the path.
-    /// `BENCH_<name>.json` is overwritten per run; the history file is
-    /// append-only, so successive runs on one checkout accumulate.
-    ///
-    /// # Errors
-    ///
-    /// Returns any I/O error from creating the directory or appending.
-    pub fn append_history_at(&self, dir: &std::path::Path) -> std::io::Result<std::path::PathBuf> {
-        use std::io::Write;
-        std::fs::create_dir_all(dir)?;
-        let path = dir.join(HISTORY_FILE);
-        let mut file = std::fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(&path)?;
-        writeln!(file, "{}", self.to_json())?;
-        Ok(path)
-    }
-
-    /// Appends to the history file in the results directory
-    /// (`$WN_RESULTS_DIR` or `results/`).
-    ///
-    /// # Errors
-    ///
-    /// Returns any I/O error from creating the directory or appending.
-    pub fn append_history(&self) -> std::io::Result<std::path::PathBuf> {
-        self.append_history_at(&crate::results_dir())
-    }
 }
 
-/// Process-wide timestamp override, stored as `f64` bits; `u64::MAX`
-/// (a NaN pattern no caller can set) means "not set".
-static EPOCH_OVERRIDE: AtomicU64 = AtomicU64::new(u64::MAX);
-
-/// Pins the timestamp stamped into manifests and bench records, so two
-/// otherwise-identical runs produce byte-identical provenance documents
-/// (the `--epoch` flag). Non-finite values are ignored.
-pub fn set_epoch_override(epoch_s: f64) {
-    if epoch_s.is_finite() {
-        EPOCH_OVERRIDE.store(epoch_s.to_bits(), Ordering::Relaxed);
-    }
-}
-
-/// Seconds since the Unix epoch (0.0 if the clock is before it) — or
-/// the injected value, when [`set_epoch_override`] was called or
-/// `WN_EPOCH` is set (flag wins over environment).
-pub fn unix_time_s() -> f64 {
-    let bits = EPOCH_OVERRIDE.load(Ordering::Relaxed);
-    if bits != u64::MAX {
-        return f64::from_bits(bits);
-    }
-    if let Some(v) = std::env::var("WN_EPOCH")
+/// `git rev-parse HEAD` of the checkout this crate was built from, or
+/// `"unknown"` when git or the checkout is unavailable.
+fn git_revision() -> String {
+    Command::new("git")
+        .args(["rev-parse", "HEAD"])
+        .current_dir(crate::workspace_root())
+        .output()
         .ok()
-        .and_then(|v| v.parse::<f64>().ok())
-        .filter(|v| v.is_finite())
-    {
-        return v;
+        .filter(|out| out.status.success())
+        .and_then(|out| String::from_utf8(out.stdout).ok())
+        .map(|rev| rev.trim().to_string())
+        .filter(|rev| !rev.is_empty())
+        .unwrap_or_else(|| "unknown".to_string())
+}
+
+/// Resolves the timestamp pin of one invocation, so two otherwise
+/// identical runs write byte-identical provenance documents: the
+/// `--epoch` flag value when given, else the `WN_EPOCH` environment
+/// value, else `None`.
+///
+/// # Errors
+///
+/// The chosen value is not a finite number of seconds.
+pub fn resolve_epoch(flag: Option<&str>, env: Option<&str>) -> Result<Option<f64>, String> {
+    let Some((source, v)) = flag
+        .map(|v| ("--epoch", v))
+        .or(env.map(|v| ("WN_EPOCH", v)))
+    else {
+        return Ok(None);
+    };
+    match v.parse::<f64>() {
+        Ok(epoch) if epoch.is_finite() => Ok(Some(epoch)),
+        _ => Err(format!(
+            "{source} needs a finite number of seconds, got `{v}`"
+        )),
     }
-    SystemTime::now()
-        .duration_since(UNIX_EPOCH)
-        .map(|d| d.as_secs_f64())
-        .unwrap_or(0.0)
+}
+
+/// The pinned epoch, or seconds since the Unix epoch now (0.0 if the
+/// clock is before it).
+pub fn unix_time_s(epoch: Option<f64>) -> f64 {
+    epoch.unwrap_or_else(|| {
+        SystemTime::now()
+            .duration_since(UNIX_EPOCH)
+            .map(|d| d.as_secs_f64())
+            .unwrap_or(0.0)
+    })
 }
 
 #[cfg(test)]
@@ -304,26 +310,41 @@ mod tests {
 
     #[test]
     fn epoch_override_makes_documents_byte_identical() {
-        // Process-wide and sticky, but no other test in this binary
-        // asserts on `unix_time_s`, so pinning it here is safe.
-        set_epoch_override(1_700_000_000.0);
+        // The flag beats the environment; the environment alone pins.
+        assert_eq!(
+            resolve_epoch(Some("1700000000"), Some("5")),
+            Ok(Some(1.7e9))
+        );
+        assert_eq!(
+            resolve_epoch(Some("1700000000"), Some("x")),
+            Ok(Some(1.7e9))
+        );
+        assert_eq!(resolve_epoch(None, Some("5")), Ok(Some(5.0)));
+        assert_eq!(resolve_epoch(None, None), Ok(None));
+        // A pin that is not a finite number is rejected, not ignored.
+        for bad in ["NaN", "inf", "-inf", "1e999", "x", ""] {
+            assert!(resolve_epoch(Some(bad), Some("5")).is_err(), "{bad}");
+            assert!(resolve_epoch(None, Some(bad)).is_err(), "{bad}");
+        }
+        let epoch = Some(1.7e9);
+        assert_eq!(unix_time_s(epoch), 1.7e9);
         let m = RunManifest {
-            unix_time_s: unix_time_s(),
+            unix_time_s: unix_time_s(epoch),
             ..manifest()
         };
-        assert_eq!(m.to_json(), m.to_json());
         assert!(m.to_json().contains("\"unix_time_s\":1700000000,"));
-        let mut r = BenchRecord::new("executor");
-        r.push("x", 1.0, "ms");
-        assert_eq!(r.to_json(), r.to_json());
-        // Non-finite injections are ignored, not stored.
-        set_epoch_override(f64::NAN);
-        assert_eq!(unix_time_s(), 1_700_000_000.0);
+        let record = || {
+            let mut r = BenchRecord::new("executor", "experiments bench", 1, epoch);
+            r.push("x", 1.0, "ms");
+            r.to_json()
+        };
+        assert_eq!(record(), record());
+        assert!(record().contains("\"unix_time_s\":1700000000,"));
     }
 
     #[test]
     fn bench_record_exposes_metrics_at_top_level() {
-        let mut r = BenchRecord::new("executor");
+        let mut r = BenchRecord::new("executor", "experiments bench", 1, None);
         r.push("epoch_min_ms", 2.065, "ms");
         r.push("epoch_minstr_per_s", 93.4, "M instr/s");
         let doc = r.to_json();
@@ -335,26 +356,63 @@ mod tests {
         assert!(doc.contains("\"epoch_min_ms\":\"ms\""));
     }
 
+    /// Every key a CI gate compares, with the direction it compares in.
+    const CI_KEYS: [(&str, &str); 7] = [
+        ("untraced_min_ms", "lower"),
+        ("batched_devices_per_s", "higher"),
+        ("task_devices_per_s", "higher"),
+        ("supply_memo_hits", "higher"),
+        ("supply_charge_ff_steps", "higher"),
+        ("supply_discharge_ext_events", "higher"),
+        ("predict_ms", "lower"),
+    ];
+
     #[test]
-    fn bench_history_appends_one_line_per_run() {
-        let dir = std::env::temp_dir().join(format!("wn-bench-history-{}", std::process::id()));
-        let mut r = BenchRecord::new("executor");
-        r.push("untraced_min_ms", 1.5, "ms");
-        let path = r.append_history_at(&dir).unwrap();
-        r.append_history_at(&dir).unwrap();
-        let text = std::fs::read_to_string(&path).unwrap();
-        let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(lines.len(), 2, "append-only: one line per run");
-        for line in lines {
-            assert!(line.starts_with('{') && line.ends_with('}'));
-            let record = json::parse(line).unwrap();
-            assert_eq!(
-                record.get("schema").and_then(json::Value::as_str),
-                Some(BENCH_SCHEMA)
-            );
-            assert_eq!(
-                record.get("untraced_min_ms").and_then(json::Value::as_f64),
-                Some(1.5)
+    fn bench_record_carries_provenance_and_stays_comparable() {
+        let mut r = BenchRecord::new("gate", "experiments predict s.toml --jobs 2", 2, None);
+        for (key, _) in CI_KEYS {
+            r.push(key, 12.5, "u");
+        }
+        let doc = r.to_json();
+        let provenance = json::parse(&doc)
+            .unwrap()
+            .get("provenance")
+            .cloned()
+            .unwrap();
+        for key in ["git_revision", "cores", "jobs", "profile", "command"] {
+            assert!(provenance.get(key).is_some(), "provenance lacks {key}");
+        }
+        assert_eq!(
+            provenance.get("jobs").and_then(json::Value::as_u64),
+            Some(2)
+        );
+        assert_eq!(
+            provenance.get("command").and_then(json::Value::as_str),
+            Some("experiments predict s.toml --jobs 2")
+        );
+        let profile = provenance.get("profile").and_then(json::Value::as_str);
+        assert!(matches!(profile, Some("debug" | "release")));
+
+        // The gate script still reads every compared key from such a
+        // record (exit 2 would mean a key it cannot find).
+        let dir = std::env::temp_dir().join(format!("wn-bench-gate-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("BENCH_gate.json");
+        std::fs::write(&path, &doc).unwrap();
+        let script = crate::workspace_root().join("scripts/bench_compare.sh");
+        for (key, direction) in CI_KEYS {
+            let out = Command::new("sh")
+                .arg(&script)
+                .args([&path, &path])
+                .args(["25", key, direction])
+                .env("WN_BENCH_STRICT", "1")
+                .output()
+                .unwrap();
+            let stdout = String::from_utf8_lossy(&out.stdout);
+            assert_eq!(out.status.code(), Some(0), "{key}: {stdout}");
+            assert!(
+                stdout.starts_with(&format!("{key}: baseline 12.500, candidate 12.500")),
+                "{key}: {stdout}"
             );
         }
         std::fs::remove_dir_all(&dir).unwrap();

@@ -13,7 +13,7 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::trace::{pool_take, samples_per_ms, PowerTrace, TraceKind, SAMPLE_HZ};
+use crate::trace::{samples_per_ms, PowerTrace, TraceKind, SAMPLE_HZ};
 
 /// A parameterized synthetic harvesting environment.
 ///
@@ -177,7 +177,7 @@ impl EnvModel {
                 peak_power_w,
                 day_s,
             } => {
-                let mut samples = pool_take(n);
+                let mut samples = Vec::with_capacity(n);
                 solar_samples(&mut rng, &mut samples, n, peak_power_w, day_s);
                 PowerTrace::from_samples(samples)
             }
@@ -231,7 +231,7 @@ impl EnvModel {
         assert!(duration_s > 0.0, "trace duration must be positive");
         let n = (duration_s * SAMPLE_HZ).ceil() as usize;
         let mut rng = StdRng::seed_from_u64(seed ^ 0x574e_464c_4545_5401);
-        let mut samples = pool_take(n);
+        let mut samples = Vec::with_capacity(n);
         match *self {
             EnvModel::RfBursty {
                 mean_power_w,

@@ -15,7 +15,6 @@
 //! two forms; the segment form only removes the per-sample materialization
 //! and lets the supply ask for zero-power run lengths in O(log #segments).
 
-use std::cell::RefCell;
 use std::sync::Arc;
 
 use rand::rngs::StdRng;
@@ -92,49 +91,6 @@ enum Storage {
     Segments { segs: Arc<Vec<Seg>>, len: u32 },
 }
 
-// Worker-local scratch pool for sample vectors: fleet workers synthesize
-// one trace per device, and the dense forms (solar stays sampled) would
-// otherwise malloc + touch ~80 KB per device. The pool is per-thread, so
-// each `JobPool` worker reuses its own buffers without synchronization;
-// the last `PowerTrace` drop returns the vector here.
-thread_local! {
-    static VEC_POOL: RefCell<Vec<Vec<f32>>> = const { RefCell::new(Vec::new()) };
-}
-
-/// Maximum vectors kept per worker, and per-vector capacity worth
-/// pooling (small vectors are cheaper to reallocate than to track).
-const POOL_MAX_VECS: usize = 4;
-const POOL_MIN_CAP: usize = 1 << 12;
-const POOL_MAX_CAP: usize = 1 << 24;
-
-pub(crate) fn pool_take(capacity: usize) -> Vec<f32> {
-    VEC_POOL
-        .try_with(|pool| {
-            let mut pool = pool.borrow_mut();
-            match pool.pop() {
-                Some(mut v) => {
-                    v.clear();
-                    v.reserve(capacity);
-                    v
-                }
-                None => Vec::with_capacity(capacity),
-            }
-        })
-        .unwrap_or_else(|_| Vec::with_capacity(capacity))
-}
-
-fn pool_put(v: Vec<f32>) {
-    if !(POOL_MIN_CAP..=POOL_MAX_CAP).contains(&v.capacity()) {
-        return;
-    }
-    let _ = VEC_POOL.try_with(|pool| {
-        let mut pool = pool.borrow_mut();
-        if pool.len() < POOL_MAX_VECS {
-            pool.push(v);
-        }
-    });
-}
-
 /// A harvested-power trace sampled at 1 kHz, in watts.
 ///
 /// Reads past the end wrap around, so a trace of any duration can drive an
@@ -144,18 +100,6 @@ pub struct PowerTrace {
     storage: Storage,
     kind: TraceKind,
     seed: u64,
-}
-
-impl Drop for PowerTrace {
-    fn drop(&mut self) {
-        // Recycle the sample buffer into the worker-local pool when this
-        // was the last reference.
-        if let Storage::Sampled(arc) = &mut self.storage {
-            if let Some(v) = Arc::get_mut(arc) {
-                pool_put(std::mem::take(v));
-            }
-        }
-    }
 }
 
 impl PartialEq for PowerTrace {
@@ -194,7 +138,7 @@ impl PowerTrace {
         assert!(duration_s > 0.0, "trace duration must be positive");
         let n = (duration_s * SAMPLE_HZ).ceil() as usize;
         let mut rng = StdRng::seed_from_u64(seed ^ 0x574e_5452_4143_4531);
-        let mut samples = pool_take(n);
+        let mut samples = Vec::with_capacity(n);
         match kind {
             TraceKind::RfBursty => {
                 // Alternate ON bursts and OFF gaps with exponential
