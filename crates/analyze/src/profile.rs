@@ -160,9 +160,8 @@ impl StepHook for Profiler<'_> {
         cycles: u64,
         tail_extra: u64,
         _reads: &[u32],
-    ) -> u64 {
+    ) {
         self.acc += cycles + tail_extra;
-        0
     }
 }
 

@@ -95,15 +95,20 @@ impl ExperimentConfig {
     /// (an invocation sees the same environment kind at a different
     /// offset, realized as a distinct seed).
     pub fn trace_ensemble(&self) -> Vec<PowerTrace> {
-        let base = PowerTrace::paper_suite(self.seed.wrapping_mul(1009), 120.0);
+        self.ensemble(120.0)
+    }
+
+    /// [`ExperimentConfig::trace_ensemble`] with traces of `duration_s`.
+    fn ensemble(&self, duration_s: f64) -> Vec<PowerTrace> {
+        let recipe = PowerTrace::paper_suite_recipe(self.seed.wrapping_mul(1009));
         let mut out = Vec::with_capacity(self.traces * self.invocations);
         for t in 0..self.traces {
-            let template = &base[t % base.len()];
+            let (kind, seed) = recipe[t % recipe.len()];
             for inv in 0..self.invocations {
                 out.push(PowerTrace::generate(
-                    template.kind(),
-                    template.seed().wrapping_add(10_000 * inv as u64),
-                    120.0,
+                    kind,
+                    seed.wrapping_add(10_000 * inv as u64),
+                    duration_s,
                 ));
             }
         }
@@ -128,6 +133,27 @@ mod tests {
         assert_eq!(c.traces, 9);
         assert_eq!(c.invocations, 3);
         assert_eq!(c.trace_ensemble().len(), 27);
+    }
+
+    #[test]
+    fn trace_ensemble_follows_the_paper_suite_recipe() {
+        // The ensemble as built from a synthesized paper suite, read
+        // back through each trace's kind and seed.
+        for c in [ExperimentConfig::quick(), ExperimentConfig::paper()] {
+            let base = PowerTrace::paper_suite(c.seed.wrapping_mul(1009), 2.0);
+            let mut expected = Vec::new();
+            for t in 0..c.traces {
+                let template = &base[t % base.len()];
+                for inv in 0..c.invocations {
+                    expected.push(PowerTrace::generate(
+                        template.kind(),
+                        template.seed().wrapping_add(10_000 * inv as u64),
+                        2.0,
+                    ));
+                }
+            }
+            assert_eq!(c.ensemble(2.0), expected, "{} traces", c.traces);
+        }
     }
 
     #[test]

@@ -13,7 +13,7 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::trace::{samples_per_ms, PowerTrace, TraceKind, SAMPLE_HZ};
+use crate::trace::{exp_sample, samples_per_ms, PowerTrace, TraceKind, SAMPLE_HZ};
 
 /// A parameterized synthetic harvesting environment.
 ///
@@ -322,11 +322,6 @@ fn solar_samples(
         let flicker = 0.8 + 0.4 * rng.gen::<f64>();
         samples.push((peak_power_w * sun * flicker) as f32);
     }
-}
-
-fn exp_sample(rng: &mut StdRng, mean: f64) -> f64 {
-    let u: f64 = rng.gen_range(1e-9..1.0);
-    -mean * u.ln()
 }
 
 /// Closed-form stationary statistics of a harvesting environment — the

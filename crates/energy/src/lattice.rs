@@ -16,8 +16,7 @@
 //! the segment power and the three binades only. A [`BlockLattice`]
 //! caches those per-count steps and their per-block sums for one
 //! **generation** — one (segment power, energy binade, time binade,
-//! on-time binade, per-instruction overhead) — and settles a cached
-//! block with four adds.
+//! on-time binade) — and settles a cached block with four adds.
 //!
 //! **Admission.** The intermediate energies of a block lie between `e −
 //! Σdown` and `e + Σup`, so a block is settled on the lattice only when
@@ -142,7 +141,6 @@ pub struct BlockLattice {
     p_bits: u64,
     /// Packed biased exponents of energy, `t_s` and `on_time_s`.
     exps: u64,
-    overhead: u64,
     /// Whether the current generation's binades admit lattice settles.
     admissible: bool,
     scales: Scales,
@@ -176,7 +174,6 @@ impl BlockLattice {
             // No packed exponent triple equals this, so the first
             // settle opens a generation.
             exps: u64::MAX,
-            overhead: 0,
             admissible: false,
             scales: Scales::default(),
             e_lo: 0,
@@ -191,10 +188,9 @@ impl BlockLattice {
     }
 
     /// Settles block `block` on the lattice if it is cached and
-    /// admitted: `rest` are every element's cycle counts but the last,
-    /// before `overhead`; `last` is the final element's full count
-    /// (tail and overhead included), and every count must be in the
-    /// supply's tables. Returns the new energy, `t_s` and `on_time_s`,
+    /// admitted: `rest` are every element's cycle counts but the last;
+    /// `last` is the final element's full count (tail included), and
+    /// every count must be in the supply's tables. Returns the new energy, `t_s` and `on_time_s`,
     /// bit-identical to the float kernel's, or `None` when the caller
     /// must settle the block itself.
     #[inline]
@@ -204,12 +200,11 @@ impl BlockLattice {
         block: u32,
         rest: &[u64],
         last: u64,
-        overhead: u64,
     ) -> Option<(f64, f64, f64)> {
         let (eb, tb, ob) = (at.e.to_bits(), at.t.to_bits(), at.on.to_bits());
         let exps = (eb >> 52) << 24 | (tb >> 52) << 12 | (ob >> 52);
-        if exps != self.exps || at.p.to_bits() != self.p_bits || overhead != self.overhead {
-            self.open_generation(at, exps, overhead);
+        if exps != self.exps || at.p.to_bits() != self.p_bits {
+            self.open_generation(at, exps);
         }
         if !self.admissible {
             return None;
@@ -233,7 +228,7 @@ impl BlockLattice {
         let scales = self.scales;
         if !entry.built {
             entry.rest = rest.iter().fold(Steps::default(), |sum, &c| {
-                sum + scales.steps(counts, gen, at, c + overhead)
+                sum + scales.steps(counts, gen, at, c)
             });
             entry.built = true;
             entry.last = u64::MAX;
@@ -265,7 +260,7 @@ impl BlockLattice {
     /// block goes stale, and the binades' scales and bounds are derived
     /// afresh.
     #[cold]
-    fn open_generation(&mut self, at: &SettlePoint<'_>, exps: u64, overhead: u64) {
+    fn open_generation(&mut self, at: &SettlePoint<'_>, exps: u64) {
         self.gen = self.gen.wrapping_add(1);
         if self.gen == 0 {
             // Stamps wrapped: clear them so none can read current.
@@ -275,7 +270,6 @@ impl BlockLattice {
         }
         self.exps = exps;
         self.p_bits = at.p.to_bits();
-        self.overhead = overhead;
         let (ke, kt, ko) = (exps >> 24, exps >> 12 & 0xfff, exps & 0xfff);
         let in_range = |k: u64| (MIN_EXP..=MAX_EXP).contains(&k);
         self.admissible = in_range(ke) && in_range(kt) && in_range(ko) && at.p >= 0.0;

@@ -738,12 +738,11 @@ impl EnergySupply {
         self.on_time_s += dt;
     }
 
-    /// Settles a run of per-instruction costs, each plus `overhead`
-    /// cycles, with `tail_extra` folded into the final element (a fused
-    /// block's taken-branch refill) — the fused-block form of calling
-    /// [`EnergySupply::settle`] once per element, with bit-identical
-    /// results. `total` is the run's cycle sum, `Σ(cost + overhead) +
-    /// tail_extra`, which the caller already holds. `block` is the run's
+    /// Settles a run of per-instruction costs, with `tail_extra` folded
+    /// into the final element (a fused block's taken-branch refill) —
+    /// the fused-block form of calling [`EnergySupply::settle`] once per
+    /// element, with bit-identical results. `total` is the run's cycle
+    /// sum, `Σcost + tail_extra`, which the caller already holds. `block` is the run's
     /// identity in `lattice` — the pc its fused dispatch was admitted
     /// at — and must name the same `costs` for the lattice's life.
     ///
@@ -771,7 +770,6 @@ impl EnergySupply {
         lattice: &mut BlockLattice,
         block: u32,
         costs: &[u64],
-        overhead: u64,
         tail_extra: u64,
         total: u64,
     ) {
@@ -781,10 +779,10 @@ impl EnergySupply {
         };
         debug_assert_eq!(
             total,
-            costs.iter().map(|c| c + overhead).sum::<u64>() + tail_extra,
+            costs.iter().sum::<u64>() + tail_extra,
             "settle_run total disagrees with its costs"
         );
-        let last = tail_base + tail_extra + overhead;
+        let last = tail_base + tail_extra;
         if total < SETTLE_TABLE as u64 && total <= self.seg_budget_cycles {
             // Every element is at most `total`, so each is in the tables.
             let (p, max) = (self.seg_power_w, self.cap.max_energy());
@@ -798,7 +796,7 @@ impl EnergySupply {
                 dt: &self.dt_table,
                 drain: &self.drain_table,
             };
-            if let Some((e, t, on)) = lattice.settle(&at, block, rest, last, overhead) {
+            if let Some((e, t, on)) = lattice.settle(&at, block, rest, last) {
                 self.seg_budget_cycles -= total;
                 self.cap.set_energy_raw(e);
                 self.t_s = t;
@@ -807,7 +805,7 @@ impl EnergySupply {
             }
             let mut clamped = false;
             for &base in rest {
-                clamped |= self.kernel_step(p, max, base + overhead, &mut e, &mut t, &mut on);
+                clamped |= self.kernel_step(p, max, base, &mut e, &mut t, &mut on);
             }
             clamped |= self.kernel_step(p, max, last, &mut e, &mut t, &mut on);
             if !clamped {
@@ -819,7 +817,7 @@ impl EnergySupply {
             }
         }
         for &base in rest {
-            self.settle(base + overhead);
+            self.settle(base);
         }
         self.settle(last);
     }
@@ -1258,16 +1256,15 @@ mod tests {
         id: u32,
         b: &mut EnergySupply,
         costs: &[u64],
-        overhead: u64,
         tail_extra: u64,
     ) {
-        let total = costs.iter().map(|c| c + overhead).sum::<u64>() + tail_extra;
-        a.settle_run(lattice, id, costs, overhead, tail_extra, total);
+        let total = costs.iter().sum::<u64>() + tail_extra;
+        a.settle_run(lattice, id, costs, tail_extra, total);
         let (last, rest) = costs.split_last().unwrap();
         for &c in rest {
-            b.settle_exact(c + overhead);
+            b.settle_exact(c);
         }
-        b.settle_exact(last + tail_extra + overhead);
+        b.settle_exact(last + tail_extra);
     }
 
     #[test]
@@ -1276,41 +1273,39 @@ mod tests {
         // into one `settle_run`; its float state must be bit-identical
         // to calling `settle` once per element, across segment-cache
         // misses included. `tail_extra` models a taken-`BCond` tail: it
-        // lands on the final element only.
+        // lands on the final element only. Each sweep shifts every cost
+        // by 0, 1 or 2 cycles.
         // Every block gets an identity of its own, so the lattice never
         // holds its sums: this pins the float kernel and the exact path.
         let mut lattice = BlockLattice::new();
         let mut id = 0u32;
-        let mut settle_both = |a: &mut EnergySupply,
-                               b: &mut EnergySupply,
-                               costs: &[u64],
-                               overhead: u64,
-                               tail_extra: u64| {
-            id += 1;
-            settle_pair(a, &mut lattice, id, b, costs, overhead, tail_extra);
-        };
+        let mut settle_both =
+            |a: &mut EnergySupply, b: &mut EnergySupply, costs: &[u64], tail_extra: u64| {
+                id += 1;
+                settle_pair(a, &mut lattice, id, b, costs, tail_extra);
+            };
         for seed in [0u64, 3, 9] {
-            for overhead in [0u64, 1, 2] {
+            for shift in [0u64, 1, 2] {
                 let trace = PowerTrace::generate(TraceKind::RfBursty, seed, 10.0);
                 let (mut a, mut b) = powered_pair(trace, SupplyConfig::default());
                 let (mut blocks, mut crossings) = (0u64, 0u64);
                 'outer: for k in 0..8_000u64 {
-                    // Zero-cost elements every fifth block, a 256-cycle
-                    // element every 97th.
+                    // Before the shift: zero-cost elements every fifth
+                    // block, a 256-cycle element every 97th.
                     let costs: Vec<u64> = (0..(k % 7 + 1))
                         .map(|i| match (k + i) % 97 {
                             0 => 256,
                             x if k % 5 == 0 => x % 3,
                             _ => (k + i) % 17 + 1,
-                        })
+                        } + shift)
                         .collect();
                     let tail_extra = k % 3;
-                    let worst: u64 = costs.iter().map(|c| c + overhead).sum::<u64>() + tail_extra;
+                    let worst: u64 = costs.iter().sum::<u64>() + tail_extra;
                     if a.grant_cycles(worst) < worst {
                         break 'outer;
                     }
                     crossings += u64::from(worst > a.seg_budget_cycles);
-                    settle_both(&mut a, &mut b, &costs, overhead, tail_extra);
+                    settle_both(&mut a, &mut b, &costs, tail_extra);
                     blocks += 1;
                     assert_same_state(&a, &b, &format!("seed {seed} k={k}"));
                 }
@@ -1318,7 +1313,7 @@ mod tests {
                 assert!(crossings > 0, "seed {seed}: no block crossed a segment");
             }
         }
-        for overhead in [0u64, 1, 2] {
+        for shift in [0u64, 1, 2] {
             for (name, mut a, mut b) in clamp_cases() {
                 for (k, costs) in [
                     &[1u64, 2, 3][..],
@@ -1332,8 +1327,9 @@ mod tests {
                 .into_iter()
                 .enumerate()
                 {
-                    settle_both(&mut a, &mut b, costs, overhead, k as u64 % 2);
-                    assert_same_state(&a, &b, &format!("{name} overhead {overhead} k={k}"));
+                    let costs: Vec<u64> = costs.iter().map(|c| c + shift).collect();
+                    settle_both(&mut a, &mut b, &costs, k as u64 % 2);
+                    assert_same_state(&a, &b, &format!("{name} shift {shift} k={k}"));
                 }
             }
         }
@@ -1367,11 +1363,11 @@ mod tests {
         let total = costs.iter().sum::<u64>() + tail_extra;
         for _ in 0..2 {
             s.clone()
-                .settle_run(&mut lattice, 7, costs, 0, tail_extra, total);
+                .settle_run(&mut lattice, 7, costs, tail_extra, total);
         }
         let before = lattice.lattice_settles;
         let (mut a, mut b) = (s.clone(), s.clone());
-        settle_pair(&mut a, &mut lattice, 7, &mut b, costs, 0, tail_extra);
+        settle_pair(&mut a, &mut lattice, 7, &mut b, costs, tail_extra);
         assert_same_state(&a, &b, ctx);
         lattice.lattice_settles > before
     }
@@ -1542,7 +1538,7 @@ mod tests {
         for (name, mut a, mut b) in clamp_cases() {
             for k in 0..6 {
                 let before = lattice.lattice_settles;
-                settle_pair(&mut a, &mut lattice, 3, &mut b, &[5, 2, 7], 1, 0);
+                settle_pair(&mut a, &mut lattice, 3, &mut b, &[6, 3, 8], 0);
                 assert_same_state(&a, &b, &format!("{name} k={k}"));
                 if name != "segments" {
                     assert_eq!(lattice.lattice_settles, before, "{name} k={k}");
@@ -1560,7 +1556,7 @@ mod tests {
         let mut settle =
             |a: &mut EnergySupply, b: &mut EnergySupply, id: u32, costs: &[u64], ctx: &str| {
                 let before = lattice.lattice_settles;
-                settle_pair(a, &mut lattice, id, b, costs, 0, 0);
+                settle_pair(a, &mut lattice, id, b, costs, 0);
                 assert_same_state(a, b, ctx);
                 lattice.lattice_settles > before
             };
@@ -1615,26 +1611,18 @@ mod tests {
         let trace = PowerTrace::generate(TraceKind::RfBursty, 5, 10.0);
         let (mut a, mut b) = powered_pair(trace, SupplyConfig::default());
         let blocks: Vec<Vec<u64>> = (0..8u64)
-            .map(|k| (0..k % 5 + 2).map(|i| (k * 7 + i * 3) % 11 + 1).collect())
+            .map(|k| (0..k % 5 + 2).map(|i| (k * 7 + i * 3) % 11 + 2).collect())
             .collect();
         let mut lattice = BlockLattice::new();
         let mut settled = 0u64;
         for round in 0..200_000u64 {
             let k = (round % 8) as usize;
             let tail = (round / 8) % 2 * 2;
-            let worst = blocks[k].iter().map(|c| c + 1).sum::<u64>() + tail;
+            let worst = blocks[k].iter().sum::<u64>() + tail;
             if a.grant_cycles(worst) < worst {
                 break;
             }
-            settle_pair(
-                &mut a,
-                &mut lattice,
-                k as u32 * 4,
-                &mut b,
-                &blocks[k],
-                1,
-                tail,
-            );
+            settle_pair(&mut a, &mut lattice, k as u32 * 4, &mut b, &blocks[k], tail);
             assert_same_state(&a, &b, &format!("round {round}"));
             settled += 1;
         }

@@ -325,20 +325,24 @@ impl PowerTrace {
     /// mirroring the paper's "9 different voltage traces": seven RF
     /// traces with different seeds plus a solar and a periodic trace.
     pub fn paper_suite(base_seed: u64, duration_s: f64) -> Vec<PowerTrace> {
-        let mut traces: Vec<PowerTrace> = (0..7)
-            .map(|i| PowerTrace::generate(TraceKind::RfBursty, base_seed + i, duration_s))
-            .collect();
-        traces.push(PowerTrace::generate(
-            TraceKind::Solar,
-            base_seed + 7,
-            duration_s,
-        ));
-        traces.push(PowerTrace::generate(
-            TraceKind::Periodic,
-            base_seed + 8,
-            duration_s,
-        ));
-        traces
+        PowerTrace::paper_suite_recipe(base_seed)
+            .into_iter()
+            .map(|(kind, seed)| PowerTrace::generate(kind, seed, duration_s))
+            .collect()
+    }
+
+    /// The `(kind, seed)` of each [`PowerTrace::paper_suite`] trace, in
+    /// order: seven RF traces at `base_seed + 0..7`, then a solar and a
+    /// periodic trace at `base_seed + 7` and `+ 8`.
+    pub fn paper_suite_recipe(base_seed: u64) -> [(TraceKind, u64); 9] {
+        std::array::from_fn(|i| {
+            let kind = match i {
+                7 => TraceKind::Solar,
+                8 => TraceKind::Periodic,
+                _ => TraceKind::RfBursty,
+            };
+            (kind, base_seed + i as u64)
+        })
     }
 
     /// The trace family.
@@ -576,7 +580,8 @@ fn seg_index_hinted(segs: &[Seg], wrapped: usize, hint: &mut u32) -> usize {
     j
 }
 
-fn exp_sample(rng: &mut StdRng, mean: f64) -> f64 {
+/// An exponential draw of mean `mean`, from one uniform in `[1e-9, 1)`.
+pub(crate) fn exp_sample(rng: &mut StdRng, mean: f64) -> f64 {
     let u: f64 = rng.gen_range(1e-9..1.0);
     -mean * u.ln()
 }

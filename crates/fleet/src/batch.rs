@@ -19,11 +19,11 @@
 //! architectural state by walking the master core to the resume
 //! position and continues on that core in the same loop — the jump and
 //! the approximate-region execution run exactly as in an unbatched
-//! run. Cohorts the replay cannot mirror
-//! bit-exactly (per-word checkpoint costs, memoization, a tape beyond
-//! the step cap, and the whole Task substrate — whose re-execution from
-//! task entries *does* replay instructions, violating the shared
-//! trajectory premise) fall back to the scalar executor wholesale.
+//! run. Cohorts the replay cannot mirror bit-exactly (memoization, a
+//! tape beyond the step cap, and the whole Task substrate — whose
+//! re-execution from task entries *does* replay instructions, violating
+//! the shared trajectory premise) fall back to the scalar executor
+//! wholesale.
 //! `build_plans` is the only place that choice is made, from the
 //! cohort alone; fleet reports are byte-identical to an all-scalar
 //! sweep by construction.
@@ -92,14 +92,7 @@ pub(crate) fn build_plans(scenario: &FleetScenario) -> Vec<CohortPlan> {
 fn build_plan(scenario: &FleetScenario, cohort: usize) -> CohortPlan {
     let spec = &scenario.cohorts[cohort];
     match spec.substrate.kind() {
-        SubstrateKind::Clank(cfg) => {
-            // Per-word checkpoint costs need register dirty-word counts
-            // the tape does not carry.
-            if cfg.cycles_per_checkpoint_word != 0 {
-                return CohortPlan::Scalar;
-            }
-        }
-        SubstrateKind::Nvp(_) => {}
+        SubstrateKind::Clank(_) | SubstrateKind::Nvp(_) => {}
         // The Task substrate re-executes the interrupted task from its
         // entry after every outage, so its devices do not share one
         // fault-free trajectory — the premise the tape replay rests on.

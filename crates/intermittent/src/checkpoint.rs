@@ -1,4 +1,4 @@
-//! Differential CPU checkpoints: a base snapshot plus a dirty-word log.
+//! Differential CPU checkpoints: the words each checkpoint writes.
 //!
 //! Full-snapshot checkpointing copies every register, the PC, and the
 //! flags on every checkpoint, even though consecutive checkpoints in a
@@ -9,27 +9,21 @@
 //! fresh full snapshot when it grows past a threshold, bounding both
 //! replay time and memory.
 //!
-//! The words-written count returned by [`DiffCheckpoint::capture`] feeds
-//! two consumers: the substrate stats (`checkpoint_words_saved` vs
-//! `checkpoint_words_full`, from which benches derive checkpoint bytes
-//! saved) and the optional DiCA-style cost model
-//! (`cycles_per_checkpoint_word`), which scales checkpoint cost by words
-//! actually persisted instead of charging a flat fee.
+//! Replaying the log only rebuilds the newest snapshot, so the model
+//! keeps that snapshot and the log's length, not its entries. The
+//! words-written count returned by [`DiffCheckpoint::capture`] feeds the
+//! substrate stats (`checkpoint_words_saved` vs `checkpoint_words_full`,
+//! from which benches derive checkpoint bytes saved).
 
 use wn_sim::CpuSnapshot;
 
 /// Word-granular differential checkpoint storage for one CPU.
 #[derive(Debug, Clone)]
 pub struct DiffCheckpoint {
-    /// The last full snapshot written to "non-volatile storage".
-    base: Option<CpuSnapshot>,
-    /// Dirty-word log since `base`: `(word index, new value)`, in
-    /// capture order. Replaying over `base` yields `current`.
-    log: Vec<(u8, u32)>,
-    /// The logical checkpoint state (base + log applied) — kept
-    /// materialized so capture can diff in O(WORDS) and restore is
-    /// checkable.
+    /// The newest checkpoint: the base snapshot with the log applied.
     current: Option<CpuSnapshot>,
+    /// Dirty words logged since the last full snapshot.
+    logged: usize,
     /// Log length that triggers a rebase onto a fresh full snapshot.
     rebase_limit: usize,
 }
@@ -41,16 +35,12 @@ impl Default for DiffCheckpoint {
 }
 
 impl DiffCheckpoint {
-    // Word indices fit in a u8 log entry.
-    const _WORDS_FIT_U8: () = assert!(CpuSnapshot::WORDS <= u8::MAX as usize);
-
     /// Creates empty storage with the default rebase threshold (four
     /// full snapshots' worth of log entries).
     pub fn new() -> DiffCheckpoint {
         DiffCheckpoint {
-            base: None,
-            log: Vec::new(),
             current: None,
+            logged: 0,
             rebase_limit: 4 * CpuSnapshot::WORDS,
         }
     }
@@ -62,9 +52,8 @@ impl DiffCheckpoint {
 
     /// Discards all checkpoint state (cold boot).
     pub fn clear(&mut self) {
-        self.base = None;
-        self.log.clear();
         self.current = None;
+        self.logged = 0;
     }
 
     /// Captures `snap` as the newest checkpoint and returns the number
@@ -72,51 +61,25 @@ impl DiffCheckpoint {
     /// the first capture or a rebase, otherwise just the words that
     /// differ from the previous checkpoint.
     pub fn capture(&mut self, snap: CpuSnapshot) -> u64 {
-        let prev = match self.current {
-            Some(prev) => prev,
-            None => {
-                self.base = Some(snap);
-                self.current = Some(snap);
-                return CpuSnapshot::WORDS as u64;
-            }
+        let Some(prev) = self.current.replace(snap) else {
+            return CpuSnapshot::WORDS as u64;
         };
-        let mut changed = 0usize;
-        for i in 0..CpuSnapshot::WORDS {
-            if snap.word(i) != prev.word(i) {
-                changed += 1;
-            }
-        }
-        if self.log.len() + changed > self.rebase_limit {
+        let changed = (0..CpuSnapshot::WORDS)
+            .filter(|&i| snap.word(i) != prev.word(i))
+            .count();
+        if self.logged + changed > self.rebase_limit {
             // Log replay would cost more than a fresh snapshot saves:
             // rebase and pay the full write once.
-            self.base = Some(snap);
-            self.log.clear();
-            self.current = Some(snap);
+            self.logged = 0;
             return CpuSnapshot::WORDS as u64;
         }
-        for i in 0..CpuSnapshot::WORDS {
-            let v = snap.word(i);
-            if v != prev.word(i) {
-                self.log.push((i as u8, v));
-            }
-        }
-        self.current = Some(snap);
+        self.logged += changed;
         changed as u64
     }
 
-    /// Reconstructs the newest checkpoint by replaying the dirty-word
-    /// log over the base snapshot, or `None` if nothing was captured.
+    /// The newest checkpoint, or `None` if nothing was captured.
     pub fn restore(&self) -> Option<CpuSnapshot> {
-        let mut snap = self.base?;
-        for &(idx, value) in &self.log {
-            snap.set_word(idx as usize, value);
-        }
-        debug_assert_eq!(
-            Some(snap),
-            self.current,
-            "log replay must reproduce the captured snapshot"
-        );
-        Some(snap)
+        self.current
     }
 }
 
@@ -167,8 +130,11 @@ mod tests {
         // pays the full snapshot and empties the log.
         let s = snap_with(3, 3);
         assert_eq!(d.capture(s), CpuSnapshot::WORDS as u64);
-        assert!(d.log.is_empty());
+        assert_eq!(d.logged, 0);
         assert_eq!(d.restore(), Some(s));
+        // The next capture logs against the rebased snapshot.
+        assert_eq!(d.capture(snap_with(4, 4)), 2);
+        assert_eq!(d.logged, 2);
     }
 
     #[test]

@@ -36,11 +36,6 @@ pub struct ClankConfig {
     pub checkpoint_cycles: u64,
     /// Cycles to restore a checkpoint after an outage.
     pub restore_cycles: u64,
-    /// DiCA-style differential cost model: extra cycles per word
-    /// actually written by a checkpoint (dirty CPU words plus the
-    /// buffered-store flush). 0 — the default — keeps the flat
-    /// `checkpoint_cycles` fee and byte-identical figure outputs.
-    pub cycles_per_checkpoint_word: u64,
 }
 
 impl Default for ClankConfig {
@@ -55,7 +50,6 @@ impl Default for ClankConfig {
             // buffer flush amortized.
             checkpoint_cycles: 40,
             restore_cycles: 40,
-            cycles_per_checkpoint_word: 0,
         }
     }
 }
@@ -184,11 +178,9 @@ impl Clank {
         // Differential capture: only CPU words dirty since the previous
         // checkpoint hit storage; the buffered stores flush either way.
         // A tape keeps no register values, so its words go uncounted.
-        let mut words = 0;
         if let Some(cpu_words) = exec.save(&mut self.checkpoint) {
             let mem_words = self.buffered_words.len() as u64;
-            words = cpu_words + mem_words;
-            self.stats.checkpoint_words_saved += words;
+            self.stats.checkpoint_words_saved += cpu_words + mem_words;
             self.stats.checkpoint_words_full += CpuSnapshot::WORDS as u64 + mem_words;
         }
         self.undo_log.clear();
@@ -196,9 +188,8 @@ impl Clank {
         self.read_words.clear();
         self.cycles_since_checkpoint = 0;
         self.stats.checkpoints += 1;
-        let cost = self.config.checkpoint_cycles + self.config.cycles_per_checkpoint_word * words;
-        self.stats.overhead_cycles += cost;
-        cost
+        self.stats.overhead_cycles += self.config.checkpoint_cycles;
+        self.config.checkpoint_cycles
     }
 
     fn rollback_memory<E: Execution>(&mut self, exec: &mut E) {
@@ -276,12 +267,8 @@ impl Substrate for Clank {
     fn lease_cap(&self) -> u64 {
         // At most two checkpoints can fire on one step (skim + store
         // trigger, or a trigger + watchdog); budget three for a safety
-        // margin — the slack only trims a lease by ~0.2%. With the
-        // differential cost model on, each checkpoint is bounded by a
-        // full rebase (all CPU words) plus a full buffer flush (the
-        // capacity trigger admits one overflowing word).
-        let worst_words = (CpuSnapshot::WORDS + self.config.wb_entries + 1) as u64;
-        3 * (self.config.checkpoint_cycles + self.config.cycles_per_checkpoint_word * worst_words)
+        // margin — the slack only trims a lease by ~0.2%.
+        3 * self.config.checkpoint_cycles
     }
 
     fn fused_headroom(&self) -> u64 {
@@ -298,7 +285,7 @@ impl Substrate for Clank {
     }
 
     #[inline]
-    fn after_fused(&mut self, _instructions: u64, cycles: u64, reads: &[u32]) -> u64 {
+    fn after_fused(&mut self, cycles: u64, reads: &[u32]) {
         self.cycles_since_checkpoint += cycles;
         // The block's loads, wholesale. Marking commutes and no
         // checkpoint can fire between a block's loads (admission keeps
@@ -307,7 +294,6 @@ impl Substrate for Clank {
         for &addr in reads {
             self.read_words.mark(addr & !3);
         }
-        0
     }
 
     fn on_outage<E: Execution>(&mut self, exec: &mut E) {
@@ -528,26 +514,6 @@ mod tests {
     }
 
     #[test]
-    fn word_cost_scaling_charges_by_words_written() {
-        let mut c = core("MOV r0, #1\nMOV r1, #2\nHALT");
-        let mut clank = Clank::new(ClankConfig {
-            cycles_per_checkpoint_word: 2,
-            ..ClankConfig::default()
-        });
-        let flat = clank.config.checkpoint_cycles;
-        // Full first capture: flat + 2 per word.
-        assert_eq!(
-            clank.take_checkpoint(&c),
-            flat + 2 * CpuSnapshot::WORDS as u64
-        );
-        step(&mut c, &mut clank);
-        // Differential second capture: two dirty words (r0, pc).
-        assert_eq!(clank.take_checkpoint(&c), flat + 2 * 2);
-        // The lease cap still bounds a single worst-case checkpoint.
-        assert!(clank.lease_cap() >= flat + 2 * CpuSnapshot::WORDS as u64);
-    }
-
-    #[test]
     fn fused_headroom_stops_short_of_the_watchdog() {
         let mut c = core("MOV r0, #1\nHALT");
         let mut clank = Clank::new(ClankConfig {
@@ -556,11 +522,11 @@ mod tests {
         });
         assert_eq!(clank.fused_headroom(), 99);
         // A fused block consuming 40 cycles moves the horizon closer.
-        assert_eq!(clank.after_fused(40, 40, &[]), 0);
+        clank.after_fused(40, &[]);
         assert_eq!(clank.fused_headroom(), 59);
         // At the horizon, headroom saturates at zero (no fusion) and the
         // next single-stepped instruction checkpoints as usual.
-        clank.after_fused(59, 59, &[]);
+        clank.after_fused(59, &[]);
         assert_eq!(clank.fused_headroom(), 0);
         let info = c.step().unwrap();
         clank.after_step(&mut c, &info);

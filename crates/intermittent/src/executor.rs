@@ -16,10 +16,9 @@ use crate::substrate::{Substrate, SubstrateStats};
 /// pure bookkeeping, and — because it needs only memory-op granularity
 /// — lets straight-line blocks retire fused. Block admission is bounded
 /// by the substrate's own headroom (watchdog distance for Clank,
-/// unlimited for NVP and Task), its fence (the current task region for
-/// Task, everything otherwise) and per-instruction overhead, so fused
-/// dispatch can neither cross a substrate intervention point nor
-/// overshoot the energy lease.
+/// unlimited for NVP and Task) and its fence (the current task region
+/// for Task, everything otherwise), so fused dispatch can neither cross
+/// a substrate intervention point nor overshoot the energy lease.
 ///
 /// Checkpoints and commits are attributed to `sink` from the
 /// single-stepped instructions only: a fused block never checkpoints
@@ -93,36 +92,22 @@ impl<S: Substrate, K: EventSink> StepHook for Lease<'_, S, K> {
     }
 
     #[inline]
-    fn block_instr_overhead(&self) -> u64 {
-        self.substrate.fused_instr_overhead()
-    }
-
-    #[inline]
     fn block_fence(&self) -> (u32, u32) {
         self.substrate.fused_fence()
     }
 
     #[inline]
-    fn on_block(
-        &mut self,
-        block: u32,
-        costs: &[u64],
-        cycles: u64,
-        tail_extra: u64,
-        reads: &[u32],
-    ) -> u64 {
+    fn on_block(&mut self, block: u32, costs: &[u64], cycles: u64, tail_extra: u64, reads: &[u32]) {
         // The supply must end where the per-instruction engines' float
         // operation sequence ends, bit for bit. `settle_run` either
         // replays that sequence element by element (the table-driven
         // kernel, picked with one check on the block total) or, for a
         // block the lattice has cached under `block`, lands on the same
         // bits with integer adds.
-        let overhead = self.substrate.fused_instr_overhead();
-        let total = cycles + tail_extra + costs.len() as u64 * overhead;
+        let total = cycles + tail_extra;
         self.supply
-            .settle_run(self.lattice, block, costs, overhead, tail_extra, total);
-        self.substrate
-            .after_fused(costs.len() as u64, cycles + tail_extra, reads)
+            .settle_run(self.lattice, block, costs, tail_extra, total);
+        self.substrate.after_fused(total, reads);
     }
 }
 

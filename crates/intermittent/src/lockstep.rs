@@ -42,9 +42,7 @@
 //! keep, so those two counters are not maintained on it. Every
 //! cycle-accounted quantity — overhead, lost work, checkpoint counts,
 //! outage placement, timing — is exact. Callers that consume word
-//! counts (none of the fleet reports do) must run on a core; the fleet
-//! also does so when a nonzero `cycles_per_checkpoint_word` makes
-//! checkpoint *cost* depend on word counts.
+//! counts (none of the fleet reports do) must run on a core.
 
 use std::ops::ControlFlow;
 
@@ -139,8 +137,8 @@ impl Execution for TapeCursor<'_> {
                     self.master.block_costs(pc)[..len - 1],
                     "tape costs of the block at pc {pc} are not its static costs"
                 );
-                let extra = lease.on_block(pc, costs, span, 0, self.tape.reads_in(pos, len));
-                cycles += span + extra;
+                lease.on_block(pc, costs, span, 0, self.tape.reads_in(pos, len));
+                cycles += span;
                 instructions += len as u64;
                 self.pos += len;
                 continue;

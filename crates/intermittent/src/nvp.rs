@@ -16,20 +16,14 @@ use crate::substrate::{Substrate, SubstrateStats};
 /// NVP configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct NvpConfig {
-    /// Wake-up cost after an outage, in cycles.
+    /// Wake-up cost after an outage, in cycles. The per-instruction
+    /// backup itself is hidden in the pipeline and costs nothing.
     pub wakeup_cycles: u64,
-    /// Per-instruction backup overhead in cycles. The backup-every-cycle
-    /// designs the paper models hide this in the pipeline (0); expose it
-    /// for ablations.
-    pub backup_cycles_per_instr: u64,
 }
 
 impl Default for NvpConfig {
     fn default() -> NvpConfig {
-        NvpConfig {
-            wakeup_cycles: 10,
-            backup_cycles_per_instr: 0,
-        }
+        NvpConfig { wakeup_cycles: 10 }
     }
 }
 
@@ -71,31 +65,19 @@ impl Substrate for Nvp {
         // Backup every cycle: architecturally the NV flip-flops always
         // hold the latest state, so the simulation can defer the actual
         // snapshot to the outage — the state captured there is exactly
-        // what per-cycle backup would have left.
-        self.stats.overhead_cycles += self.config.backup_cycles_per_instr;
-        self.config.backup_cycles_per_instr
+        // what per-cycle backup would have left. The backup is hidden
+        // in the pipeline, so a step costs nothing extra.
+        0
     }
 
     fn lease_cap(&self) -> u64 {
-        // `after_step` charges exactly the per-instruction backup cost.
-        self.config.backup_cycles_per_instr
+        0
     }
 
     fn fused_headroom(&self) -> u64 {
         // NVP never intervenes mid-run — no watchdog, no hazards — so
         // any straight-line block may fuse.
         u64::MAX
-    }
-
-    fn fused_instr_overhead(&self) -> u64 {
-        self.config.backup_cycles_per_instr
-    }
-
-    #[inline]
-    fn after_fused(&mut self, instructions: u64, _cycles: u64, _reads: &[u32]) -> u64 {
-        let overhead = instructions * self.config.backup_cycles_per_instr;
-        self.stats.overhead_cycles += overhead;
-        overhead
     }
 
     fn on_outage<E: Execution>(&mut self, exec: &mut E) {
@@ -136,11 +118,13 @@ mod tests {
         let p = assemble("MOV r0, #1\nMOV r1, #2\nADD r2, r0, r1\nHALT").unwrap();
         let mut core = Core::new(&p, CoreConfig::default()).unwrap();
         let mut nvp = Nvp::default();
+        // No watchdog and no hazards: any straight-line block may fuse.
+        assert_eq!(nvp.fused_headroom(), u64::MAX);
 
-        // Two instructions, then an outage.
+        // Two instructions, each backed up for free, then an outage.
         for _ in 0..2 {
             let info = core.step().unwrap();
-            nvp.after_step(&mut core, &info);
+            assert_eq!(nvp.after_step(&mut core, &info), 0);
         }
         let pc_before = core.cpu.pc;
         nvp.on_outage(&mut core);
@@ -174,33 +158,6 @@ mod tests {
         nvp.on_outage(&mut core);
         nvp.on_restore(&mut core).unwrap();
         assert_eq!(core.cpu.pc, 0);
-    }
-
-    #[test]
-    fn backup_overhead_is_chargeable() {
-        let p = assemble("NOP\nNOP\nHALT").unwrap();
-        let mut core = Core::new(&p, CoreConfig::default()).unwrap();
-        let mut nvp = Nvp::new(NvpConfig {
-            backup_cycles_per_instr: 2,
-            wakeup_cycles: 10,
-        });
-        let info = core.step().unwrap();
-        assert_eq!(nvp.after_step(&mut core, &info), 2);
-        assert_eq!(nvp.stats().overhead_cycles, 2);
-    }
-
-    #[test]
-    fn fused_blocks_charge_backup_per_instruction() {
-        let mut nvp = Nvp::new(NvpConfig {
-            backup_cycles_per_instr: 2,
-            wakeup_cycles: 10,
-        });
-        assert_eq!(nvp.fused_instr_overhead(), 2);
-        assert_eq!(nvp.fused_headroom(), u64::MAX);
-        // A 5-instruction fused block charges exactly 5 backups, same as
-        // five after_step calls would.
-        assert_eq!(nvp.after_fused(5, 5, &[]), 10);
-        assert_eq!(nvp.stats().overhead_cycles, 10);
     }
 
     #[test]

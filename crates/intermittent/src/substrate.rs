@@ -102,24 +102,15 @@ pub trait Substrate {
         (0, u32::MAX)
     }
 
-    /// Extra cycles the substrate charges per instruction inside a fused
-    /// block (e.g. NVP's per-instruction backup); used in block
-    /// admission so fused dispatch cannot overshoot an energy lease.
-    fn fused_instr_overhead(&self) -> u64 {
-        0
-    }
-
-    /// A fused block of `instructions` instructions (no stores, no
-    /// `SKM`, control flow only as its branch tail) retired for
-    /// `cycles` cycles, the tail's extra included. `reads` is the block's memory-op summary: the byte
-    /// address of every load it retired, in order — substrates that
-    /// track read sets (Clank's WAR detection) consume it here instead
-    /// of observing loads one [`Substrate::after_step`] at a time.
-    /// Returns the extra cycles charged, which must not exceed
-    /// `instructions * fused_instr_overhead()`.
-    fn after_fused(&mut self, instructions: u64, cycles: u64, reads: &[u32]) -> u64 {
-        let _ = (instructions, cycles, reads);
-        0
+    /// A fused block (no stores, no `SKM`, control flow only as its
+    /// branch tail) retired for `cycles` cycles, the tail's extra
+    /// included; it charges nothing extra. `reads` is the block's
+    /// memory-op summary: the byte address of every load it retired, in
+    /// order — substrates that track read sets (Clank's WAR detection)
+    /// consume it here instead of observing loads one
+    /// [`Substrate::after_step`] at a time.
+    fn after_fused(&mut self, cycles: u64, reads: &[u32]) {
+        let _ = (cycles, reads);
     }
 
     /// Consumes the substrate's pending boundary flag: returns `true`

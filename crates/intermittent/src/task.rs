@@ -195,9 +195,8 @@ impl Substrate for Task {
             .map_or((1, 0), |last| (here.start_pc, last))
     }
 
-    fn after_fused(&mut self, _instructions: u64, cycles: u64, _reads: &[u32]) -> u64 {
+    fn after_fused(&mut self, cycles: u64, _reads: &[u32]) {
         self.cycles_in_region += cycles;
-        0
     }
 
     fn take_boundary(&mut self) -> bool {

@@ -147,13 +147,11 @@ fn substrate() -> impl Strategy<Value = SubstrateChoice> {
                 wb_entries: wb,
                 checkpoint_cycles: ckpt,
                 restore_cycles: ckpt,
-                ..ClankConfig::default()
             })
         }),
-        (5u64..50, 0u64..3).prop_map(|(wakeup, backup)| {
+        (5u64..50).prop_map(|wakeup| {
             SubstrateChoice::Nvp(NvpConfig {
                 wakeup_cycles: wakeup,
-                backup_cycles_per_instr: backup,
             })
         }),
         (10u64..80, 10u64..80, prop_oneof![Just(6u32), Just(16)]).prop_map(

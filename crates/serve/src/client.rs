@@ -84,9 +84,11 @@ impl Client {
     /// server hangs up instead of answering.
     pub fn request(&mut self, req: &Request) -> Result<Response, ClientError> {
         use std::io::Write as _;
-        self.stream.write_all(req.to_line().as_bytes())?;
-        self.stream.write_all(b"\n")?;
-        self.stream.flush()?;
+        // One write per request: a second small segment would wait on
+        // the server's delayed ACK under Nagle's algorithm.
+        let mut line = req.to_line();
+        line.push('\n');
+        self.stream.write_all(line.as_bytes())?;
         match self.reader.next_line()? {
             Some(line) => Ok(Response::parse(&line)?),
             None => Err(ClientError::Disconnected),

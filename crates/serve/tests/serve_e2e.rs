@@ -251,3 +251,31 @@ fn pause_mid_scenario_and_restart_resumes_byte_exactly() {
     handle.join();
     std::fs::remove_dir_all(&dir).unwrap();
 }
+
+#[test]
+fn a_loopback_ping_does_not_wait_on_a_delayed_ack() {
+    // A request split over two small writes stalls on the peer's
+    // delayed ACK (~40 ms under Nagle's algorithm); one write answers
+    // on loopback in well under a millisecond.
+    let dir = temp_dir("ping");
+    let handle = start(&ServeConfig::new(dir.clone())).unwrap();
+    let mut client = Client::connect(&handle.local_addr().to_string()).unwrap();
+    client.ping().unwrap();
+    let mut rtts: Vec<Duration> = (0..10)
+        .map(|_| {
+            let t = std::time::Instant::now();
+            client.ping().unwrap();
+            t.elapsed()
+        })
+        .collect();
+    rtts.sort();
+    let median = rtts[rtts.len() / 2];
+    assert!(
+        median < Duration::from_millis(5),
+        "median ping {median:?} over {rtts:?}"
+    );
+
+    client.shutdown().unwrap();
+    handle.join();
+    std::fs::remove_dir_all(&dir).unwrap();
+}

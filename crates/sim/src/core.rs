@@ -618,10 +618,9 @@ pub enum HookKind {
 /// [`StepHook::on_block`]'s memory-op summary — and a block may close
 /// with a branch tail, whose dynamic cost (a taken `BCond`'s refill)
 /// arrives as `tail_extra`. A block is dispatched only when its
-/// worst-case cost — base cycles plus the tail's maximum extra plus
-/// `len * block_instr_overhead()` — fits inside both the remaining
-/// budget and [`StepHook::block_budget`], and its pc extent lies inside
-/// [`StepHook::block_fence`]; otherwise it falls back to
+/// worst-case cost — base cycles plus the tail's maximum extra — fits
+/// inside both the remaining budget and [`StepHook::block_budget`], and
+/// its pc extent lies inside [`StepHook::block_fence`]; otherwise it falls back to
 /// per-instruction stepping, where [`StepHook::on_step`] sees every
 /// retirement exactly as an [`HookKind::EveryInstruction`] hook would.
 /// Fused or not, the retired instruction sequence and all cycle
@@ -648,13 +647,6 @@ pub trait StepHook {
         0
     }
 
-    /// Extra cycles the hook will charge per fused instruction (e.g.
-    /// NVP's per-instruction backup). Used in block admission so a
-    /// fused dispatch can never overshoot the caller's budget.
-    fn block_instr_overhead(&self) -> u64 {
-        0
-    }
-
     /// The inclusive pc range `(lo, hi)` fused blocks must stay inside.
     /// A block is dispatched only when every pc it retires or can leave
     /// to lies in the range, so every post-step pc of a fused block
@@ -675,18 +667,9 @@ pub trait StepHook {
     /// base (a taken `BCond`'s refill — it belongs to the final
     /// element of `costs`), and `reads` is the block's memory-op
     /// summary — the byte address of every load in the block, in
-    /// retirement order. Returns the total extra cycles charged, which
-    /// must not exceed `costs.len() * block_instr_overhead()`.
-    fn on_block(
-        &mut self,
-        block: u32,
-        costs: &[u64],
-        cycles: u64,
-        tail_extra: u64,
-        reads: &[u32],
-    ) -> u64 {
+    /// retirement order. A fused block charges no extra cycles.
+    fn on_block(&mut self, block: u32, costs: &[u64], cycles: u64, tail_extra: u64, reads: &[u32]) {
         let _ = (block, costs, cycles, tail_extra, reads);
-        0
     }
 }
 
@@ -881,19 +864,15 @@ impl Core {
     /// The admission rule of [`Core::run_steps_hooked`]: the length of
     /// the fused block at `pc` (chained through a `B` where it
     /// continues) if `hook` admits it with `room` budget cycles left —
-    /// its worst case (base cycles, the tail's maximum extra and
-    /// `len * block_instr_overhead()`) fits in both `room` and
-    /// [`StepHook::block_budget`], and its pc extent lies inside
-    /// [`StepHook::block_fence`]. `None` means `pc` single-steps. An
+    /// its worst case (base cycles plus the tail's maximum extra) fits
+    /// in both `room` and [`StepHook::block_budget`], and its pc extent
+    /// lies inside [`StepHook::block_fence`]. `None` means `pc` single-steps. An
     /// external replay engine (the fleet's lockstep tape replayer)
     /// calls it to make the core's block-dispatch decisions exactly.
     #[inline]
     pub fn admit_block<H: StepHook>(&self, pc: u32, room: u64, hook: &H) -> Option<u32> {
         let b = self.fused.get(pc as usize).filter(|b| b.len > 0)?;
-        let worst = b
-            .cycles
-            .saturating_add(b.tail_extra_max)
-            .saturating_add(u64::from(b.len).saturating_mul(hook.block_instr_overhead()));
+        let worst = b.cycles.saturating_add(b.tail_extra_max);
         let (lo, hi) = hook.block_fence();
         (worst <= room.min(hook.block_budget()) && b.lo >= lo && b.hi <= hi).then_some(b.len)
     }
@@ -1204,13 +1183,8 @@ impl Core {
                     self.fused_instructions += len as u64;
                     instructions += len as u64;
                     let costs = &self.block_costs[b.costs_at as usize..][..len];
-                    let extra =
-                        hook.on_block(pc as u32, costs, b.cycles, tail_extra, &self.fused_reads);
-                    debug_assert!(
-                        extra <= (len as u64) * hook.block_instr_overhead(),
-                        "on_block charged more than block_instr_overhead admitted"
-                    );
-                    cycles += b.cycles + tail_extra + extra;
+                    hook.on_block(pc as u32, costs, b.cycles, tail_extra, &self.fused_reads);
+                    cycles += b.cycles + tail_extra;
                     continue;
                 }
             }
@@ -1792,16 +1766,8 @@ mod tests {
         fn block_fence(&self) -> (u32, u32) {
             self.fence
         }
-        fn on_block(
-            &mut self,
-            _pc: u32,
-            _costs: &[u64],
-            _cycles: u64,
-            _tail: u64,
-            _reads: &[u32],
-        ) -> u64 {
+        fn on_block(&mut self, _pc: u32, _costs: &[u64], _cycles: u64, _tail: u64, _reads: &[u32]) {
             self.blocks += 1;
-            0
         }
     }
 
@@ -1884,17 +1850,9 @@ mod tests {
             fn block_budget(&self) -> u64 {
                 u64::MAX
             }
-            fn on_block(
-                &mut self,
-                _pc: u32,
-                costs: &[u64],
-                cycles: u64,
-                _t: u64,
-                _r: &[u32],
-            ) -> u64 {
+            fn on_block(&mut self, _pc: u32, costs: &[u64], cycles: u64, _t: u64, _r: &[u32]) {
                 assert_eq!(costs.iter().sum::<u64>(), cycles);
                 self.0.extend_from_slice(costs);
-                0
             }
         }
         let src = "MOV r0, #2\nB next\nMOV r5, #9\nnext:\nADD r1, r1, #1\nLDR r2, [r0, #0]\nHALT";
@@ -1922,58 +1880,6 @@ mod tests {
         assert_eq!(out.instructions, 2);
         assert_eq!(out.cycles, 2);
         assert_eq!(core.fused_instructions(), 0, "partial blocks single-step");
-    }
-
-    #[test]
-    fn block_instr_overhead_counts_in_admission() {
-        // Hook charges 2 extra cycles per fused instruction. A 3-wide
-        // block (cost 3) under budget 5 must NOT fuse (3 + 3*2 = 9 > 5):
-        // the engine single-steps instead and on_step charges apply.
-        struct Backup {
-            fused_calls: u64,
-        }
-        impl StepHook for Backup {
-            const KIND: HookKind = HookKind::MemoryOps;
-            fn on_step(&mut self, _c: &mut Core, _i: &StepInfo) -> ControlFlow<HookBreak, u64> {
-                ControlFlow::Continue(2)
-            }
-            fn block_budget(&self) -> u64 {
-                u64::MAX
-            }
-            fn block_instr_overhead(&self) -> u64 {
-                2
-            }
-            fn on_block(
-                &mut self,
-                _pc: u32,
-                costs: &[u64],
-                _cycles: u64,
-                _tail: u64,
-                _reads: &[u32],
-            ) -> u64 {
-                self.fused_calls += 1;
-                costs.len() as u64 * 2
-            }
-        }
-        let p = assemble("MOV r0, #1\nMOV r1, #2\nMOV r2, #3\nHALT").unwrap();
-        let mut core = Core::new(&p, CoreConfig::default()).unwrap();
-        let mut hook = Backup { fused_calls: 0 };
-        let out = core.run_steps_hooked(5, &mut hook).unwrap();
-        assert_eq!(hook.fused_calls, 0, "block + overhead exceeds budget");
-        assert_eq!(out.stop, StopReason::Budget);
-        assert_eq!(out.instructions, 2); // 1+2, then 3+2 ≥ budget 5
-        assert_eq!(out.cycles, 6);
-
-        // With budget 20 the whole block fuses and overhead is charged
-        // through on_block: 3 base + 6 overhead.
-        let mut core = Core::new(&p, CoreConfig::default()).unwrap();
-        let mut hook = Backup { fused_calls: 0 };
-        let out = core.run_steps_hooked(20, &mut hook).unwrap();
-        assert_eq!(hook.fused_calls, 1);
-        assert_eq!(core.fused_instructions(), 3);
-        assert_eq!(out.stop, StopReason::Halted);
-        // Fused block 3+6, then HALT (1) + on_step 2.
-        assert_eq!(out.cycles, 12);
     }
 
     #[test]
