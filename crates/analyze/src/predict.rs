@@ -28,15 +28,11 @@
 
 use wn_core::intermittent::SubstrateKind;
 use wn_core::{PreparedRun, WnError};
-use wn_energy::{EnvModel, HarvestStats, SupplyConfig};
+use wn_energy::{EnvModel, HarvestStats, SupplyConfig, STARVATION_LIMIT_S};
 use wn_intermittent::{FaultFreeProfile, ProgressModel};
 
 use crate::dist::{inv_norm_cdf, quantile_sorted, solar_completion_times};
 use crate::profile::{profile_kernel, skim_replay, KernelProfile};
-
-/// The fleet's starvation guard: a device waiting longer than this for
-/// `v_on` is declared starved. Mirrors `wn_energy::supply`.
-const STARVATION_LIMIT_S: f64 = 3600.0;
 
 /// Phase-quadrature resolution for solar cohorts.
 const SOLAR_PHASES: usize = 256;
@@ -182,7 +178,7 @@ fn solve(
     if w_ff <= b {
         let t = t0 + w_ff / clk;
         return Ok(fill(
-            q, &profile, &pm, /* n */ 0.0, w_ff, t, 0.0, /* skim */ None, b,
+            q, &profile, &pm, /* n */ 0.0, w_ff, t, 0.0, /* skim */ None,
         ));
     }
 
@@ -233,7 +229,6 @@ fn solve(
                     t_mean,
                     frac,
                     Some(tail_error),
-                    b,
                 ));
             }
         }
@@ -248,7 +243,7 @@ fn solve(
     let n = ((w_ff - b) / net).ceil().max(1.0);
     let executed = w_ff + n * pm.dead_cycles_per_outage();
     let t_mean = completion_mean(executed, eps_j, e_use, p_bar, clk, t0);
-    Ok(fill(q, &profile, &pm, n, executed, t_mean, 1.0, None, b))
+    Ok(fill(q, &profile, &pm, n, executed, t_mean, 1.0, None))
 }
 
 /// Energy-conservation completion time: the environment must deliver
@@ -309,7 +304,6 @@ fn fill(
     t_mean: f64,
     useful_fraction: f64,
     skim_error: Option<f64>,
-    _b: f64,
 ) -> Prediction {
     let clk = q.supply.clock_hz;
     let on_time = executed / clk;

@@ -2,7 +2,8 @@
 //!
 //! Each test drives the real binary (`CARGO_BIN_EXE_experiments`) on
 //! the checked-in smoke scenario with an isolated `WN_RESULTS_DIR`, and
-//! asserts the acceptance properties: the report parses, `--jobs` width
+//! asserts the acceptance properties: the report parses and matches its
+//! checked-in golden (`golden/fleet_smoke.{json,csv}`), `--jobs` width
 //! does not change a byte, and a mid-sweep stop + `--resume` reproduces
 //! the uninterrupted report byte for byte.
 
@@ -74,6 +75,19 @@ fn smoke_run_emits_valid_report_and_manifest() {
     let csv = read(&results, "fleet_smoke.csv");
     assert!(csv.starts_with("cohort,key,value\n"));
     assert!(csv.contains("_fleet,devices,320"));
+
+    // The whole report, byte for byte: trace synthesis, the supply and
+    // every executor feed these bytes.
+    assert_eq!(
+        report,
+        include_str!("golden/fleet_smoke.json"),
+        "fleet smoke report JSON drifted"
+    );
+    assert_eq!(
+        csv,
+        include_str!("golden/fleet_smoke.csv"),
+        "fleet smoke report CSV drifted"
+    );
 
     let manifest = read(&results, "manifest.json");
     assert_eq!(

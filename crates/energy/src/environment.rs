@@ -13,7 +13,7 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::trace::{exp_sample, samples_per_ms, PowerTrace, TraceKind, SAMPLE_HZ};
+use crate::trace::{exp_sample, samples_per_ms, PowerTrace, SAMPLE_HZ};
 
 /// A parameterized synthetic harvesting environment.
 ///
@@ -122,112 +122,11 @@ impl EnvModel {
     /// Deterministic for `(self, seed)`: the same device seed always
     /// yields a bit-identical trace.
     ///
-    /// RF-bursty and piezo-impulse environments are piecewise-constant
-    /// by construction, so they are synthesized **segment-native**: one
-    /// run per burst/gap in O(#segments), with no per-sample vector
-    /// materialized. The result is bit-identical, sample for sample, to
-    /// `EnvModel::synthesize_sampled` — same RNG draw sequence (the
-    /// sampled loop only draws segment parameters, never per-sample
-    /// values, for these families), same float expressions — which the
-    /// differential tests pin. Solar-diurnal has genuinely dense
-    /// per-sample flicker and stays sampled.
-    ///
     /// # Panics
     ///
     /// Panics if `duration_s` is not positive or a power parameter is
     /// negative.
     pub fn synthesize(&self, seed: u64, duration_s: f64) -> PowerTrace {
-        assert!(duration_s > 0.0, "trace duration must be positive");
-        let n = (duration_s * SAMPLE_HZ).ceil() as usize;
-        let mut rng = StdRng::seed_from_u64(seed ^ 0x574e_464c_4545_5401);
-        match *self {
-            EnvModel::RfBursty {
-                mean_power_w,
-                mean_burst_ms,
-                mean_gap_ms,
-            } => {
-                assert!(mean_power_w >= 0.0, "mean power must be non-negative");
-                // Amplitude is drawn uniform around the level that makes
-                // the long-run mean come out at `mean_power_w` for the
-                // configured duty cycle.
-                let duty = mean_burst_ms / (mean_burst_ms + mean_gap_ms);
-                let on_level = mean_power_w / duty.max(1e-12);
-                let mut runs = Vec::new();
-                let mut produced = 0usize;
-                let mut on = rng.gen_bool(0.5);
-                // Draw-then-truncate matches the sampled loop exactly:
-                // it draws a segment's parameters only when a sample
-                // still needs pushing, i.e. while produced < n.
-                while produced < n {
-                    on = !on;
-                    let mean_ms = if on { mean_burst_ms } else { mean_gap_ms };
-                    let dur_ms = exp_sample(&mut rng, mean_ms).clamp(1.0, 20.0 * mean_ms);
-                    let seg_len = samples_per_ms(dur_ms).min(n - produced);
-                    let level = if on {
-                        on_level * (0.4 + 1.2 * rng.gen::<f64>())
-                    } else {
-                        0.0
-                    };
-                    runs.push((seg_len, level.max(0.0) as f32));
-                    produced += seg_len;
-                }
-                PowerTrace::from_segments(runs, TraceKind::Imported, 0)
-            }
-            EnvModel::SolarDiurnal {
-                peak_power_w,
-                day_s,
-            } => {
-                let mut samples = Vec::with_capacity(n);
-                solar_samples(&mut rng, &mut samples, n, peak_power_w, day_s);
-                PowerTrace::from_samples(samples)
-            }
-            EnvModel::PiezoImpulse {
-                baseline_w,
-                impulse_w,
-                impulse_ms,
-                mean_gap_ms,
-            } => {
-                assert!(
-                    baseline_w >= 0.0 && impulse_w >= 0.0,
-                    "power must be non-negative"
-                );
-                let mut runs = Vec::new();
-                let mut produced = 0usize;
-                let mut on = false;
-                while produced < n {
-                    on = !on;
-                    let dur_ms = if on {
-                        impulse_ms.max(1.0)
-                    } else {
-                        exp_sample(&mut rng, mean_gap_ms).clamp(1.0, 20.0 * mean_gap_ms)
-                    };
-                    let seg_len = samples_per_ms(dur_ms).min(n - produced);
-                    if on {
-                        // Impulse amplitude jitters per sample in the
-                        // sampled form, so impulses become length-1 runs
-                        // drawing the same RNG values in the same order.
-                        for _ in 0..seg_len {
-                            let level = impulse_w * (0.7 + 0.6 * rng.gen::<f64>());
-                            runs.push((1, level.max(0.0) as f32));
-                        }
-                    } else {
-                        runs.push((seg_len, baseline_w.max(0.0) as f32));
-                    }
-                    produced += seg_len;
-                }
-                PowerTrace::from_segments(runs, TraceKind::Imported, 0)
-            }
-        }
-    }
-
-    /// Reference per-sample synthesis: pushes every 1 kHz sample into a
-    /// dense vector. This is the historical implementation; the
-    /// segment-native [`EnvModel::synthesize`] must match it bit for
-    /// bit, and the differential tests (plus the cross-representation
-    /// proptests) hold it to that. A test oracle, built only for this
-    /// crate's tests and under the `oracle` feature.
-    #[cfg(any(test, feature = "oracle"))]
-    pub fn synthesize_sampled(&self, seed: u64, duration_s: f64) -> PowerTrace {
         assert!(duration_s > 0.0, "trace duration must be positive");
         let n = (duration_s * SAMPLE_HZ).ceil() as usize;
         let mut rng = StdRng::seed_from_u64(seed ^ 0x574e_464c_4545_5401);
@@ -239,6 +138,9 @@ impl EnvModel {
                 mean_gap_ms,
             } => {
                 assert!(mean_power_w >= 0.0, "mean power must be non-negative");
+                // Amplitude is drawn uniform around the level that makes
+                // the long-run mean come out at `mean_power_w` for the
+                // configured duty cycle.
                 let duty = mean_burst_ms / (mean_burst_ms + mean_gap_ms);
                 let on_level = mean_power_w / duty.max(1e-12);
                 let mut remaining = 0usize;
@@ -263,7 +165,20 @@ impl EnvModel {
             EnvModel::SolarDiurnal {
                 peak_power_w,
                 day_s,
-            } => solar_samples(&mut rng, &mut samples, n, peak_power_w, day_s),
+            } => {
+                assert!(peak_power_w >= 0.0, "peak power must be non-negative");
+                assert!(day_s > 0.0, "day length must be positive");
+                // Per-device phase offset: two devices in the same field
+                // see the same sun, but fleet cohorts model dispersed
+                // deployments, so the diurnal phase is seeded too.
+                let phase = rng.gen::<f64>() * day_s;
+                for i in 0..n {
+                    let t = i as f64 / SAMPLE_HZ + phase;
+                    let sun = (2.0 * std::f64::consts::PI * t / day_s).sin().max(0.0);
+                    let flicker = 0.8 + 0.4 * rng.gen::<f64>();
+                    samples.push((peak_power_w * sun * flicker) as f32);
+                }
+            }
             EnvModel::PiezoImpulse {
                 baseline_w,
                 impulse_w,
@@ -297,30 +212,6 @@ impl EnvModel {
             }
         }
         PowerTrace::from_samples(samples)
-    }
-}
-
-/// Pushes `n` solar-diurnal samples: a half-sinusoid day with
-/// per-sample flicker, genuinely dense, so both synthesis paths share
-/// this one sampled loop.
-fn solar_samples(
-    rng: &mut StdRng,
-    samples: &mut Vec<f32>,
-    n: usize,
-    peak_power_w: f64,
-    day_s: f64,
-) {
-    assert!(peak_power_w >= 0.0, "peak power must be non-negative");
-    assert!(day_s > 0.0, "day length must be positive");
-    // Per-device phase offset: two devices in the same field see the
-    // same sun, but fleet cohorts model dispersed deployments, so the
-    // diurnal phase is seeded too.
-    let phase = rng.gen::<f64>() * day_s;
-    for i in 0..n {
-        let t = i as f64 / SAMPLE_HZ + phase;
-        let sun = (2.0 * std::f64::consts::PI * t / day_s).sin().max(0.0);
-        let flicker = 0.8 + 0.4 * rng.gen::<f64>();
-        samples.push((peak_power_w * sun * flicker) as f32);
     }
 }
 
@@ -569,6 +460,18 @@ mod tests {
         assert_eq!(EnvModel::piezo_default().name(), "piezo-impulse");
     }
 
+    /// FNV-1a 64 over the little-endian bits of every sample.
+    fn sample_digest(t: &PowerTrace) -> u64 {
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        for i in 0..t.len() as u64 {
+            for b in t.power_at_sample(i).to_bits().to_le_bytes() {
+                h ^= u64::from(b);
+                h = h.wrapping_mul(0x0100_0000_01b3);
+            }
+        }
+        h
+    }
+
     #[test]
     fn same_seed_same_trace_different_seed_different_trace() {
         for model in MODELS {
@@ -578,6 +481,27 @@ mod tests {
             assert_eq!(a, b, "{}: seed 7 must reproduce", m.name());
             let c = m.synthesize(8, 5.0);
             assert_ne!(a, c, "{}: different seeds must differ", m.name());
+        }
+        // The synthesized bytes themselves, as recorded from the
+        // run-length synthesizer this dense loop replaced: any drift in
+        // the RNG draw order or a float expression changes a digest.
+        let pinned = [
+            (EnvModel::rf_default(), 7, 0xa095_d3f3_3042_7fb9),
+            (EnvModel::rf_default(), 42, 0x1d87_fec6_2f1a_3203),
+            (EnvModel::solar_default(), 7, 0x258f_24d6_0700_2193),
+            (EnvModel::solar_default(), 42, 0xed95_a939_e49d_d94f),
+            (EnvModel::piezo_default(), 7, 0x4b72_3684_2124_21c5),
+            (EnvModel::piezo_default(), 42, 0x147e_ca25_28f5_3434),
+        ];
+        for (m, seed, digest) in pinned {
+            let t = m.synthesize(seed, 20.0);
+            assert_eq!(t.len(), 20_000);
+            assert_eq!(
+                sample_digest(&t),
+                digest,
+                "{} seed {seed}: synthesized samples drifted",
+                m.name()
+            );
         }
     }
 
@@ -591,78 +515,6 @@ mod tests {
                 assert!(t.power_at(i as f64 / SAMPLE_HZ) >= 0.0, "{}", m.name());
             }
         }
-    }
-
-    #[test]
-    fn segment_native_matches_sampled_reference() {
-        // Tentpole pin: segment-native synthesis is bit-identical to the
-        // per-sample reference on every read path.
-        let models = [
-            EnvModel::rf_default(),
-            EnvModel::piezo_default(),
-            EnvModel::RfBursty {
-                mean_power_w: 3.1e-4,
-                mean_burst_ms: 12.5,
-                mean_gap_ms: 71.0,
-            },
-            EnvModel::PiezoImpulse {
-                baseline_w: 4.2e-6,
-                impulse_w: 9.9e-4,
-                impulse_ms: 2.4,
-                mean_gap_ms: 33.0,
-            },
-        ];
-        for m in models {
-            for seed in 0..4 {
-                for dur in [0.35, 2.0, 5.7] {
-                    let seg = m.synthesize(seed, dur);
-                    let smp = m.synthesize_sampled(seed, dur);
-                    assert!(seg.is_segmented(), "{}", m.name());
-                    assert!(!smp.is_segmented());
-                    assert_eq!(seg, smp, "{} seed {seed} dur {dur}", m.name());
-                    for i in 0..seg.len() {
-                        let t = i as f64 / SAMPLE_HZ;
-                        assert_eq!(
-                            seg.power_at(t).to_bits(),
-                            smp.power_at(t).to_bits(),
-                            "{} seed {seed} dur {dur} sample {i}",
-                            m.name()
-                        );
-                    }
-                    assert_eq!(seg.mean_power().to_bits(), smp.mean_power().to_bits());
-                    for k in 0..32 {
-                        let t0 = k as f64 * 0.0137;
-                        assert_eq!(
-                            seg.energy_between(t0, 4.3e-3).to_bits(),
-                            smp.energy_between(t0, 4.3e-3).to_bits()
-                        );
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn solar_stays_sampled() {
-        // Per-sample flicker makes solar genuinely dense; it must not be
-        // run-length encoded (that would make reads O(#samples) through
-        // a degenerate one-sample-per-segment index).
-        let t = EnvModel::solar_default().synthesize(1, 2.0);
-        assert!(!t.is_segmented());
-        assert_eq!(t, EnvModel::solar_default().synthesize_sampled(1, 2.0));
-    }
-
-    #[test]
-    fn segment_counts_are_small() {
-        // O(#segments) synthesis is the point: a 60 s RF trace has
-        // ~1500 bursts/gaps, not 60k samples' worth of segments.
-        let t = EnvModel::rf_default().synthesize(3, 60.0);
-        let segs = t.segment_count().unwrap();
-        assert!(segs < 4000, "RF segments {segs}");
-        let t = EnvModel::piezo_default().synthesize(3, 60.0);
-        let segs = t.segment_count().unwrap();
-        // Impulses are per-sample jittered (length-1 runs) but sparse.
-        assert!(segs < 8000, "piezo segments {segs}");
     }
 
     #[test]

@@ -39,5 +39,5 @@ pub use environment::{EnvModel, HarvestStats};
 pub use lattice::BlockLattice;
 pub use stats::TraceStats;
 pub use supply::memo_stats::{self, SupplyMemoStats};
-pub use supply::{EnergySupply, PowerStatus, SupplyConfig, SupplyError};
+pub use supply::{EnergySupply, PowerStatus, SupplyConfig, SupplyError, STARVATION_LIMIT_S};
 pub use trace::{PowerTrace, TraceKind};

@@ -7,7 +7,7 @@ use crate::lattice::{BlockLattice, SettlePoint};
 use crate::trace::{PowerTrace, SAMPLE_HZ};
 
 /// Process-wide effectiveness counters for the supply's fast-forward
-/// machinery (segment-native charge/discharge replay).
+/// machinery (zero-run charge/discharge replay).
 ///
 /// One immutable table backs the recharge path: the **wait-chain
 /// table** (the replayed `waited += 1 ms` accumulator of
@@ -15,8 +15,8 @@ use crate::trace::{PowerTrace, SAMPLE_HZ};
 /// by every recharge wait in the process). Counters are relaxed
 /// atomics: they never order anything, they only report. Fleet reports
 /// never include them — they are diagnostics for `experiments
-/// bench-fleet`, the fleet smoke CI check (which asserts the segmented
-/// path is actually active), and the `wn-serve` `stats` request.
+/// bench-fleet`, the fleet smoke CI check (which asserts the charge
+/// fast-forward is actually active), and the `wn-serve` `stats` request.
 pub mod memo_stats {
     use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 
@@ -89,6 +89,11 @@ pub mod memo_stats {
 }
 
 use std::sync::atomic::Ordering::Relaxed;
+
+/// The longest recharge wait, in simulated seconds, before a supply
+/// reports [`SupplyError::Starved`]: an hour without reaching `v_on`
+/// means the harvester cannot sustain the device.
+pub const STARVATION_LIMIT_S: f64 = 3600.0;
 
 /// Wait-chain table: `W[k]` = the value of `wait_for_power`'s `waited`
 /// accumulator after `k` iterations of `waited += 1e-3` starting from
@@ -304,11 +309,6 @@ pub struct EnergySupply {
     /// expression of [`EnergySupply::consume_cycles`] evaluated once per
     /// cycle count, so the settle kernel never converts or multiplies.
     drain_table: [f64; SETTLE_TABLE],
-    /// Segment cursor for the trace's hinted reads
-    /// ([`PowerTrace::sample_level_hinted`]): pure lookup accelerator —
-    /// reads return identical bits for any value here, so it carries no
-    /// state that could affect results.
-    trace_hint: u32,
 }
 
 impl EnergySupply {
@@ -350,7 +350,6 @@ impl EnergySupply {
             seg_budget_cycles: 0,
             dt_table,
             drain_table,
-            trace_hint: 0,
         })
     }
 
@@ -400,9 +399,9 @@ impl EnergySupply {
     /// advancing time in 1 ms steps. Returns the wait duration in seconds.
     /// A no-op returning 0.0 if already on.
     ///
-    /// The reference semantics are the plain loop of the test oracle
-    /// `EnergySupply::wait_for_power_reference`; this method is its
-    /// bit-exact fast form. Two elisions, both replay rather than
+    /// The reference semantics are the plain 1 ms loop of the test
+    /// oracle `wait_for_power_reference`; this method is its bit-exact
+    /// fast form. Two elisions, both replay rather than
     /// reassociation:
     ///
     /// - **Zero-run sprint**: while the trace sits in a run of exactly
@@ -415,25 +414,26 @@ impl EnergySupply {
     /// - **Wait-chain replay**: the `waited` accumulator is a pure
     ///   `0.0 (+1 ms)^k` chain, replayed from an immutable table built
     ///   at compile time ([`memo_stats`]) instead of recomputed; the
-    ///   hourly starvation guard compares `k` against a step count that
-    ///   provably under-runs `3600.0` (the chain's accumulated rounding
-    ///   is below `1e-6` there), falling back to the exact chain beyond
-    ///   it.
+    ///   starvation guard compares `k` against a step count that
+    ///   provably under-runs [`STARVATION_LIMIT_S`] (the chain's
+    ///   accumulated rounding is below `1e-6` there), falling back to the
+    ///   exact chain beyond it.
     ///
     /// # Errors
     ///
-    /// Returns [`SupplyError::Starved`] if `v_on` is not reached within a
-    /// simulated hour.
+    /// Returns [`SupplyError::Starved`] if `v_on` is not reached within
+    /// [`STARVATION_LIMIT_S`].
     pub fn wait_for_power(&mut self) -> Result<f64, SupplyError> {
         if self.on {
             return Ok(0.0);
         }
         self.seg_budget_cycles = 0;
         const STEP_S: f64 = 1e-3;
-        // Largest step count provably below the hour guard: `waited`
-        // after k steps is within k·2^-52·3600 ≤ 9e-7 of k·1e-3, so
-        // every k below stays strictly under 3600.0.
-        const K_SAFE: u64 = 3_599_990;
+        // A step count provably below the starvation guard: `waited`
+        // after k steps is within k·2^-52·STARVATION_LIMIT_S ≤ 9e-7 of
+        // k·1e-3, so every k ten steps short of the limit stays strictly
+        // under STARVATION_LIMIT_S.
+        const K_SAFE: u64 = (STARVATION_LIMIT_S * 1e3) as u64 - 10;
         let target = self.cap.energy_at(self.config.v_on);
         let mut k: u64 = 0;
         while self.cap.energy() < target {
@@ -441,7 +441,7 @@ impl EnergySupply {
                 return self.wait_for_power_tail(target, k);
             }
             let i0 = (self.t_s * SAMPLE_HZ) as u64;
-            let run = self.trace.zero_run_from_hinted(i0, &mut self.trace_hint);
+            let run = self.trace.zero_run_from(i0);
             if run > 3 {
                 // Sprint: the reference step after j elided steps
                 // touches samples no further than index i0 + j + 3
@@ -458,9 +458,7 @@ impl EnergySupply {
                 memo_stats::CHARGE_FF_STEPS.fetch_add(n, Relaxed);
                 continue;
             }
-            let harvested =
-                self.trace
-                    .energy_between_hinted(self.t_s, STEP_S, &mut self.trace_hint);
+            let harvested = self.trace.energy_between(self.t_s, STEP_S);
             self.cap.add_energy(harvested);
             self.t_s += STEP_S;
             k += 1;
@@ -477,41 +475,9 @@ impl EnergySupply {
     #[cold]
     fn wait_for_power_tail(&mut self, target: f64, k: u64) -> Result<f64, SupplyError> {
         const STEP_S: f64 = 1e-3;
-        const MAX_WAIT_S: f64 = 3600.0;
         let mut waited = wait_chain_value(k);
         while self.cap.energy() < target {
-            if waited >= MAX_WAIT_S {
-                return Err(SupplyError::Starved { waited_s: waited });
-            }
-            let harvested = self.trace.energy_between(self.t_s, STEP_S);
-            self.cap.add_energy(harvested);
-            self.t_s += STEP_S;
-            waited += STEP_S;
-        }
-        self.on = true;
-        Ok(waited)
-    }
-
-    /// The reference recharge loop, preserved verbatim for the
-    /// differential tests that pin [`EnergySupply::wait_for_power`]'s
-    /// fast-forward to it bit for bit. A test oracle, built only for
-    /// this crate's tests and under the `oracle` feature.
-    ///
-    /// # Errors
-    ///
-    /// As [`EnergySupply::wait_for_power`].
-    #[cfg(any(test, feature = "oracle"))]
-    pub fn wait_for_power_reference(&mut self) -> Result<f64, SupplyError> {
-        if self.on {
-            return Ok(0.0);
-        }
-        self.seg_budget_cycles = 0;
-        const STEP_S: f64 = 1e-3;
-        const MAX_WAIT_S: f64 = 3600.0;
-        let target = self.cap.energy_at(self.config.v_on);
-        let mut waited = 0.0;
-        while self.cap.energy() < target {
-            if waited >= MAX_WAIT_S {
+            if waited >= STARVATION_LIMIT_S {
                 return Err(SupplyError::Starved { waited_s: waited });
             }
             let harvested = self.trace.energy_between(self.t_s, STEP_S);
@@ -547,41 +513,6 @@ impl EnergySupply {
         // `Capacitor::voltage_threshold_energy`), which keeps the `sqrt`
         // off this path.
         if self.cap.energy() < self.e_outage_j {
-            self.on = false;
-            self.outages += 1;
-            Ok(PowerStatus::Outage)
-        } else {
-            Ok(PowerStatus::On)
-        }
-    }
-
-    /// The reference form of [`EnergySupply::consume_cycles`] — the
-    /// historical implementation with no segment cache and the voltage
-    /// comparison spelled out — preserved verbatim for the differential
-    /// tests that pin the fast form to it bit for bit. A test oracle,
-    /// like [`EnergySupply::wait_for_power_reference`].
-    ///
-    /// # Errors
-    ///
-    /// As [`EnergySupply::consume_cycles`].
-    #[cfg(any(test, feature = "oracle"))]
-    pub fn consume_cycles_reference(&mut self, cycles: u64) -> Result<PowerStatus, SupplyError> {
-        if !self.on {
-            return Err(SupplyError::NotPowered);
-        }
-        if cycles == 0 {
-            return Ok(PowerStatus::On);
-        }
-        // Time advances outside `settle`: the segment cache goes stale.
-        self.seg_budget_cycles = 0;
-        let dt = cycles as f64 / self.config.clock_hz;
-        let harvested = self.trace.energy_between(self.t_s, dt);
-        let drained = self.config.pj_per_cycle * 1e-12 * cycles as f64;
-        self.cap.add_energy(harvested);
-        self.cap.drain(drained);
-        self.t_s += dt;
-        self.on_time_s += dt;
-        if self.cap.voltage() < self.config.v_off {
             self.on = false;
             self.outages += 1;
             Ok(PowerStatus::Outage)
@@ -828,9 +759,7 @@ impl EnergySupply {
     /// [`EnergySupply::settle`]'s footprint inside the bulk loop.
     #[inline(never)]
     fn settle_segment_miss(&mut self, dt: f64) {
-        let harvested = self
-            .trace
-            .energy_between_hinted(self.t_s, dt, &mut self.trace_hint);
+        let harvested = self.trace.energy_between(self.t_s, dt);
         self.cap.add_energy(harvested);
         self.refresh_segment_cache(dt);
     }
@@ -853,9 +782,9 @@ impl EnergySupply {
         const MARGIN_CYCLES: u64 = 32;
         let new_t = self.t_s + dt;
         let idx = (new_t * SAMPLE_HZ).floor() as u64;
-        self.seg_power_w = self.trace.power_at_sample_hinted(idx, &mut self.trace_hint);
+        self.seg_power_w = self.trace.power_at_sample(idx);
         let end_idx = if self.seg_power_w == 0.0 {
-            let run = self.trace.zero_run_from_hinted(idx, &mut self.trace_hint);
+            let run = self.trace.zero_run_from(idx);
             if run > 1 {
                 memo_stats::DISCHARGE_EXT_EVENTS.fetch_add(1, Relaxed);
             }
@@ -883,9 +812,7 @@ impl EnergySupply {
         let mut remaining = duration_s;
         while remaining > 0.0 {
             let dt = remaining.min(STEP_S);
-            let harvested = self
-                .trace
-                .energy_between_hinted(self.t_s, dt, &mut self.trace_hint);
+            let harvested = self.trace.energy_between(self.t_s, dt);
             self.cap.add_energy(harvested);
             self.t_s += dt;
             remaining -= dt;
@@ -1646,10 +1573,66 @@ mod tests {
         assert_eq!(s.grant_cycles(1 << 40), 1 << 40);
     }
 
-    /// Traces covering every fast-forward regime: segment-native RF
-    /// (exact-zero gaps), segment-native piezo (dense impulses), sampled
-    /// solar (exact-zero nights), and the dense paper-suite RF (no exact
-    /// zeros at all).
+    /// The test oracles: the historical supply loops the fast paths are
+    /// pinned to.
+    impl EnergySupply {
+        /// The reference recharge loop, preserved verbatim for the
+        /// differential tests that pin [`EnergySupply::wait_for_power`]'s
+        /// fast-forward to it bit for bit.
+        fn wait_for_power_reference(&mut self) -> Result<f64, SupplyError> {
+            if self.on {
+                return Ok(0.0);
+            }
+            self.seg_budget_cycles = 0;
+            const STEP_S: f64 = 1e-3;
+            let target = self.cap.energy_at(self.config.v_on);
+            let mut waited = 0.0;
+            while self.cap.energy() < target {
+                if waited >= STARVATION_LIMIT_S {
+                    return Err(SupplyError::Starved { waited_s: waited });
+                }
+                let harvested = self.trace.energy_between(self.t_s, STEP_S);
+                self.cap.add_energy(harvested);
+                self.t_s += STEP_S;
+                waited += STEP_S;
+            }
+            self.on = true;
+            Ok(waited)
+        }
+
+        /// The reference form of [`EnergySupply::consume_cycles`] — the
+        /// historical implementation with no segment cache and the voltage
+        /// comparison spelled out — preserved verbatim for the same
+        /// differential tests.
+        fn consume_cycles_reference(&mut self, cycles: u64) -> Result<PowerStatus, SupplyError> {
+            if !self.on {
+                return Err(SupplyError::NotPowered);
+            }
+            if cycles == 0 {
+                return Ok(PowerStatus::On);
+            }
+            // Time advances outside `settle`: the segment cache goes stale.
+            self.seg_budget_cycles = 0;
+            let dt = cycles as f64 / self.config.clock_hz;
+            let harvested = self.trace.energy_between(self.t_s, dt);
+            let drained = self.config.pj_per_cycle * 1e-12 * cycles as f64;
+            self.cap.add_energy(harvested);
+            self.cap.drain(drained);
+            self.t_s += dt;
+            self.on_time_s += dt;
+            if self.cap.voltage() < self.config.v_off {
+                self.on = false;
+                self.outages += 1;
+                Ok(PowerStatus::Outage)
+            } else {
+                Ok(PowerStatus::On)
+            }
+        }
+    }
+
+    /// Traces covering every fast-forward regime: fleet RF (exact-zero
+    /// gaps), fleet piezo (dense impulses), solar (exact-zero nights),
+    /// and the paper-suite RF (no exact zeros at all).
     fn differential_traces(seed: u64) -> Vec<PowerTrace> {
         use crate::environment::EnvModel;
         vec![

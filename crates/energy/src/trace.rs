@@ -6,14 +6,7 @@
 //! irregular bursts of incoming power whose magnitude keeps device
 //! on-periods in the few-millisecond regime. Traces are sampled at 1 kHz,
 //! deterministic for a given seed, and wrap around when read past the end.
-//!
-//! Storage comes in two forms behind one API: a dense sample vector, and
-//! a run-length **segment** form (`(level, len)` runs) for environments
-//! that are piecewise-constant by construction (see
-//! [`crate::environment::EnvModel::synthesize`]). Every read — `power_at`,
-//! `energy_between`, `mean_power`, iteration — is bit-identical across the
-//! two forms; the segment form only removes the per-sample materialization
-//! and lets the supply ask for zero-power run lengths in O(log #segments).
+//! Every trace is one shared vector of dense samples.
 
 use std::sync::Arc;
 
@@ -69,57 +62,17 @@ impl TraceKind {
     ];
 }
 
-/// One run of identical samples in segment storage: samples
-/// `[prev.end, end)` all read `level_w`.
-#[derive(Debug, Clone, Copy, PartialEq)]
-struct Seg {
-    /// Exclusive end sample index of this run.
-    end: u32,
-    /// Harvested power of every sample in the run, watts.
-    level_w: f32,
-}
-
-/// Trace sample storage: dense samples, or run-length segments for
-/// piecewise-constant environments.
-#[derive(Debug, Clone)]
-enum Storage {
-    /// Shared sample storage: clones of a trace (one per intermittent
-    /// run) are reference-counted, not memcpy'd.
-    Sampled(Arc<Vec<f32>>),
-    /// Run-length segments, sorted by `end`; `len` is the total sample
-    /// count (== the last segment's `end`).
-    Segments { segs: Arc<Vec<Seg>>, len: u32 },
-}
-
 /// A harvested-power trace sampled at 1 kHz, in watts.
 ///
 /// Reads past the end wrap around, so a trace of any duration can drive an
 /// arbitrarily long run.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PowerTrace {
-    storage: Storage,
+    /// Shared sample storage: clones of a trace (one per intermittent
+    /// run) are reference-counted, not memcpy'd.
+    samples: Arc<Vec<f32>>,
     kind: TraceKind,
     seed: u64,
-}
-
-impl PartialEq for PowerTrace {
-    /// Traces are equal when their *logical* sample streams are equal
-    /// (and kind/seed match) — a segment trace equals the sampled trace
-    /// it run-length encodes.
-    fn eq(&self, other: &PowerTrace) -> bool {
-        self.kind == other.kind
-            && self.seed == other.seed
-            && self.len() == other.len()
-            && match (&self.storage, &other.storage) {
-                (Storage::Sampled(a), Storage::Sampled(b)) => Arc::ptr_eq(a, b) || a == b,
-                (Storage::Segments { segs: a, .. }, Storage::Segments { segs: b, .. })
-                    if Arc::ptr_eq(a, b) || a == b =>
-                {
-                    true
-                }
-                _ => self.iter_samples().eq(other.iter_samples()),
-            }
-    }
 }
 
 impl PowerTrace {
@@ -143,9 +96,8 @@ impl PowerTrace {
             TraceKind::RfBursty => {
                 // Alternate ON bursts and OFF gaps with exponential
                 // durations (means 40 ms / 40 ms) and log-normal-ish
-                // amplitude around RF_BURST_POWER_W. Per-sample jitter
-                // makes this family genuinely dense (unlike the fleet's
-                // EnvModel form), so it stays sampled.
+                // amplitude around RF_BURST_POWER_W, with per-sample
+                // jitter.
                 let mut remaining = 0usize;
                 let mut level = 0.0f64;
                 let mut on = rng.gen_bool(0.5);
@@ -193,7 +145,7 @@ impl PowerTrace {
             }
         }
         PowerTrace {
-            storage: Storage::Sampled(Arc::new(samples)),
+            samples: Arc::new(samples),
             kind,
             seed,
         }
@@ -213,49 +165,9 @@ impl PowerTrace {
             "power must be non-negative"
         );
         PowerTrace {
-            storage: Storage::Sampled(Arc::new(samples_w)),
+            samples: Arc::new(samples_w),
             kind: TraceKind::Imported,
             seed: 0,
-        }
-    }
-
-    /// Builds a trace from `(len_samples, level_w)` runs without
-    /// materializing per-sample storage. Reads are bit-identical to a
-    /// trace built by pushing `len` copies of each `level_w` through
-    /// [`PowerTrace::from_samples`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the runs are empty / zero-length, a level is negative,
-    /// or the total exceeds `u32::MAX` samples (~49 days at 1 kHz).
-    pub(crate) fn from_segments(runs: Vec<(usize, f32)>, kind: TraceKind, seed: u64) -> PowerTrace {
-        assert!(!runs.is_empty(), "a trace needs at least one sample");
-        let mut segs = Vec::with_capacity(runs.len());
-        let mut total = 0u64;
-        for (len, level_w) in runs {
-            assert!(len > 0, "zero-length trace segment");
-            assert!(level_w >= 0.0, "power must be non-negative");
-            total += len as u64;
-            assert!(total <= u32::MAX as u64, "trace too long for segments");
-            // Merge equal-level neighbours so zero-run queries see one
-            // maximal run.
-            match segs.last_mut() {
-                Some(Seg { end, level_w: prev }) if prev.to_bits() == level_w.to_bits() => {
-                    *end = total as u32;
-                }
-                _ => segs.push(Seg {
-                    end: total as u32,
-                    level_w,
-                }),
-            }
-        }
-        PowerTrace {
-            storage: Storage::Segments {
-                segs: Arc::new(segs),
-                len: total as u32,
-            },
-            kind,
-            seed,
         }
     }
 
@@ -312,7 +224,7 @@ impl PowerTrace {
             "time_ms,power_w
 ",
         );
-        for (i, p) in self.iter_samples().enumerate() {
+        for (i, p) in self.samples.iter().enumerate() {
             out.push_str(&format!(
                 "{i},{p:e}
 "
@@ -357,10 +269,7 @@ impl PowerTrace {
 
     /// Number of 1 kHz samples.
     pub fn len(&self) -> usize {
-        match &self.storage {
-            Storage::Sampled(samples) => samples.len(),
-            Storage::Segments { len, .. } => *len as usize,
-        }
+        self.samples.len()
     }
 
     /// True if the trace has no samples (never the case for `generate`).
@@ -368,67 +277,9 @@ impl PowerTrace {
         self.len() == 0
     }
 
-    /// True when the trace is stored as run-length segments rather than
-    /// dense samples (diagnostic; reads behave identically).
-    pub fn is_segmented(&self) -> bool {
-        matches!(self.storage, Storage::Segments { .. })
-    }
-
-    /// Number of run-length segments, if segment-stored.
-    pub fn segment_count(&self) -> Option<usize> {
-        match &self.storage {
-            Storage::Sampled(_) => None,
-            Storage::Segments { segs, .. } => Some(segs.len()),
-        }
-    }
-
     /// Trace duration in seconds.
     pub fn duration_s(&self) -> f64 {
         self.len() as f64 / SAMPLE_HZ
-    }
-
-    /// The sample at a wrapped index already reduced modulo `len`.
-    #[inline]
-    fn sample_level(&self, wrapped: usize) -> f32 {
-        match &self.storage {
-            Storage::Sampled(samples) => samples[wrapped],
-            Storage::Segments { segs, .. } => {
-                let i = segs.partition_point(|s| (s.end as usize) <= wrapped);
-                segs[i].level_w
-            }
-        }
-    }
-
-    /// [`PowerTrace::sample_level`] with a caller-held segment cursor.
-    ///
-    /// The hint is purely an accelerator: the returned level is the same
-    /// bits no matter what the hint holds. A supply's clock only moves
-    /// forward, so its reads land in the hinted segment or the next one
-    /// almost always, turning the per-read binary search into an O(1)
-    /// bounds check; a stale or wrapped hint falls back to the search.
-    #[inline]
-    pub(crate) fn sample_level_hinted(&self, wrapped: usize, hint: &mut u32) -> f32 {
-        match &self.storage {
-            Storage::Sampled(samples) => samples[wrapped],
-            Storage::Segments { segs, .. } => segs[seg_index_hinted(segs, wrapped, hint)].level_w,
-        }
-    }
-
-    /// Iterates the logical 1 kHz sample stream.
-    fn iter_samples(&self) -> impl Iterator<Item = f32> + '_ {
-        let (samples, segs) = match &self.storage {
-            Storage::Sampled(samples) => (Some(samples.iter().copied()), None),
-            Storage::Segments { segs, .. } => (None, Some(segs)),
-        };
-        let seg_iter = segs.into_iter().flat_map(|segs| {
-            let mut start = 0u32;
-            segs.iter().flat_map(move |seg| {
-                let run = (seg.end - start) as usize;
-                start = seg.end;
-                std::iter::repeat_n(seg.level_w, run)
-            })
-        });
-        samples.into_iter().flatten().chain(seg_iter)
     }
 
     /// Instantaneous harvested power at time `t_s`, wrapping past the end.
@@ -436,7 +287,7 @@ impl PowerTrace {
     pub fn power_at(&self, t_s: f64) -> f64 {
         debug_assert!(t_s >= 0.0);
         let idx = (t_s * SAMPLE_HZ) as usize % self.len();
-        self.sample_level(idx) as f64
+        self.samples[idx] as f64
     }
 
     /// Harvested power of the sample at absolute (unwrapped) index
@@ -446,14 +297,7 @@ impl PowerTrace {
     /// retired instruction.
     #[inline]
     pub fn power_at_sample(&self, index: u64) -> f64 {
-        self.sample_level((index % self.len() as u64) as usize) as f64
-    }
-
-    /// [`PowerTrace::power_at_sample`] with a caller-held segment cursor
-    /// (see [`PowerTrace::sample_level_hinted`]).
-    #[inline]
-    pub(crate) fn power_at_sample_hinted(&self, index: u64, hint: &mut u32) -> f64 {
-        self.sample_level_hinted((index % self.len() as u64) as usize, hint) as f64
+        self.samples[(index % self.len() as u64) as usize] as f64
     }
 
     /// Number of consecutive samples from absolute index `index` (after
@@ -463,60 +307,17 @@ impl PowerTrace {
     /// such runs: zero harvest leaves the capacitor's bits untouched, so
     /// the per-sample walk can be skipped without changing any result.
     pub fn zero_run_from(&self, index: u64) -> u64 {
-        let mut hint = 0;
-        self.zero_run_from_hinted(index, &mut hint)
-    }
-
-    /// [`PowerTrace::zero_run_from`] with a caller-held segment cursor
-    /// (see [`PowerTrace::sample_level_hinted`] — same contract: the
-    /// hint only accelerates the lookup, never changes the answer).
-    pub(crate) fn zero_run_from_hinted(&self, index: u64, hint: &mut u32) -> u64 {
-        let n = self.len() as u64;
-        let wrapped = (index % n) as usize;
-        match &self.storage {
-            Storage::Sampled(samples) => {
-                samples[wrapped..].iter().take_while(|&&p| p == 0.0).count() as u64
-            }
-            Storage::Segments { segs, .. } => {
-                let mut i = seg_index_hinted(segs, wrapped, hint);
-                if segs[i].level_w != 0.0 {
-                    return 0;
-                }
-                // Adjacent runs are level-merged at construction, but a
-                // +0.0/-0.0 pair would survive; walk to be safe.
-                while i + 1 < segs.len() && segs[i + 1].level_w == 0.0 {
-                    i += 1;
-                }
-                segs[i].end as u64 - wrapped as u64
-            }
-        }
+        let wrapped = (index % self.len() as u64) as usize;
+        self.samples[wrapped..]
+            .iter()
+            .take_while(|&&p| p == 0.0)
+            .count() as u64
     }
 
     /// Energy harvested over `[t0, t0+dt)` in joules (piecewise-constant
     /// integration over the 1 kHz samples).
     #[inline]
     pub fn energy_between(&self, t0_s: f64, dt_s: f64) -> f64 {
-        self.energy_between_impl(t0_s, dt_s, |w| self.sample_level(w))
-    }
-
-    /// [`PowerTrace::energy_between`] with a caller-held segment cursor
-    /// (see [`PowerTrace::sample_level_hinted`]). The float walk is the
-    /// shared `energy_between_impl`; only the sample lookup differs, and
-    /// it returns identical bits, so the integral is bit-identical.
-    #[inline]
-    pub(crate) fn energy_between_hinted(&self, t0_s: f64, dt_s: f64, hint: &mut u32) -> f64 {
-        self.energy_between_impl(t0_s, dt_s, |w| self.sample_level_hinted(w, hint))
-    }
-
-    /// The one integration walk behind both `energy_between` forms,
-    /// generic over the sample lookup.
-    #[inline]
-    fn energy_between_impl(
-        &self,
-        t0_s: f64,
-        dt_s: f64,
-        mut level: impl FnMut(usize) -> f32,
-    ) -> f64 {
         debug_assert!(dt_s >= 0.0);
         if dt_s <= 0.0 {
             return 0.0;
@@ -532,7 +333,7 @@ impl PowerTrace {
         if first == last {
             // Same index reduction as `power_at`.
             let idx = (t0_s * SAMPLE_HZ) as usize % self.len();
-            return level(idx) as f64 * dt_s;
+            return self.samples[idx] as f64 * dt_s;
         }
         let mut energy = 0.0;
         for i in first..=last {
@@ -540,7 +341,7 @@ impl PowerTrace {
             let lo = seg_start.max(t0_s);
             let hi = (seg_start + sample_dt).min(end);
             if hi > lo {
-                energy += level((i % n) as usize) as f64 * (hi - lo);
+                energy += self.samples[(i % n) as usize] as f64 * (hi - lo);
             }
         }
         energy
@@ -551,33 +352,8 @@ impl PowerTrace {
         if self.is_empty() {
             return 0.0;
         }
-        self.iter_samples().map(|p| p as f64).sum::<f64>() / self.len() as f64
+        self.samples.iter().map(|&p| p as f64).sum::<f64>() / self.len() as f64
     }
-}
-
-/// Finds the segment containing `wrapped`, preferring the hinted segment
-/// and its successor (the forward-moving common case) before falling back
-/// to binary search. Postcondition: `segs[ret]` contains `wrapped`, and
-/// the hint is updated to `ret` — correctness never depends on the
-/// incoming hint value.
-#[inline]
-fn seg_index_hinted(segs: &[Seg], wrapped: usize, hint: &mut u32) -> usize {
-    let i = *hint as usize;
-    if i < segs.len() {
-        let lo = if i == 0 { 0 } else { segs[i - 1].end as usize };
-        if wrapped >= lo {
-            if wrapped < segs[i].end as usize {
-                return i;
-            }
-            if i + 1 < segs.len() && wrapped < segs[i + 1].end as usize {
-                *hint = (i + 1) as u32;
-                return i + 1;
-            }
-        }
-    }
-    let j = segs.partition_point(|s| (s.end as usize) <= wrapped);
-    *hint = j as u32;
-    j
 }
 
 /// An exponential draw of mean `mean`, from one uniform in `[1e-9, 1)`.
@@ -741,118 +517,15 @@ mod tests {
     }
 
     #[test]
-    fn segment_trace_reads_match_sampled() {
-        // A hand-built segment trace must be indistinguishable from the
-        // sampled trace it encodes, on every read path.
-        let runs = vec![(3usize, 0.0f32), (2, 1.5e-4), (4, 0.0), (1, 2.0e-4)];
-        let mut dense = Vec::new();
-        for &(len, level) in &runs {
-            dense.extend(std::iter::repeat_n(level, len));
-        }
-        let seg = PowerTrace::from_segments(runs, TraceKind::Imported, 0);
-        let smp = PowerTrace::from_samples(dense);
-        assert!(seg.is_segmented() && !smp.is_segmented());
-        assert_eq!(seg.segment_count(), Some(4));
-        assert_eq!(seg.len(), smp.len());
-        assert_eq!(seg, smp);
-        for i in 0..(3 * seg.len()) {
-            let t = i as f64 / SAMPLE_HZ;
-            assert_eq!(seg.power_at(t).to_bits(), smp.power_at(t).to_bits());
-            assert_eq!(
-                seg.power_at_sample(i as u64).to_bits(),
-                smp.power_at_sample(i as u64).to_bits()
-            );
-            assert_eq!(
-                seg.zero_run_from(i as u64),
-                smp.zero_run_from(i as u64),
-                "index {i}"
-            );
-        }
-        assert_eq!(seg.mean_power().to_bits(), smp.mean_power().to_bits());
-        assert_eq!(seg.to_csv(), smp.to_csv());
-        for k in 0..40 {
-            let t0 = k as f64 * 7.3e-4;
-            for dt in [1e-4, 1e-3, 3.7e-3, 1.1e-2] {
-                assert_eq!(
-                    seg.energy_between(t0, dt).to_bits(),
-                    smp.energy_between(t0, dt).to_bits(),
-                    "t0={t0} dt={dt}"
-                );
-            }
-        }
-    }
-
-    #[test]
     fn zero_runs_stop_at_trace_end_and_nonzero() {
-        let runs = vec![(5usize, 0.0f32), (2, 1e-4), (3, 0.0)];
-        let t = PowerTrace::from_segments(runs, TraceKind::Imported, 0);
+        let mut samples = vec![0.0f32; 5];
+        samples.extend([1e-4, 1e-4, 0.0, 0.0, 0.0]);
+        let t = PowerTrace::from_samples(samples);
         assert_eq!(t.zero_run_from(0), 5);
         assert_eq!(t.zero_run_from(2), 3);
         assert_eq!(t.zero_run_from(5), 0);
         assert_eq!(t.zero_run_from(7), 3); // trailing zero run, clipped at end
         assert_eq!(t.zero_run_from(9), 1);
         assert_eq!(t.zero_run_from(10), 5); // wraps to the head run
-    }
-
-    #[test]
-    fn hinted_reads_match_plain_reads_for_any_hint() {
-        // The cursor is an accelerator only: every hinted read must
-        // return the same bits as the searching read no matter what the
-        // hint holds — stale, wrapped, past-the-end, or exact.
-        let runs = vec![
-            (3usize, 0.0f32),
-            (2, 1.5e-4),
-            (4, 0.0),
-            (1, 2.0e-4),
-            (5, 0.0),
-            (2, 9.0e-5),
-        ];
-        let t = PowerTrace::from_segments(runs, TraceKind::Imported, 0);
-        let nsegs = t.segment_count().unwrap() as u32;
-        for start_hint in 0..=(nsegs + 2) {
-            for i in 0..(2 * t.len() as u64) {
-                let mut h = start_hint;
-                assert_eq!(
-                    t.power_at_sample_hinted(i, &mut h).to_bits(),
-                    t.power_at_sample(i).to_bits(),
-                    "sample {i} hint {start_hint}"
-                );
-                let mut h = start_hint;
-                assert_eq!(
-                    t.zero_run_from_hinted(i, &mut h),
-                    t.zero_run_from(i),
-                    "zero run {i} hint {start_hint}"
-                );
-                let mut h = start_hint;
-                let t0 = i as f64 * 4.1e-4;
-                for dt in [1e-4, 1e-3, 2.6e-3] {
-                    assert_eq!(
-                        t.energy_between_hinted(t0, dt, &mut h).to_bits(),
-                        t.energy_between(t0, dt).to_bits(),
-                        "t0={t0} dt={dt} hint {start_hint}"
-                    );
-                }
-            }
-        }
-        // A monotone forward scan with one persistent cursor — the
-        // supply's actual access pattern — also matches.
-        let mut h = 0;
-        for i in 0..(3 * t.len() as u64) {
-            assert_eq!(
-                t.power_at_sample_hinted(i, &mut h).to_bits(),
-                t.power_at_sample(i).to_bits()
-            );
-        }
-    }
-
-    #[test]
-    fn segment_construction_merges_equal_levels() {
-        let t = PowerTrace::from_segments(
-            vec![(2usize, 0.0f32), (3, 0.0), (1, 1e-4)],
-            TraceKind::Imported,
-            0,
-        );
-        assert_eq!(t.segment_count(), Some(2));
-        assert_eq!(t.zero_run_from(0), 5);
     }
 }

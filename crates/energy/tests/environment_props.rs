@@ -33,27 +33,6 @@ fn any_model() -> impl Strategy<Value = EnvModel> {
     ]
 }
 
-/// The piecewise-constant families (segment-native synthesis).
-fn any_segmented_model() -> impl Strategy<Value = EnvModel> {
-    prop_oneof![
-        (1e-6f64..1e-3, 5.0f64..120.0, 5.0f64..120.0).prop_map(
-            |(mean_power_w, mean_burst_ms, mean_gap_ms)| EnvModel::RfBursty {
-                mean_power_w,
-                mean_burst_ms,
-                mean_gap_ms,
-            }
-        ),
-        (0.0f64..1e-5, 1e-5f64..1e-3, 1.0f64..20.0, 20.0f64..400.0).prop_map(
-            |(baseline_w, impulse_w, impulse_ms, mean_gap_ms)| EnvModel::PiezoImpulse {
-                baseline_w,
-                impulse_w,
-                impulse_ms,
-                mean_gap_ms,
-            }
-        ),
-    ]
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -77,41 +56,6 @@ proptest! {
         for i in 0..t.len() {
             prop_assert!(t.power_at(i as f64 / 1000.0) >= 0.0);
         }
-    }
-
-    /// Segment-native synthesis is bit-exactly the per-sample reference
-    /// for the piecewise-constant families, across random seeds,
-    /// durations, and model parameters: every `power_at` over the full
-    /// duration, `mean_power`, and sub-sample energy integration agree
-    /// to the bit.
-    #[test]
-    fn segmented_synthesis_matches_sampled_bits(
-        model in any_segmented_model(),
-        seed in 0u64..10_000,
-        duration_s in 0.2f64..6.0,
-    ) {
-        let seg = model.synthesize(seed, duration_s);
-        let smp = model.synthesize_sampled(seed, duration_s);
-        prop_assert!(seg.is_segmented());
-        prop_assert!(!smp.is_segmented());
-        prop_assert_eq!(seg.len(), smp.len());
-        for i in 0..seg.len() {
-            let t = i as f64 / 1000.0;
-            prop_assert_eq!(
-                seg.power_at(t).to_bits(),
-                smp.power_at(t).to_bits(),
-                "sample {} of {}", i, seg.len()
-            );
-        }
-        prop_assert_eq!(seg.mean_power().to_bits(), smp.mean_power().to_bits());
-        for k in 0..24u32 {
-            let t0 = k as f64 * duration_s / 24.0;
-            prop_assert_eq!(
-                seg.energy_between(t0, 3.3e-3).to_bits(),
-                smp.energy_between(t0, 3.3e-3).to_bits()
-            );
-        }
-        prop_assert_eq!(&seg, &smp);
     }
 }
 

@@ -126,26 +126,34 @@ impl Client {
         }
     }
 
-    /// Polls `report` until it lands or `timeout` elapses.
+    /// Watches `fingerprint` until its `done` event, then fetches the
+    /// report once.
+    ///
+    /// The deadline is a read timeout on the socket, reset to the time
+    /// left before every read. A timeout leaves the connection in the
+    /// middle of the event stream, so drop the client after one.
     ///
     /// # Errors
     ///
-    /// [`ClientError::Timeout`] after `timeout`; otherwise as
-    /// [`Client::report`].
+    /// [`ClientError::Timeout`] once `timeout` elapses; otherwise as
+    /// [`Client::watch`] and [`Client::report`].
     pub fn wait_report(
         &mut self,
         fingerprint: u64,
         timeout: Duration,
     ) -> Result<String, ClientError> {
         let deadline = Instant::now() + timeout;
-        loop {
-            if let Some(report) = self.report(fingerprint)? {
-                return Ok(report);
-            }
-            if Instant::now() >= deadline {
+        let watched = self.watch_until(fingerprint, Some(deadline), |_| {});
+        self.stream.set_read_timeout(None)?;
+        match watched {
+            Err(ClientError::Proto(ProtoError::Io(_))) if Instant::now() >= deadline => {
                 return Err(ClientError::Timeout { fingerprint });
             }
-            std::thread::sleep(Duration::from_millis(50));
+            watched => watched?,
+        }
+        match self.request(&Request::Report { fingerprint })? {
+            Response::Report { report, .. } => Ok(report),
+            other => Err(unexpected(other)),
         }
     }
 
@@ -155,26 +163,59 @@ impl Client {
     ///
     /// # Errors
     ///
-    /// Transport errors; [`ClientError::Disconnected`] if the server
-    /// closes the stream before `done` (e.g. it is shutting down).
+    /// Transport errors; [`ClientError::Server`] for an unknown
+    /// fingerprint or a failed job, including one that fails while
+    /// watched; [`ClientError::Disconnected`] if the server closes the
+    /// stream before `done` (e.g. it is shutting down).
     pub fn watch(
         &mut self,
         fingerprint: u64,
+        on_event: impl FnMut(&Event),
+    ) -> Result<(), ClientError> {
+        self.watch_until(fingerprint, None, on_event)
+    }
+
+    /// [`Client::watch`], with every read bounded by `deadline`.
+    fn watch_until(
+        &mut self,
+        fingerprint: u64,
+        deadline: Option<Instant>,
         mut on_event: impl FnMut(&Event),
     ) -> Result<(), ClientError> {
+        self.read_by(deadline, fingerprint)?;
         match self.request(&Request::Watch { fingerprint })? {
             Response::Watching { .. } => {}
             other => return Err(unexpected(other)),
         }
         loop {
+            self.read_by(deadline, fingerprint)?;
             let line = self.reader.next_line()?.ok_or(ClientError::Disconnected)?;
-            let event = Event::parse(&line)?;
+            // A job that fails while watched ends its stream with the
+            // server's error response instead of `done`.
+            let event = Event::parse(&line).map_err(|e| match Response::parse(&line) {
+                Ok(response @ Response::Error { .. }) => unexpected(response),
+                _ => ClientError::Proto(e),
+            })?;
             let done = matches!(event, Event::Done { .. });
             on_event(&event);
             if done {
                 return Ok(());
             }
         }
+    }
+
+    /// Sets the socket's read timeout to the time left before
+    /// `deadline`; a no-op without one.
+    fn read_by(&self, deadline: Option<Instant>, fingerprint: u64) -> Result<(), ClientError> {
+        let Some(deadline) = deadline else {
+            return Ok(());
+        };
+        let left = deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() {
+            return Err(ClientError::Timeout { fingerprint });
+        }
+        self.stream.set_read_timeout(Some(left))?;
+        Ok(())
     }
 
     /// Daemon statistics.

@@ -217,7 +217,9 @@ pub enum Request {
     Report { fingerprint: u64 },
     /// Subscribe to `wn-fleet-shard-v1` progress lines for a
     /// fingerprint; the connection receives `wn-serve-evt-v1` events
-    /// until the job finishes.
+    /// until the job finishes. An unknown or failed fingerprint is
+    /// answered with an error response, and a job that fails while
+    /// watched ends the stream with one.
     Watch { fingerprint: u64 },
     /// Queue, store, and compilation-cache statistics.
     Stats,

@@ -191,15 +191,33 @@ impl Inner {
         self.stop.load(Ordering::SeqCst)
     }
 
+    /// Records a failed job, then ends its watchers' streams: each one
+    /// finds its channel closed and answers the failure.
     fn fail(&self, fp: u64, failure: JobFailure) {
         self.failed
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
             .insert(fp, failure);
+        self.drop_watchers(fp);
     }
 
     fn running_fp(&self) -> Option<u64> {
         *self.running.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// The state `report` and `watch` follow for a fingerprint, or the
+    /// error they answer for a job that failed or was never submitted.
+    fn job_status(&self, fp: u64) -> Result<JobState, String> {
+        if let Some(error) = self
+            .failed
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .get(&fp)
+        {
+            return Err(format!("job {fp:016x} failed: {error}"));
+        }
+        self.job_state(fp)
+            .ok_or_else(|| format!("unknown fingerprint {fp:016x}"))
     }
 
     /// The externally visible state of a fingerprint, if known.
@@ -238,6 +256,13 @@ impl Inner {
         if matches!(event, Event::Done { .. }) {
             subs.remove(&fp);
         }
+    }
+
+    fn drop_watchers(&self, fp: u64) {
+        self.subscribers
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .remove(&fp);
     }
 }
 
@@ -407,7 +432,7 @@ fn run_job(inner: &Arc<Inner>, job: &QueuedJob) {
 
 /// Handles one client connection: a request/response loop, with
 /// `watch` switching the connection to event streaming until the
-/// watched job finishes.
+/// watched job finishes or fails.
 fn serve_connection(inner: &Arc<Inner>, stream: TcpStream) -> Result<(), ProtoError> {
     let write_stream = stream.try_clone()?;
     let mut out = std::io::BufWriter::new(write_stream);
@@ -456,38 +481,11 @@ fn serve_connection(inner: &Arc<Inner>, stream: TcpStream) -> Result<(), ProtoEr
                 send_line(&mut out, &resp.to_line())?;
             }
             Request::Watch { fingerprint } => {
-                // Subscribe before the done-check so a finish between
-                // the two still delivers its Done event.
-                let rx = inner.subscribe(fingerprint);
-                send_line(&mut out, &Response::Watching { fingerprint }.to_line())?;
-                if inner.store.is_done(fingerprint) {
-                    send_line(&mut out, &Event::Done { fingerprint }.to_line())?;
-                    continue;
-                }
-                loop {
-                    match rx.recv_timeout(POLL) {
-                        Ok(event) => {
-                            let done = matches!(event, Event::Done { .. });
-                            send_line(&mut out, &event.to_line())?;
-                            if done {
-                                break;
-                            }
-                        }
-                        Err(mpsc::RecvTimeoutError::Timeout) => {
-                            if inner.stopping() {
-                                return Ok(());
-                            }
-                        }
-                        Err(mpsc::RecvTimeoutError::Disconnected) => {
-                            // Broadcaster dropped us (job finished and
-                            // map entry cleared) — emit Done if the
-                            // report landed, else close.
-                            if inner.store.is_done(fingerprint) {
-                                send_line(&mut out, &Event::Done { fingerprint }.to_line())?;
-                            }
-                            break;
-                        }
-                    }
+                watch(inner, fingerprint, &mut out)?;
+                if inner.stopping() {
+                    // Closing is how a stopping daemon ends a stream
+                    // whose job will not finish in this process.
+                    return Ok(());
                 }
             }
             Request::Stats => {
@@ -568,24 +566,59 @@ fn handle_report(inner: &Arc<Inner>, fp: u64) -> Response {
             report,
         };
     }
-    if let Some(error) = inner
-        .failed
-        .lock()
-        .unwrap_or_else(PoisonError::into_inner)
-        .get(&fp)
-    {
-        return Response::Error {
-            error: format!("job {fp:016x} failed: {error}"),
-        };
-    }
-    match inner.job_state(fp) {
-        Some(state) => Response::Pending {
+    match inner.job_status(fp) {
+        Ok(state) => Response::Pending {
             fingerprint: fp,
             state,
         },
-        None => Response::Error {
-            error: format!("unknown fingerprint {fp:016x}"),
-        },
+        Err(error) => Response::Error { error },
+    }
+}
+
+/// Streams `fp`'s events to one connection until the job is done or
+/// fails, or the daemon stops. A job that failed or was never submitted
+/// is answered with the error `report` gives; a job that fails while
+/// watched ends its stream with that error.
+fn watch(inner: &Arc<Inner>, fp: u64, out: &mut impl Write) -> Result<(), ProtoError> {
+    let mut watching = false;
+    loop {
+        // Subscribe before the state check so a finish or failure
+        // between the two still ends this stream.
+        let rx = inner.subscribe(fp);
+        match inner.job_status(fp) {
+            Err(error) => {
+                inner.drop_watchers(fp);
+                return send_line(out, &Response::Error { error }.to_line());
+            }
+            Ok(state) => {
+                if !watching {
+                    send_line(out, &Response::Watching { fingerprint: fp }.to_line())?;
+                    watching = true;
+                }
+                if state == JobState::Done {
+                    return send_line(out, &Event::Done { fingerprint: fp }.to_line());
+                }
+            }
+        }
+        loop {
+            match rx.recv_timeout(POLL) {
+                Ok(event) => {
+                    send_line(out, &event.to_line())?;
+                    if matches!(event, Event::Done { .. }) {
+                        return Ok(());
+                    }
+                }
+                Err(mpsc::RecvTimeoutError::Timeout) => {
+                    if inner.stopping() {
+                        return Ok(());
+                    }
+                }
+                // The watchers were dropped: the job failed, or a watch
+                // of a then-unknown fingerprint raced its submit. The
+                // state check above tells which.
+                Err(mpsc::RecvTimeoutError::Disconnected) => break,
+            }
+        }
     }
 }
 
@@ -594,4 +627,93 @@ fn send_line(out: &mut impl Write, line: &str) -> Result<(), ProtoError> {
     out.write_all(b"\n")?;
     out.flush()?;
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use std::time::Instant;
+
+    use super::*;
+    use crate::client::{Client, ClientError};
+
+    /// Long enough for any loaded host, short enough that a watch that
+    /// never ends fails its test instead of hanging the suite.
+    const BOUND: Duration = Duration::from_secs(20);
+
+    fn temp_dir(tag: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("wn-serve-watch-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
+    }
+
+    /// Watches `fp` from a thread of its own and hands back the result.
+    /// The thread is not joined: a watch that never ends must fail its
+    /// test at the receive bound, not hang it.
+    fn watch_in_thread(addr: String, fp: u64) -> mpsc::Receiver<Result<(), ClientError>> {
+        let (tx, rx) = mpsc::channel();
+        thread::spawn(move || {
+            let mut client = Client::connect(&addr).unwrap();
+            let _ = tx.send(client.watch(fp, |_| {}));
+        });
+        rx
+    }
+
+    #[test]
+    fn watching_an_unknown_fingerprint_is_an_error() {
+        let dir = temp_dir("unknown");
+        let handle = start(&ServeConfig::new(dir.clone())).unwrap();
+        let fp = 0x0123_4567_89ab_cdef;
+        let watched = watch_in_thread(handle.local_addr().to_string(), fp)
+            .recv_timeout(BOUND)
+            .expect("a watch of an unknown fingerprint must not block");
+        match watched {
+            Err(ClientError::Server(m)) => assert_eq!(m, "unknown fingerprint 0123456789abcdef"),
+            other => panic!("expected the unknown-fingerprint error, got {other:?}"),
+        }
+        assert!(
+            !handle.inner.subscribers.lock().unwrap().contains_key(&fp),
+            "a refused watch must not stay subscribed"
+        );
+        handle.shutdown();
+        handle.join();
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn watching_a_job_that_fails_ends_with_its_error() {
+        let dir = temp_dir("failed");
+        let handle = start(&ServeConfig::new(dir.clone())).unwrap();
+        let addr = handle.local_addr().to_string();
+        // Journaled after start-up recovery and never queued: the job
+        // reads as queued until it is failed below.
+        let fp = 0xbad;
+        handle
+            .inner
+            .store
+            .journal_scenario(fp, "[fleet]\n")
+            .unwrap();
+        let watched = watch_in_thread(addr.clone(), fp);
+        let deadline = Instant::now() + BOUND;
+        while !handle.inner.subscribers.lock().unwrap().contains_key(&fp) {
+            assert!(Instant::now() < deadline, "the watch never subscribed");
+            thread::sleep(Duration::from_millis(5));
+        }
+        handle.inner.fail(fp, JobFailure::Unreadable);
+        let expected = format!("job {fp:016x} failed: journal entry is not readable text");
+        match watched
+            .recv_timeout(BOUND)
+            .expect("a failed job must end its watch")
+        {
+            Err(ClientError::Server(m)) => assert_eq!(m, expected),
+            other => panic!("expected the job's failure, got {other:?}"),
+        }
+        // A watch that starts after the failure gets the same error.
+        match watch_in_thread(addr, fp).recv_timeout(BOUND) {
+            Ok(Err(ClientError::Server(m))) => assert_eq!(m, expected),
+            other => panic!("expected the job's failure, got {other:?}"),
+        }
+        handle.shutdown();
+        handle.join();
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
 }

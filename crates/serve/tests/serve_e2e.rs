@@ -11,15 +11,17 @@
 //! 4. A daemon stopped mid-scenario (the in-process stand-in for
 //!    SIGTERM) and restarted over the same data directory resumes and
 //!    serves a byte-identical report.
+//! 5. `wait_report` gives up at its deadline on a job that never
+//!    finishes.
 
 use std::path::PathBuf;
 use std::sync::Mutex;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use wn_fleet::{run_fleet, FleetOptions, FleetScenario};
 use wn_serve::protocol::{Event, JobState, Response};
 use wn_serve::server::{start, ServeConfig};
-use wn_serve::Client;
+use wn_serve::{Client, ClientError};
 
 /// The prepared-run compilation cache is process-global; tests that
 /// rebound its capacity or count its evictions serialize here.
@@ -276,6 +278,38 @@ fn a_loopback_ping_does_not_wait_on_a_delayed_ack() {
     );
 
     client.shutdown().unwrap();
+    handle.join();
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn wait_report_times_out_on_a_paused_job() {
+    let _guard = CACHE_TOUCHING.lock().unwrap_or_else(|e| e.into_inner());
+    let dir = temp_dir("timeout");
+    // The job pauses after one shard and never finishes in this daemon.
+    let mut config = ServeConfig::new(dir.clone());
+    config.stop_after_shards = Some(1);
+    let handle = start(&config).unwrap();
+    let addr = handle.local_addr().to_string();
+    let mut client = Client::connect(&addr).unwrap();
+    let (fp, _) = client.submit(&scenario_text("timeout", 400)).unwrap();
+
+    let timeout = Duration::from_millis(400);
+    let started = Instant::now();
+    let waited = client.wait_report(fp, timeout);
+    let elapsed = started.elapsed();
+    assert!(
+        matches!(waited, Err(ClientError::Timeout { fingerprint }) if fingerprint == fp),
+        "{waited:?}"
+    );
+    assert!(elapsed >= timeout, "timed out early, after {elapsed:?}");
+    assert!(
+        elapsed < timeout * 25,
+        "the deadline did not hold: {elapsed:?}"
+    );
+
+    // The timed-out client is mid-stream; stop the daemon from another.
+    Client::connect(&addr).unwrap().shutdown().unwrap();
     handle.join();
     std::fs::remove_dir_all(&dir).unwrap();
 }
