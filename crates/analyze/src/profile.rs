@@ -269,36 +269,48 @@ mod tests {
     use wn_compiler::Technique;
     use wn_core::{Benchmark, Scale};
     use wn_intermittent::TaskConfig;
-    use wn_sim::{ExecutionTape, TapeKind};
+    use wn_sim::{Core, StepEvent};
 
-    /// The tape-based attribution the fused profile replaced: each
-    /// maximal run of consecutive tape steps whose pcs fall in the same
-    /// span is one entry.
-    fn region_entries(prepared: &PreparedRun, tape: &ExecutionTape) -> Vec<u64> {
+    /// The per-instruction attribution the fused profile replaced, from
+    /// a single-stepped run: total cycles, retirements, the first skim
+    /// point, and one entry per maximal run of consecutive retirements
+    /// whose pcs fall in the same span.
+    fn stepped_profile(
+        prepared: &PreparedRun,
+        mut core: Core,
+    ) -> (u64, u64, Option<SkimProfile>, Vec<u64>) {
         let spans = &prepared.compiled.tasks;
-        if spans.is_empty() {
-            return vec![tape.total_cycles()];
-        }
-        let mut entries = Vec::new();
-        let mut cur = span_of(spans, tape.pc(0));
-        let mut acc = 0u64;
-        for i in 0..tape.len() {
-            let region = span_of(spans, tape.pc(i));
-            if region != cur {
-                entries.push(acc);
-                acc = 0;
-                cur = region;
+        let (mut cycles, mut steps, mut skim) = (0u64, 0u64, None);
+        let (mut entries, mut acc) = (Vec::new(), 0u64);
+        let mut cur = (!spans.is_empty()).then(|| span_of(spans, core.cpu.pc));
+        while !core.is_halted() {
+            if let Some(c) = cur {
+                let region = span_of(spans, core.cpu.pc);
+                if region != c {
+                    entries.push(acc);
+                    acc = 0;
+                    cur = Some(region);
+                }
             }
-            acc += tape.cost(i);
+            let info = core.step().unwrap();
+            cycles += info.cycles;
+            acc += info.cycles;
+            steps += 1;
+            if let (None, StepEvent::SkimSet(target)) = (&skim, info.event) {
+                skim = Some(SkimProfile {
+                    arm_compute_cycles: cycles,
+                    target,
+                });
+            }
         }
         if acc > 0 {
             entries.push(acc);
         }
-        entries
+        (cycles, steps, skim, entries)
     }
 
     #[test]
-    fn fused_task_profile_matches_the_tape() {
+    fn fused_task_profile_matches_a_stepped_run() {
         let task = SubstrateKind::Task(TaskConfig::default());
         let mut fused = 0;
         for b in Benchmark::ALL {
@@ -309,22 +321,7 @@ mod tests {
                     continue; // SWP does not apply to SWV benchmarks
                 };
                 let ctx = format!("{} {technique:?}", b.name());
-                let mut core = prepared.fresh_core().unwrap();
-                let tape = ExecutionTape::record(&mut core, MAX_PROFILE_STEPS)
-                    .unwrap()
-                    .unwrap();
-                let skim = (0..tape.len())
-                    .find(|&i| tape.kind(i) == TapeKind::Skim)
-                    .map(|i| SkimProfile {
-                        arm_compute_cycles: tape.span_cycles(0, i + 1),
-                        target: tape.skim(i),
-                    });
-                let want = (
-                    tape.total_cycles(),
-                    tape.len() as u64,
-                    skim,
-                    region_entries(&prepared, &tape),
-                );
+                let want = stepped_profile(&prepared, prepared.fresh_core().unwrap());
                 assert!(want.3.len() > 1, "{ctx}: decomposed into tasks");
                 assert_eq!(fused_profile(&prepared, task).unwrap(), want, "{ctx}");
                 fused += 1;

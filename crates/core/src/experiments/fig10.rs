@@ -11,15 +11,15 @@
 use std::fmt;
 
 use wn_compiler::Technique;
-use wn_energy::SupplyConfig;
+use wn_energy::{PowerTrace, SupplyConfig};
 use wn_kernels::Benchmark;
 use wn_telemetry::RunReport;
 
 use crate::error::WnError;
 use crate::experiments::ExperimentConfig;
 use crate::intermittent::{
-    max_task_cycles, median, run_intermittent, run_intermittent_reported, task_supply_for,
-    IntermittentOutcome, SubstrateKind,
+    max_task_cycles, median, run_intermittent, run_intermittent_cohort, run_intermittent_reported,
+    task_supply_for, IntermittentOutcome, SubstrateKind,
 };
 use crate::jobs::run_jobs;
 use crate::prepared::PreparedRun;
@@ -142,6 +142,14 @@ fn technique_of(benchmark: Benchmark, variant: usize) -> Technique {
     }
 }
 
+/// Traces per untraced Clank/NVP job: each job replays one program
+/// under this many traces as one streamed cohort
+/// ([`run_intermittent_cohort`]), recording the trajectory once. Nine
+/// splits the paper ensemble into three jobs per program, so the three
+/// conv2d builds (most of the grid's work) make nine similar jobs for
+/// two workers, and each job keeps nine devices' substrate state live.
+const COHORT_TRACES: usize = 9;
+
 /// Runs the flat grid benchmark × {precise, 8-bit, 4-bit} × trace on
 /// `substrate`, benchmark `b` on `supplies[b]`, and reassembles it in
 /// grid order, so the rows (and their medians) are identical to a
@@ -155,36 +163,14 @@ fn run_grid(
 ) -> Result<(SpeedupFigure, Vec<RunReport>), WnError> {
     let traces = config.trace_ensemble();
     let n_traces = traces.len();
-    let cells = run_jobs(Benchmark::ALL.len() * VARIANTS * n_traces, |i| {
-        let b = i / (VARIANTS * n_traces);
-        let benchmark = Benchmark::ALL[b];
-        // The Task substrate runs the task-decomposed binary; Clank and
-        // NVP keep the plain build (same cache entries as before).
-        let prepared = PreparedRun::cached_with_tasks(
-            benchmark,
-            config.scale,
-            config.seed,
-            technique_of(benchmark, (i / n_traces) % VARIANTS),
-            matches!(substrate, SubstrateKind::Task(_)),
-        )?;
-        let (trace, supply) = (&traces[i % n_traces], supplies[b]);
-        if traced {
-            let (outcome, report) = run_intermittent_reported(
-                &prepared,
-                substrate,
-                trace,
-                supply,
-                config.wall_limit_s,
-            )?;
-            // Boxed, so an untraced grid's cells stay outcome-sized.
-            Ok::<_, WnError>((outcome, Some(Box::new(report))))
-        } else {
-            let outcome =
-                run_intermittent(&prepared, substrate, trace, supply, config.wall_limit_s)?;
-            Ok((outcome, None))
-        }
-    })?;
-    let (outcomes, reports): (Vec<IntermittentOutcome>, Vec<_>) = cells.into_iter().unzip();
+    let (outcomes, reports) = if traced || matches!(substrate, SubstrateKind::Task(_)) {
+        live_cells(config, substrate, supplies, traced, &traces)?
+    } else {
+        (
+            cohort_cells(config, substrate, supplies, &traces)?,
+            Vec::new(),
+        )
+    };
 
     let mut rows = Vec::new();
     for (b, benchmark) in Benchmark::ALL.into_iter().enumerate() {
@@ -217,7 +203,84 @@ fn run_grid(
         },
         rows,
     };
-    Ok((figure, reports.into_iter().flatten().map(|r| *r).collect()))
+    Ok((figure, reports))
+}
+
+/// Every grid cell as its own run on a live core, traced or not, in
+/// grid-index order.
+fn live_cells(
+    config: &ExperimentConfig,
+    substrate: SubstrateKind,
+    supplies: &[SupplyConfig],
+    traced: bool,
+    traces: &[PowerTrace],
+) -> Result<(Vec<IntermittentOutcome>, Vec<RunReport>), WnError> {
+    let n_traces = traces.len();
+    let cells = run_jobs(Benchmark::ALL.len() * VARIANTS * n_traces, |i| {
+        let b = i / (VARIANTS * n_traces);
+        let benchmark = Benchmark::ALL[b];
+        // The Task substrate runs the task-decomposed binary; Clank and
+        // NVP keep the plain build (same cache entries as before).
+        let prepared = PreparedRun::cached_with_tasks(
+            benchmark,
+            config.scale,
+            config.seed,
+            technique_of(benchmark, (i / n_traces) % VARIANTS),
+            matches!(substrate, SubstrateKind::Task(_)),
+        )?;
+        let (trace, supply) = (&traces[i % n_traces], supplies[b]);
+        if traced {
+            let (outcome, report) = run_intermittent_reported(
+                &prepared,
+                substrate,
+                trace,
+                supply,
+                config.wall_limit_s,
+            )?;
+            // Boxed, so an untraced grid's cells stay outcome-sized.
+            Ok::<_, WnError>((outcome, Some(Box::new(report))))
+        } else {
+            let outcome =
+                run_intermittent(&prepared, substrate, trace, supply, config.wall_limit_s)?;
+            Ok((outcome, None))
+        }
+    })?;
+    let (outcomes, reports): (Vec<IntermittentOutcome>, Vec<_>) = cells.into_iter().unzip();
+    Ok((
+        outcomes,
+        reports.into_iter().flatten().map(|r| *r).collect(),
+    ))
+}
+
+/// The untraced Clank/NVP grid as streamed cohorts: one job per
+/// program and group of [`COHORT_TRACES`] traces, flattened back into
+/// grid-index order.
+fn cohort_cells(
+    config: &ExperimentConfig,
+    substrate: SubstrateKind,
+    supplies: &[SupplyConfig],
+    traces: &[PowerTrace],
+) -> Result<Vec<IntermittentOutcome>, WnError> {
+    let groups: Vec<&[PowerTrace]> = traces.chunks(COHORT_TRACES).collect();
+    let cohorts = run_jobs(Benchmark::ALL.len() * VARIANTS * groups.len(), |j| {
+        let (program, group) = (j / groups.len(), groups[j % groups.len()]);
+        let (b, variant) = (program / VARIANTS, program % VARIANTS);
+        let benchmark = Benchmark::ALL[b];
+        let prepared = PreparedRun::cached(
+            benchmark,
+            config.scale,
+            config.seed,
+            technique_of(benchmark, variant),
+        )?;
+        run_intermittent_cohort(
+            &prepared,
+            substrate,
+            group,
+            supplies[b],
+            config.wall_limit_s,
+        )
+    })?;
+    Ok(cohorts.into_iter().flatten().collect())
 }
 
 /// Runs Fig. 10 (Clank) or Fig. 11 (NVP) depending on `substrate`.

@@ -1,11 +1,13 @@
 //! Intermittent-power runs over Clank, NVP (paper §V-B, §V-C) and the
 //! checkpoint-free Task substrate (Alpaca-style; ROADMAP item 3).
 
-use wn_energy::{PowerTrace, SupplyConfig};
+use wn_energy::{EnergySupply, PowerTrace, SupplyConfig};
 use wn_intermittent::substrate::{Substrate, SubstrateStats};
 use wn_intermittent::{
-    Clank, ClankConfig, IntermittentExecutor, Nvp, NvpConfig, Task, TaskConfig, TaskRegion,
+    Clank, ClankConfig, IntermittentExecutor, IntermittentRun, Nvp, NvpConfig, StreamedDevice,
+    Task, TaskConfig, TaskRegion,
 };
+use wn_sim::{ExecutionTape, SimError, TapePos};
 use wn_telemetry::RunReport;
 
 use crate::error::WnError;
@@ -205,7 +207,117 @@ pub fn run_intermittent(
             (run, prepared.error_percent(exec.core())?)
         }
     };
-    Ok(IntermittentOutcome {
+    Ok(outcome(&run, error_percent))
+}
+
+/// [`run_intermittent`] under every trace of `traces` at once, as one
+/// cohort replaying one streamed tape of the fault-free trajectory:
+/// the outcomes, in trace order, are the per-trace runs' bit for bit,
+/// and so is the error returned (the first failing trace's).
+///
+/// The tape is recorded a window at a time. Each round advances every
+/// device to the recorded end, drops what lies behind the earliest
+/// position any device can still restore to, and records the next
+/// window; a device that skims leaves the tape on a core of its own and
+/// finishes in the round it does. Task cohorts and memoizing builds run
+/// per trace, as does a cohort whose recording faults.
+///
+/// # Errors
+///
+/// As [`run_intermittent`].
+pub fn run_intermittent_cohort(
+    prepared: &PreparedRun,
+    substrate: SubstrateKind,
+    traces: &[PowerTrace],
+    supply: SupplyConfig,
+    wall_limit_s: f64,
+) -> Result<Vec<IntermittentOutcome>, WnError> {
+    let live = || {
+        traces
+            .iter()
+            .map(|trace| run_intermittent(prepared, substrate, trace, supply, wall_limit_s))
+            .collect()
+    };
+    // Memoization makes dispatch costs depend on each device's history.
+    if prepared.core_config.memo.is_some() {
+        return live();
+    }
+    let streamed = match substrate {
+        SubstrateKind::Clank(cfg) => {
+            stream_cohort(prepared, traces, supply, wall_limit_s, || Clank::new(cfg))
+        }
+        SubstrateKind::Nvp(cfg) => {
+            stream_cohort(prepared, traces, supply, wall_limit_s, || Nvp::new(cfg))
+        }
+        SubstrateKind::Task(_) => return live(),
+    };
+    streamed.unwrap_or_else(|_| live())
+}
+
+/// The rounds of [`run_intermittent_cohort`]: `Err` only when recording
+/// the trajectory faults, per-device results otherwise.
+fn stream_cohort<S: Substrate>(
+    prepared: &PreparedRun,
+    traces: &[PowerTrace],
+    supply: SupplyConfig,
+    wall_limit_s: f64,
+    substrate: impl Fn() -> S,
+) -> Result<Result<Vec<IntermittentOutcome>, WnError>, SimError> {
+    let mut tape = match prepared.fresh_core() {
+        Ok(master) => ExecutionTape::stream(&master),
+        Err(e) => return Ok(Err(e)),
+    };
+    let mut devices: Vec<Option<StreamedDevice<S>>> = traces
+        .iter()
+        .map(|trace| {
+            let supply = EnergySupply::new(trace.clone(), supply);
+            Some(StreamedDevice::new(supply, substrate(), wall_limit_s))
+        })
+        .collect();
+    let mut results: Vec<Option<Result<IntermittentOutcome, WnError>>> =
+        traces.iter().map(|_| None).collect();
+    // The fault-free output's error, for devices that finish on the tape.
+    let mut tape_error: Option<Result<f64, WnError>> = None;
+    loop {
+        let mut floor = None;
+        for (slot, result) in devices.iter_mut().zip(&mut results) {
+            let Some(device) = slot else { continue };
+            let run = match device.advance(&tape) {
+                Ok(None) => {
+                    let here = device
+                        .restore_floor()
+                        .expect("a waiting device is on the tape");
+                    floor = Some(floor.map_or(here, |f: TapePos| f.min(here)));
+                    continue;
+                }
+                Ok(Some(run)) => run,
+                Err(e) => {
+                    *slot = None;
+                    *result = Some(Err(e.into()));
+                    continue;
+                }
+            };
+            let error_percent = match slot.take().and_then(StreamedDevice::into_core) {
+                Some(core) => prepared.error_percent(&core),
+                None => tape_error
+                    .get_or_insert_with(|| prepared.error_percent(tape.recorder()))
+                    .clone(),
+            };
+            *result = Some(error_percent.map(|e| outcome(&run, e)));
+        }
+        let Some(floor) = floor else { break };
+        tape.evict(floor);
+        tape.extend()?;
+    }
+    Ok(results
+        .into_iter()
+        .map(|r| r.expect("every device finished"))
+        .collect())
+}
+
+/// The outcome of a completed run whose output scores `error_percent`.
+fn outcome(run: &IntermittentRun, error_percent: f64) -> IntermittentOutcome {
+    IntermittentOutcome {
         time_s: run.total_time_s,
         on_time_s: run.on_time_s,
         active_cycles: run.active_cycles,
@@ -213,7 +325,7 @@ pub fn run_intermittent(
         skimmed: run.skimmed,
         error_percent,
         substrate: run.substrate,
-    })
+    }
 }
 
 /// [`run_intermittent`] with telemetry: traces the run into a fresh
@@ -284,18 +396,7 @@ fn reported_run<S: Substrate>(
         run.substrate.reexecuted_cycles,
     );
     let error_percent = prepared.error_percent(exec.core())?;
-    Ok((
-        IntermittentOutcome {
-            time_s: run.total_time_s,
-            on_time_s: run.on_time_s,
-            active_cycles: run.active_cycles,
-            outages: run.outages,
-            skimmed: run.skimmed,
-            error_percent,
-            substrate: run.substrate,
-        },
-        report,
-    ))
+    Ok((outcome(&run, error_percent), report))
 }
 
 /// The median of a slice (averaging the middle pair for even lengths).

@@ -8,7 +8,8 @@
 //! state, so no outage ever perturbs *what* executes — only *when*. That means
 //! the whole cohort shares one instruction-by-instruction trajectory,
 //! which this module records once per cohort as a
-//! [`wn_sim::ExecutionTape`] and then replays per device as pure
+//! [`wn_sim::ExecutionTape`] (one entry per fused dispatch, with a
+//! snapshot per window) and then replays per device as pure
 //! supply/substrate bookkeeping ([`wn_intermittent::lockstep`]),
 //! skipping per-device decode/execute/memory work entirely.
 //!
@@ -16,14 +17,17 @@
 //! skim jump. The replay runs on the ordinary
 //! [`wn_intermittent::IntermittentExecutor`] power loop; at a restore
 //! with the SKM register armed it reconstructs the device's
-//! architectural state by walking the master core to the resume
-//! position and continues on that core in the same loop — the jump and
+//! architectural state from the tape's nearest window snapshot at or
+//! before the resume position and continues on that core in the same loop — the jump and
 //! the approximate-region execution run exactly as in an unbatched
 //! run. Cohorts the replay cannot mirror bit-exactly (memoization, a
-//! tape beyond the step cap, and the whole Task substrate — whose
-//! re-execution from task entries *does* replay instructions, violating
-//! the shared trajectory premise) fall back to the scalar executor
-//! wholesale.
+//! tape beyond the step cap) fall back to the scalar executor
+//! wholesale, and so does the whole Task substrate for now: replaying a
+//! Task device over a tape across outages matches its live core
+//! (`wn_intermittent`'s `task_replay_admits_the_blocks_a_core_admits`),
+//! but whether an interrupted region's partial writes survive a skim
+//! handoff — they are in the device's memory, not on the tape — is
+//! still open (ROADMAP item 5).
 //! `build_plans` is the only place that choice is made, from the
 //! cohort alone; fleet reports are byte-identical to an all-scalar
 //! sweep by construction.
@@ -65,14 +69,12 @@ pub(crate) enum CohortPlan {
 pub(crate) struct TapePlan {
     prepared: Arc<PreparedRun>,
     /// Pristine core (inputs injected, fused-block table built) — the
-    /// replayer consults its block table; handoffs clone and walk it.
+    /// replayer consults its block table.
     master: Core,
+    /// The whole trajectory, with the window snapshots handoffs
+    /// reconstruct from; read-only, so sharing it across pool workers
+    /// cannot change a byte of output.
     tape: ExecutionTape,
-    /// Snapshot grid shared by every diverging device in the cohort so
-    /// handoff reconstructions walk from the nearest cached core, not
-    /// from step zero. Contents are pure functions of (master, tape),
-    /// so sharing across pool workers cannot change a byte of output.
-    walk_cache: WalkCache,
     /// NRMSE of the fault-free trajectory's output. A device that
     /// retires the whole tape commits exactly the master's memory, so
     /// its score is this cohort-level constant.
@@ -93,11 +95,14 @@ fn build_plan(scenario: &FleetScenario, cohort: usize) -> CohortPlan {
     let spec = &scenario.cohorts[cohort];
     match spec.substrate.kind() {
         SubstrateKind::Clank(_) | SubstrateKind::Nvp(_) => {}
-        // The Task substrate re-executes the interrupted task from its
-        // entry after every outage, so its devices do not share one
-        // fault-free trajectory — the premise the tape replay rests on.
-        // Task cohorts run on the scalar engine (the explicit fallback
-        // ISSUE 7 allows), pinned by the differential tests below.
+        // A Task device re-executes an interrupted region from its
+        // entry, which a tape replays exactly (a restore is a seek back
+        // to the entry's position). What is open is the skim handoff:
+        // the region's partial writes are in the device's memory but
+        // not on the tape, so a core reconstructed from the tape may
+        // differ from the device's unless those writes are provably
+        // dead. Until that is settled Task cohorts run on the scalar
+        // engine, pinned by the differential tests below.
         SubstrateKind::Task(_) => return CohortPlan::Scalar,
     }
     let Ok(prepared) = PreparedRun::cached(
@@ -130,7 +135,6 @@ fn build_plan(scenario: &FleetScenario, cohort: usize) -> CohortPlan {
         prepared,
         master,
         tape,
-        walk_cache: WalkCache::new(),
         tape_error_percent,
     }))
 }
@@ -163,7 +167,7 @@ pub(crate) fn simulate_device_batched(
         SubstrateKind::Clank(cfg) => replay_run_clank(
             &plan.tape,
             &plan.master,
-            &plan.walk_cache,
+            &WalkCache,
             supply,
             cfg,
             scenario.wall_limit_s,
@@ -171,7 +175,7 @@ pub(crate) fn simulate_device_batched(
         SubstrateKind::Nvp(cfg) => replay_run_nvp(
             &plan.tape,
             &plan.master,
-            &plan.walk_cache,
+            &WalkCache,
             supply,
             cfg,
             scenario.wall_limit_s,
@@ -265,7 +269,7 @@ environment = "rf-bursty"
         assert_eq!(plans.len(), 4);
         for (i, p) in plans.iter().take(3).enumerate() {
             match p {
-                CohortPlan::Tape(plan) => assert!(!plan.tape.is_empty(), "cohort {i}"),
+                CohortPlan::Tape(plan) => assert!(plan.tape.is_complete(), "cohort {i}"),
                 CohortPlan::Scalar => panic!("cohort {i} unexpectedly fell back to scalar"),
             }
         }

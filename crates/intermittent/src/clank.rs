@@ -57,16 +57,29 @@ impl Default for ClankConfig {
 /// Membership of word addresses since the last checkpoint, tracked with
 /// an epoch-stamped direct-mapped array: `clear()` is O(1) (bump the
 /// epoch) and probes are one index — this sits on the per-instruction
-/// hot path of every intermittent run.
+/// hot path of every intermittent run. Stamps are one byte, so a set
+/// costs one byte per word of the touched address range (a cohort keeps
+/// many devices' sets live at once): epochs run 1..=255, 0 marks a word
+/// never stamped, and the clear that wraps the epoch wipes the stamps.
 ///
 /// `len` counts the words added by [`WordSet::insert`]; a set whose size
 /// nobody reads adds with [`WordSet::mark`], a plain stamp with no
 /// membership test.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 struct WordSet {
-    epochs: Vec<u32>,
-    epoch: u32,
+    epochs: Vec<u8>,
+    epoch: u8,
     len: usize,
+}
+
+impl Default for WordSet {
+    fn default() -> WordSet {
+        WordSet {
+            epochs: Vec::new(),
+            epoch: 1,
+            len: 0,
+        }
+    }
 }
 
 impl WordSet {
@@ -105,7 +118,7 @@ impl WordSet {
 
     #[cold]
     fn grow(&mut self, i: usize) {
-        self.epochs.resize(i + 1, self.epoch.wrapping_sub(1));
+        self.epochs.resize(i + 1, 0);
     }
 
     fn len(&self) -> usize {
@@ -113,11 +126,13 @@ impl WordSet {
     }
 
     fn clear(&mut self) {
-        self.epoch = self.epoch.wrapping_add(1);
         self.len = 0;
+        self.epoch = self.epoch.wrapping_add(1);
         if self.epoch == 0 {
-            // Epoch wrapped: stale stamps could collide; reset storage.
+            // Epoch wrapped: old stamps would match again; wipe them
+            // (the capacity stays for the regrowth).
             self.epochs.clear();
+            self.epoch = 1;
         }
     }
 }
@@ -313,6 +328,10 @@ impl Substrate for Clank {
         Ok(self.config.restore_cycles)
     }
 
+    fn restore_point(&self) -> Option<&Saved> {
+        Some(&self.checkpoint)
+    }
+
     fn stats(&self) -> SubstrateStats {
         self.stats
     }
@@ -341,6 +360,26 @@ mod tests {
     fn step(core: &mut Core, clank: &mut Clank) -> u64 {
         let info = core.step().unwrap();
         info.cycles + clank.after_step(core, &info)
+    }
+
+    #[test]
+    fn word_sets_forget_every_word_at_each_clear_across_stamp_wraps() {
+        let mut set = WordSet::default();
+        for round in 0u32..1_000 {
+            let (a, b) = (4 * (round % 7), 4 * (100 + round % 13));
+            // Grows the array without stamping the words in between.
+            set.mark(4 * (200 + round));
+            for w in (0..200 + round).map(|w| 4 * w) {
+                assert!(!set.contains(w), "round {round}: word {w} never marked");
+            }
+            set.clear();
+            set.mark(a);
+            set.insert(b);
+            set.insert(b);
+            assert!(set.contains(a) && set.contains(b), "round {round}");
+            assert_eq!(set.len(), 1, "round {round}");
+            set.clear();
+        }
     }
 
     #[test]

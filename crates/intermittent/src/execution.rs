@@ -13,7 +13,7 @@
 //! A checkpoint is accordingly a CPU snapshot on a core and a tape
 //! position on the cursor; [`Saved`] holds either.
 
-use wn_sim::{BulkRun, Core, MemAccess, SimError, StepInfo};
+use wn_sim::{BulkRun, Core, MemAccess, SimError, StepInfo, TapePos};
 use wn_telemetry::EventSink;
 
 use crate::checkpoint::DiffCheckpoint;
@@ -27,8 +27,8 @@ use crate::substrate::Substrate;
 pub struct Saved {
     /// The differential CPU snapshot a core captures.
     pub(crate) cpu: DiffCheckpoint,
-    /// The tape position (steps retired) a cursor captures.
-    pub(crate) pos: usize,
+    /// The tape position a cursor captures.
+    pub(crate) pos: TapePos,
 }
 
 /// What the power loop and the substrates need from execution.
@@ -55,6 +55,14 @@ pub trait Execution {
 
     /// Whether the program has executed `HALT`.
     fn is_halted(&self) -> bool;
+
+    /// Whether the next instruction is not known yet: a cursor at a
+    /// streamed tape's recorded end. The power loop suspends there
+    /// ([`crate::IntermittentExecutor`]'s resumable entry). A live core
+    /// never pends.
+    fn pending(&self) -> bool {
+        false
+    }
 
     /// The pc of the next instruction.
     fn pc(&self) -> u32;

@@ -197,7 +197,7 @@ impl From<SimError> for ExecError {
 /// approximate output is committed by running (from the skim target) to
 /// `HALT`. The register is cleared so the next input starts fresh.
 #[derive(Debug)]
-pub struct IntermittentExecutor<S: Substrate, E: Execution = Core> {
+pub struct IntermittentExecutor<S, E = Core> {
     core: E,
     supply: EnergySupply,
     /// Exact block settles for `core`'s program. Owned here, not by the
@@ -206,6 +206,72 @@ pub struct IntermittentExecutor<S: Substrate, E: Execution = Core> {
     lattice: BlockLattice,
     substrate: S,
     skim_enabled: bool,
+}
+
+/// Where a run of the power loop stands between calls: the loop's own
+/// running totals, and whether it stopped at the top of its lease loop
+/// (the one place a pending execution source suspends it).
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct Progress {
+    started: bool,
+    in_lease: bool,
+    active_cycles: u64,
+    skimmed: bool,
+    had_outage: bool,
+    outages0: u64,
+    time0: f64,
+    on_time0: f64,
+}
+
+impl<S, E> IntermittentExecutor<S, E> {
+    /// Creates an executor over an existing supply — used by the stream
+    /// harness, where one energy environment persists across many input
+    /// invocations (paper Fig. 1).
+    pub fn with_supply(core: E, supply: EnergySupply, substrate: S) -> Self {
+        IntermittentExecutor {
+            core,
+            supply,
+            lattice: BlockLattice::new(),
+            substrate,
+            skim_enabled: true,
+        }
+    }
+
+    /// The core (e.g. to inject inputs before running or decode outputs
+    /// after).
+    pub fn core(&self) -> &E {
+        &self.core
+    }
+
+    /// Consumes the executor and returns its supply (time and capacitor
+    /// state carry over to the next input).
+    pub fn into_supply(self) -> EnergySupply {
+        self.supply
+    }
+
+    /// Consumes the executor and returns its parts (e.g. the final core,
+    /// for output decoding).
+    pub fn into_parts(self) -> (E, EnergySupply, S) {
+        (self.core, self.supply, self.substrate)
+    }
+
+    /// The same executor over another execution source: supply, block
+    /// settles and substrate carry over. A suspended device keeps its
+    /// source detached from the tape between resumes this way.
+    pub(crate) fn map_core<F>(self, f: impl FnOnce(E) -> F) -> IntermittentExecutor<S, F> {
+        IntermittentExecutor {
+            core: f(self.core),
+            supply: self.supply,
+            lattice: self.lattice,
+            substrate: self.substrate,
+            skim_enabled: self.skim_enabled,
+        }
+    }
+
+    /// The substrate.
+    pub fn substrate(&self) -> &S {
+        &self.substrate
+    }
 }
 
 impl<S: Substrate, E: Execution> IntermittentExecutor<S, E> {
@@ -221,42 +287,11 @@ impl<S: Substrate, E: Execution> IntermittentExecutor<S, E> {
         )
     }
 
-    /// Creates an executor over an existing supply — used by the stream
-    /// harness, where one energy environment persists across many input
-    /// invocations (paper Fig. 1).
-    pub fn with_supply(core: E, supply: EnergySupply, substrate: S) -> Self {
-        IntermittentExecutor {
-            core,
-            supply,
-            lattice: BlockLattice::new(),
-            substrate,
-            skim_enabled: true,
-        }
-    }
-
-    /// Consumes the executor and returns its supply (time and capacitor
-    /// state carry over to the next input).
-    pub fn into_supply(self) -> EnergySupply {
-        self.supply
-    }
-
-    /// Consumes the executor and returns its parts (e.g. the final core,
-    /// for output decoding).
-    pub fn into_parts(self) -> (E, EnergySupply, S) {
-        (self.core, self.supply, self.substrate)
-    }
-
     /// Disables the skim-point restore path (the precise baseline never
     /// sets the SKM register, but this also allows ablating skim points
     /// on WN binaries).
     pub fn set_skim_enabled(&mut self, enabled: bool) {
         self.skim_enabled = enabled;
-    }
-
-    /// The core (e.g. to inject inputs before running or decode outputs
-    /// after).
-    pub fn core(&self) -> &E {
-        &self.core
     }
 
     /// Mutable access to the core.
@@ -267,11 +302,6 @@ impl<S: Substrate, E: Execution> IntermittentExecutor<S, E> {
     /// The energy supply.
     pub fn supply(&self) -> &EnergySupply {
         &self.supply
-    }
-
-    /// The substrate.
-    pub fn substrate(&self) -> &S {
-        &self.substrate
     }
 
     /// Runs until the program halts or `limit_s` of simulated wall-clock
@@ -310,7 +340,27 @@ impl<S: Substrate, E: Execution> IntermittentExecutor<S, E> {
     /// `limit_s`, [`ExecError::WallClock`] on timeout, or a wrapped
     /// supply / simulator error.
     pub fn run(&mut self, limit_s: f64) -> Result<IntermittentRun, ExecError> {
-        self.power_loop(limit_s, &mut NullSink)
+        let run = self.power_loop(limit_s, &mut NullSink, &mut Progress::default())?;
+        Ok(run.expect("a run over a live core or a whole tape never pends"))
+    }
+
+    /// The resumable entry to the power loop: runs, or resumes where
+    /// `progress` left off, until the program halts (`Some`) or the
+    /// execution source pends (`None`) — a streamed tape's cursor at the
+    /// recorded end. A pend suspends the loop at the top of its lease
+    /// loop, where it holds no lease; resuming grants afresh, and the
+    /// re-grant is unobservable, as for a Task commit's boundary break
+    /// ([`Lease::after_step`]).
+    ///
+    /// # Errors
+    ///
+    /// As [`IntermittentExecutor::run`].
+    pub(crate) fn resume(
+        &mut self,
+        limit_s: f64,
+        progress: &mut Progress,
+    ) -> Result<Option<IntermittentRun>, ExecError> {
+        self.power_loop(limit_s, &mut NullSink, progress)
     }
 
     /// [`IntermittentExecutor::run`] with lifecycle tracing: lifecycle
@@ -329,75 +379,89 @@ impl<S: Substrate, E: Execution> IntermittentExecutor<S, E> {
         limit_s: f64,
         sink: &mut K,
     ) -> Result<IntermittentRun, ExecError> {
-        self.power_loop(limit_s, sink)
+        let run = self.power_loop(limit_s, sink, &mut Progress::default())?;
+        Ok(run.expect("a run over a live core or a whole tape never pends"))
     }
 
-    /// The power-cycle loop behind [`IntermittentExecutor::run`] and
-    /// [`IntermittentExecutor::run_with_sink`], the only one shipped.
-    /// Every emission is gated on `sink.enabled()`, so with a
-    /// [`NullSink`] it folds away.
+    /// The power-cycle loop behind [`IntermittentExecutor::run`],
+    /// [`IntermittentExecutor::run_with_sink`] and
+    /// [`IntermittentExecutor::resume`], the only one shipped. Every
+    /// emission is gated on `sink.enabled()`, so with a [`NullSink`] it
+    /// folds away. `p` carries the loop's totals across a pend.
     fn power_loop<K: EventSink>(
         &mut self,
         limit_s: f64,
         sink: &mut K,
-    ) -> Result<IntermittentRun, ExecError> {
-        validate_limit(limit_s)?;
-        let mut active_cycles = 0u64;
-        let mut skimmed = false;
-        let mut had_outage = false;
-        // Report per-run deltas even when the supply is shared across
-        // inputs (the stream harness reuses one energy environment).
-        let outages0 = self.supply.outage_count();
-        let time0 = self.supply.time_s();
-        let on_time0 = self.supply.on_time_s();
+        p: &mut Progress,
+    ) -> Result<Option<IntermittentRun>, ExecError> {
+        if !p.started {
+            validate_limit(limit_s)?;
+            // Report per-run deltas even when the supply is shared
+            // across inputs (the stream harness reuses one energy
+            // environment).
+            *p = Progress {
+                started: true,
+                outages0: self.supply.outage_count(),
+                time0: self.supply.time_s(),
+                on_time0: self.supply.on_time_s(),
+                ..Progress::default()
+            };
+            self.emit(sink, EventKind::RunStart);
+        }
         let max_instr_cycles = self.core.max_instr_cycles();
 
-        self.emit(sink, EventKind::RunStart);
         'power_cycles: loop {
-            if self.supply.time_s() > limit_s {
-                return Err(ExecError::WallClock { limit_s });
-            }
-            let was_on = self.supply.is_on();
-            let waited_s = self.supply.wait_for_power()?;
-            if !was_on {
-                self.emit(sink, EventKind::PowerOn { waited_s });
-            }
-
-            // Restore path — checked: a weak checkpoint restore can brown
-            // out before the first instruction.
-            let cost_cycles = self.substrate.on_restore(&mut self.core)?;
-            self.emit(sink, EventKind::Restore { cost_cycles });
-            if self.consume(cost_cycles, &mut active_cycles, sink)? == PowerStatus::Outage {
-                self.outage(sink);
-                had_outage = true;
-                continue 'power_cycles;
-            }
-            // Skim check (§III-C): only meaningful after an outage — on
-            // first boot the register is clear anyway. The register is
-            // cleared as part of acting on it; if a second outage hits
-            // before the post-skim commit reaches HALT, the device simply
-            // resumes refinement from its checkpoint — a lost skim is a
-            // missed shortcut, never a wrong result. With skimming
-            // disabled the restore deliberately ignores an armed point.
-            if had_outage {
-                let taken = if self.skim_enabled {
-                    self.core.take_skim()
-                } else {
-                    None
-                };
-                match taken {
-                    Some(target) => {
-                        skimmed = true;
-                        self.emit(sink, EventKind::SkimTaken { target });
-                    }
-                    None => self.emit(sink, EventKind::SkimSkipped),
+            if !p.in_lease {
+                if self.supply.time_s() > limit_s {
+                    return Err(ExecError::WallClock { limit_s });
                 }
+                let was_on = self.supply.is_on();
+                let waited_s = self.supply.wait_for_power()?;
+                if !was_on {
+                    self.emit(sink, EventKind::PowerOn { waited_s });
+                }
+
+                // Restore path — checked: a weak checkpoint restore can
+                // brown out before the first instruction.
+                let cost_cycles = self.substrate.on_restore(&mut self.core)?;
+                self.emit(sink, EventKind::Restore { cost_cycles });
+                if self.consume(cost_cycles, &mut p.active_cycles, sink)? == PowerStatus::Outage {
+                    self.outage(sink);
+                    p.had_outage = true;
+                    continue 'power_cycles;
+                }
+                // Skim check (§III-C): only meaningful after an outage —
+                // on first boot the register is clear anyway. The
+                // register is cleared as part of acting on it; if a
+                // second outage hits before the post-skim commit reaches
+                // HALT, the device simply resumes refinement from its
+                // checkpoint — a lost skim is a missed shortcut, never a
+                // wrong result. With skimming disabled the restore
+                // deliberately ignores an armed point.
+                if p.had_outage {
+                    let taken = if self.skim_enabled {
+                        self.core.take_skim()
+                    } else {
+                        None
+                    };
+                    match taken {
+                        Some(target) => {
+                            p.skimmed = true;
+                            self.emit(sink, EventKind::SkimTaken { target });
+                        }
+                        None => self.emit(sink, EventKind::SkimSkipped),
+                    }
+                }
+                p.in_lease = true;
             }
 
             // Lease loop: execute until outage or completion.
             loop {
                 if self.core.is_halted() {
                     break 'power_cycles;
+                }
+                if self.core.pending() {
+                    return Ok(None);
                 }
                 if self.supply.time_s() > limit_s {
                     return Err(ExecError::WallClock { limit_s });
@@ -421,12 +485,12 @@ impl<S: Substrate, E: Execution> IntermittentExecutor<S, E> {
                         carried: 0,
                     };
                     // A `StopReason::Boundary` return needs no special
-                    // arm: the lease loop re-iterates, re-checks halt
-                    // and wall clock, and grants afresh with the commit
-                    // already settled.
+                    // arm: the lease loop re-iterates, re-checks halt,
+                    // pending and wall clock, and grants afresh with any
+                    // commit already settled.
                     let bulk = self.core.run_lease(grant - slack, &mut lease)?;
                     let cycles = bulk.cycles + lease.carried;
-                    active_cycles += cycles;
+                    p.active_cycles += cycles;
                     self.emit(
                         sink,
                         EventKind::LeaseSettled {
@@ -449,7 +513,7 @@ impl<S: Substrate, E: Execution> IntermittentExecutor<S, E> {
                         self.substrate
                             .record_checkpoint_events(&b, self.supply.time_s(), sink);
                     }
-                    if self.consume(info.cycles + overhead, &mut active_cycles, sink)?
+                    if self.consume(info.cycles + overhead, &mut p.active_cycles, sink)?
                         == PowerStatus::Outage
                     {
                         // Even when the outage coincides with the HALT
@@ -460,22 +524,23 @@ impl<S: Substrate, E: Execution> IntermittentExecutor<S, E> {
                         // the restored run halts again); on NVP
                         // everything is already durable.
                         self.outage(sink);
-                        had_outage = true;
+                        p.had_outage = true;
+                        p.in_lease = false;
                         continue 'power_cycles;
                     }
                 }
             }
         }
-        self.emit(sink, EventKind::RunEnd { skimmed });
+        self.emit(sink, EventKind::RunEnd { skimmed: p.skimmed });
 
-        Ok(IntermittentRun {
-            skimmed,
-            total_time_s: self.supply.time_s() - time0,
-            on_time_s: self.supply.on_time_s() - on_time0,
-            active_cycles,
-            outages: self.supply.outage_count() - outages0,
+        Ok(Some(IntermittentRun {
+            skimmed: p.skimmed,
+            total_time_s: self.supply.time_s() - p.time0,
+            on_time_s: self.supply.on_time_s() - p.on_time0,
+            active_cycles: p.active_cycles,
+            outages: self.supply.outage_count() - p.outages0,
             substrate: self.substrate.stats(),
-        })
+        }))
     }
 
     /// The pre-epoch **reference engine**: consumes energy and checks for

@@ -54,7 +54,7 @@ pub use checkpoint::DiffCheckpoint;
 pub use clank::{Clank, ClankConfig};
 pub use execution::{Execution, Saved};
 pub use executor::{ExecError, IntermittentExecutor, IntermittentRun};
-pub use lockstep::{replay_run_clank, replay_run_nvp};
+pub use lockstep::{replay_run_clank, replay_run_nvp, StreamedDevice};
 pub use nvp::{Nvp, NvpConfig};
 pub use progress::{FaultFreeProfile, ProgressModel};
 pub use substrate::Substrate;

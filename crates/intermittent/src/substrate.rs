@@ -19,7 +19,7 @@
 use wn_sim::{SimError, StepInfo};
 use wn_telemetry::{CheckpointCause, Event, EventKind, EventSink};
 
-use crate::execution::Execution;
+use crate::execution::{Execution, Saved};
 
 /// Counters shared by every substrate implementation. Checkpoint
 /// substrates populate the `checkpoint*` family; task substrates
@@ -125,6 +125,15 @@ pub trait Substrate {
 
     /// Power was lost *after* the last completed instruction.
     fn on_outage<E: Execution>(&mut self, exec: &mut E);
+
+    /// The state a restore resumes from while it stays fixed — Clank's
+    /// checkpoint, a task's entry context — or `None` where a restore
+    /// resumes from wherever execution stands when power fails (NVP
+    /// persists the state at the outage itself). A streamed tape keeps
+    /// what lies behind its readers only back to here.
+    fn restore_point(&self) -> Option<&Saved> {
+        None
+    }
 
     /// Power is back; rebuild processor state. Returns the restore cost
     /// in cycles.

@@ -223,6 +223,10 @@ impl Substrate for Task {
         Ok(self.config.restore_cycles)
     }
 
+    fn restore_point(&self) -> Option<&Saved> {
+        Some(&self.context)
+    }
+
     fn stats(&self) -> SubstrateStats {
         self.stats
     }

@@ -560,11 +560,15 @@ fn handle_submit(inner: &Arc<Inner>, scenario_text: &str) -> Response {
 }
 
 fn handle_report(inner: &Arc<Inner>, fp: u64) -> Response {
-    if let Some(report) = inner.store.report(fp) {
-        return Response::Report {
-            fingerprint: fp,
-            report,
-        };
+    match inner.store.report(fp) {
+        Ok(Some(report)) => {
+            return Response::Report {
+                fingerprint: fp,
+                report,
+            }
+        }
+        Err(error) => return Response::Error { error },
+        Ok(None) => {}
     }
     match inner.job_status(fp) {
         Ok(state) => Response::Pending {

@@ -22,6 +22,7 @@ use std::io;
 use std::path::{Path, PathBuf};
 
 use wn_fleet::persist_atomic;
+use wn_telemetry::json::{self, Value};
 
 /// On-disk store rooted at one data directory.
 #[derive(Debug, Clone)]
@@ -96,9 +97,31 @@ impl Store {
         persist_atomic(&self.report_path(fingerprint), report_json.as_bytes())
     }
 
-    /// The stored report document, if finished.
-    pub fn report(&self, fingerprint: u64) -> Option<String> {
-        fs::read_to_string(self.report_path(fingerprint)).ok()
+    /// The stored report document: `Ok(None)` if none is stored,
+    /// `Err` if the stored file is damaged. A report is served only
+    /// when it re-parses as a JSON object whose `fingerprint` names this
+    /// file, so a torn or foreign file is never handed out as this
+    /// scenario's report.
+    ///
+    /// # Errors
+    ///
+    /// A description of the damage: unreadable, not UTF-8, not JSON, or
+    /// another scenario's fingerprint.
+    pub fn report(&self, fingerprint: u64) -> Result<Option<String>, String> {
+        let path = self.report_path(fingerprint);
+        let bytes = match fs::read(&path) {
+            Ok(bytes) => bytes,
+            Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(None),
+            Err(e) => return Err(format!("stored report {} unreadable: {e}", path.display())),
+        };
+        let damaged = |why: String| format!("stored report {} is damaged: {why}", path.display());
+        let text = String::from_utf8(bytes).map_err(|_| damaged("not UTF-8".into()))?;
+        let doc = json::parse(&text).map_err(|e| damaged(e.to_string()))?;
+        let stored = doc.get("fingerprint").and_then(Value::as_str);
+        if stored != Some(fp_hex(fingerprint).as_str()) {
+            return Err(damaged(format!("fingerprint {stored:?}")));
+        }
+        Ok(Some(text))
     }
 
     /// Whether a finished report exists.
@@ -160,17 +183,65 @@ mod tests {
         assert!(!store.is_done(0xfeed));
         assert_eq!(store.scenario(0xfeed).unwrap(), "[fleet]\nname = \"x\"\n");
 
-        store
-            .publish_report(0xfeed, "{\"schema\":\"wn-fleet-report-v1\"}")
-            .unwrap();
+        assert_eq!(store.report(0xfeed), Ok(None));
+        let report = "{\"schema\":\"wn-fleet-report-v1\",\"fingerprint\":\"000000000000feed\"}";
+        store.publish_report(0xfeed, report).unwrap();
         assert!(store.is_done(0xfeed));
         assert!(store.unfinished().is_empty());
         assert_eq!(store.done_count(), 1);
-        assert_eq!(
-            store.report(0xfeed).unwrap(),
-            "{\"schema\":\"wn-fleet-report-v1\"}"
-        );
+        assert_eq!(store.report(0xfeed).unwrap().unwrap(), report);
 
+        fs::remove_dir_all(&root).unwrap();
+    }
+
+    #[test]
+    fn damaged_reports_are_never_served() {
+        // A real report's shape: nested objects, floats, the fingerprint
+        // among the leading fields.
+        let report = concat!(
+            "{\"schema\":\"wn-fleet-report-v1\",\"scenario\":\"smoke\",\"seed\":7,",
+            "\"fingerprint\":\"00000000c0ffee42\",\"shard_size\":64,\"fleet\":",
+            "{\"devices\":128,\"completion_rate\":0.984375,\"time_s\":{\"mean\":1.5}}}"
+        );
+        let (root, store) = temp_store("damage");
+        let fp = 0xc0ffee42;
+        let path = store.report_path(fp);
+        store.publish_report(fp, report).unwrap();
+        assert_eq!(store.report(fp).unwrap().as_deref(), Some(report));
+        // Every truncation prefix fails to parse.
+        for len in 0..report.len() {
+            fs::write(&path, &report.as_bytes()[..len]).unwrap();
+            assert!(store.report(fp).is_err(), "prefix of {len} bytes served");
+        }
+        // Every single-bit flip is refused or still parses as this
+        // scenario's report: never unparsable bytes, never another
+        // scenario's document. Flips inside the fingerprint are always
+        // refused.
+        let fp_at = report.find("00000000c0ffee42").unwrap();
+        let mut served = 0;
+        for bit in 0..report.len() * 8 {
+            let mut bytes = report.as_bytes().to_vec();
+            bytes[bit / 8] ^= 1 << (bit % 8);
+            fs::write(&path, &bytes).unwrap();
+            let Ok(Some(text)) = store.report(fp) else {
+                continue;
+            };
+            served += 1;
+            assert!(
+                !(fp_at..fp_at + 16).contains(&(bit / 8)),
+                "bit {bit} served"
+            );
+            assert_eq!(text.as_bytes(), &bytes[..], "bit {bit}: served other bytes");
+            let doc = json::parse(&text).unwrap();
+            assert_eq!(
+                doc.get("fingerprint").and_then(Value::as_str),
+                Some("00000000c0ffee42")
+            );
+        }
+        assert!(served < report.len() * 8 / 2, "most flips are refused");
+        // Another scenario's intact report under this name is refused.
+        fs::write(&path, report.replace("c0ffee42", "c0ffee43")).unwrap();
+        assert!(store.report(fp).is_err());
         fs::remove_dir_all(&root).unwrap();
     }
 

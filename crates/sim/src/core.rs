@@ -638,6 +638,14 @@ pub trait StepHook {
     /// that charges on a break must carry those cycles itself.
     fn on_step(&mut self, core: &mut Core, info: &StepInfo) -> ControlFlow<HookBreak, u64>;
 
+    /// Called before each individually retired instruction with its
+    /// pc, for hooks that log where each step retired (the tape
+    /// recorder). The default does nothing.
+    #[inline]
+    fn before_step(&mut self, pc: u32) {
+        let _ = pc;
+    }
+
     /// Cycles of fused execution the hook can currently absorb without
     /// per-instruction observation (e.g. cycles left before a
     /// substrate's watchdog horizon). Consulted before every block
@@ -880,10 +888,73 @@ impl Core {
     /// The per-instruction base costs of the fused block at `pc` — what
     /// [`StepHook::on_block`] receives for it — or an empty slice where
     /// `pc` has no block.
+    #[inline]
     pub fn block_costs(&self, pc: u32) -> &[u64] {
         match self.fused.get(pc as usize) {
             Some(b) if b.len > 0 => &self.block_costs[b.costs_at as usize..][..b.len as usize],
             _ => &[],
+        }
+    }
+
+    /// Summed base cycles of the fused block at `pc` (its tail at its
+    /// base cost), 0 where `pc` has no block.
+    #[inline]
+    pub fn block_cycles(&self, pc: u32) -> u64 {
+        self.fused.get(pc as usize).map_or(0, |b| b.cycles)
+    }
+
+    /// Instructions in the fused block at `pc`, 0 where it has none.
+    #[inline]
+    pub(crate) fn block_len(&self, pc: u32) -> u32 {
+        self.fused.get(pc as usize).map_or(0, |b| b.len)
+    }
+
+    /// Loads among the instructions of the fused block at `pc`.
+    #[inline]
+    pub(crate) fn block_loads(&self, pc: u32) -> u32 {
+        let load = InstrClass::Load.idx() as u8;
+        self.fused[pc as usize]
+            .class_deltas()
+            .iter()
+            .find(|d| d.idx == load)
+            .map_or(0, |d| d.count)
+    }
+
+    /// Whether the instruction at `pc` is a load.
+    #[inline]
+    pub(crate) fn is_load(&self, pc: u32) -> bool {
+        self.decoded[pc as usize].class_idx == InstrClass::Load.idx() as u8
+    }
+
+    /// The `k`-th instruction of the fused block at `pc`, in one table
+    /// lookup: its base cost, whether it is the block's last, and
+    /// whether it is a load.
+    #[inline]
+    pub(crate) fn block_step(&self, pc: u32, k: u32) -> (u64, bool, bool) {
+        let b = &self.fused[pc as usize];
+        let at = if k < b.seg_len {
+            pc + k
+        } else {
+            b.target + (k - b.seg_len)
+        };
+        let load = self.decoded[at as usize].class_idx == InstrClass::Load.idx() as u8;
+        (
+            self.block_costs[b.costs_at as usize + k as usize],
+            k + 1 == b.len,
+            load,
+        )
+    }
+
+    /// The pc of the `k`-th instruction the fused block at `pc` retires:
+    /// along its first segment, then along the second of a chained
+    /// block.
+    #[inline]
+    pub(crate) fn block_pc(&self, pc: u32, k: u32) -> u32 {
+        let b = &self.fused[pc as usize];
+        if k < b.seg_len {
+            pc + k
+        } else {
+            b.target + (k - b.seg_len)
         }
     }
 
@@ -1188,6 +1259,7 @@ impl Core {
                     continue;
                 }
             }
+            hook.before_step(self.cpu.pc);
             let info = self.step()?;
             cycles += info.cycles;
             instructions += 1;

@@ -55,5 +55,5 @@ pub use crate::error::SimError;
 pub use crate::memo::{MemoConfig, MemoStats, MemoUnit};
 pub use crate::memory::{AccessKind, MemAccess, Memory};
 pub use crate::stats::{ExecStats, InstrClass};
-pub use crate::tape::{ExecutionTape, TapeKind, WalkCache};
+pub use crate::tape::{Dispatch, ExecutionTape, TapePos, WalkCache};
 pub use crate::trace::{ExecTrace, TraceEntry};
